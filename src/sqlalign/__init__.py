@@ -47,7 +47,7 @@ from .ngrams import (
     read_distribution,
     write_distribution,
 )
-from .parsing import Node, SqlQuery, SyntaxTree, normalize_sql, parse_sql
+from .parsing import Node, SyntaxTree, normalize_sql, parse_sql
 from .patterns import (
     DEFAULT_PATTERNS,
     PatternCounts,
@@ -81,7 +81,6 @@ __all__ = [
     "SampleSpec",
     "SpecMismatchError",
     "SqlAlignError",
-    "SqlQuery",
     "StructuralTemplate",
     "SyntaxTree",
     "TemplatizeResult",

@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source corpus file (repeatable)")
     p.add_argument("--c", type=float, default=None,
                    help="fixed alignment scaling constant; omit for max-in-batch")
-    p.add_argument("--c-mode", choices=("max_in_batch", "fixed"), default=None,
-                   help="scaling mode (fixed requires --c)")
     _field_options(p)
     _metric_options(p)
     _output_options(p)
@@ -409,10 +407,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     c = getattr(args, "c", None)
     if c is not None and c <= 0:
         parser.error("--c must be positive")
-    if getattr(args, "c_mode", None) == "fixed" and c is None:
-        parser.error("--c-mode fixed requires --c")
-    if getattr(args, "c_mode", None) == "max_in_batch" and c is not None:
-        parser.error("--c-mode max_in_batch conflicts with --c")
     fraction = getattr(args, "fraction", None)
     if fraction is not None and not 0 < fraction <= 1:
         parser.error("--fraction must be in (0, 1]")

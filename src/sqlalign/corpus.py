@@ -76,10 +76,21 @@ class SampleSpec:
 
 
 def _iter_rows(path: Path, input_format: str):
-    """Yield (row_index, dict) pairs from a corpus file."""
+    """Yield (row_index, dict) pairs from a corpus file. Every format is
+    read as UTF-8, with or without a byte-order mark."""
+    try:
+        yield from _read_rows(path, input_format)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"unreadable {input_format} file: {exc}") from exc
+
+
+def _read_rows(path: Path, input_format: str):
     if input_format == "json":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise FormatError("expected a JSON array of objects")
         for i, row in enumerate(data):
@@ -88,7 +99,7 @@ def _iter_rows(path: Path, input_format: str):
             yield i, row
     elif input_format == "jsonl":
         i = 0
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 if not line.strip():
                     continue
@@ -101,7 +112,7 @@ def _iter_rows(path: Path, input_format: str):
                 yield i, row
                 i += 1
     elif input_format == "csv":
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise FormatError("CSV file has no header row")

@@ -43,4 +43,6 @@ class EmptyCorpusError(FormatError):
 
 
 class SpecMismatchError(SqlAlignError):
-    """Two pattern-count tables cover different pattern ids."""
+    """Two inputs were built to different specifications and cannot be
+    compared: pattern-count tables that cover different pattern ids, or
+    n-gram distributions with different l_max."""

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyDistributionError, EmptyTargetSetError
+from .errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
 from .ngrams import NGramDistribution
 
 DEFAULT_ALPHA = 0.5
@@ -50,22 +50,30 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
     """Smoothed KL divergence D(p || q) in nats.
 
     Both count vectors are smoothed by adding alpha to every n-gram of the
-    union vocabulary V and normalizing by (total + alpha * |V|). Exact
-    zeros can come out a hair negative in floating point; values inside
-    -1e-9..0 are clamped to 0.
+    union vocabulary V and normalizing by (total + alpha * |V|). The
+    terms are summed with math.fsum, so the result does not depend on the
+    iteration order of V (which follows string hashing). Exact zeros can
+    come out a hair negative in floating point; values inside -1e-9..0 are
+    clamped to 0. Distributions built with different l_max raise
+    SpecMismatchError.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if p.total <= 0 or q.total <= 0:
         raise EmptyDistributionError("cannot compare empty distributions")
+    if p.l_max != q.l_max:
+        raise SpecMismatchError(f"cannot compare distributions with l_max {p.l_max} and {q.l_max}")
     vocab = p.counts.keys() | q.counts.keys()
     denom_p = p.total + alpha * len(vocab)
     denom_q = q.total + alpha * len(vocab)
-    total = 0.0
-    for gram in vocab:
-        pp = (p.counts.get(gram, 0) + alpha) / denom_p
-        qq = (q.counts.get(gram, 0) + alpha) / denom_q
-        total += pp * math.log(pp / qq)
+
+    def terms():
+        for gram in vocab:
+            pp = (p.counts.get(gram, 0) + alpha) / denom_p
+            qq = (q.counts.get(gram, 0) + alpha) / denom_q
+            yield pp * math.log(pp / qq)
+
+    total = math.fsum(terms())
     if -1e-9 < total < 0.0:
         return 0.0
     return total

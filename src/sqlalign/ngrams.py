@@ -33,9 +33,6 @@ class NGramDistribution:
     l_max: int
     source_label: str = ""
 
-    def probability(self, gram: NGram) -> float:
-        return self.counts.get(gram, 0) / self.total
-
 
 def _tokens_of(template: StructuralTemplate | Sequence[str]) -> tuple[str, ...]:
     if isinstance(template, StructuralTemplate):

@@ -40,37 +40,23 @@ COMMA = "comma"
 DOT = "dot"
 PARAM = "param"
 SEMI = "semi"
+END = "end"  # the sentinel parse_sql puts after the last source token
 
 # Token roles.
 STRUCTURAL = "structural"
 SCHEMA = "schema"
 
-_DIALECTS = ("generic", "sqlite")
-
-
-@dataclass(frozen=True)
-class SqlQuery:
-    """A raw SQL string plus a dialect tag (provenance only; parsing is
-    identical for both dialects)."""
-
-    text: str
-    dialect: str = "generic"
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("query text must be non-empty")
-        if self.dialect not in _DIALECTS:
-            raise ValueError(f"unknown dialect {self.dialect!r}; expected one of {_DIALECTS}")
-
 
 @dataclass(frozen=True)
 class Token:
+    """One source token. ``upper`` is a word's text uppercased once, at
+    construction, and any other token's text as is: keywords are matched
+    and written into templates in this form."""
+
     kind: str
     text: str
     pos: int
-
-    def upper(self) -> str:
-        return self.text.upper()
+    upper: str
 
 
 @dataclass
@@ -103,122 +89,44 @@ class Node:
 SyntaxTree = Node
 
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||", "==")
-_ONE_CHAR_OPS = set("=<>+-*/%~")
+# One alternative per token kind, named after it; the first alternative
+# that matches wins, so "--" starts a comment before it is two minus signs.
+# A quoted literal ends at the first quote that is not doubled: the (?!')
+# and (?!") guards stop the regex from backtracking to an earlier, shorter
+# literal when no such quote exists.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip> \s+ | --[^\n]* | /\*.*?\*/ )
+  | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+  | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+  | (?P<number> (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? )
+  | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
+  | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
+  | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
+  | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
+""", re.VERBOSE | re.DOTALL)
+
+# What an opening character that no alternative matched leaves open.
+_UNTERMINATED = {"'": "string literal", '"': "quoted identifier",
+                 "`": "quoted identifier", "[": "bracketed identifier",
+                 "/": "block comment"}
 
 
 def tokenize(text: str) -> list[Token]:
     """Split SQL text into tokens, dropping comments and whitespace."""
     toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated block comment", i)
-            i = j + 2
-            continue
-        if c == "'":
-            j = i + 1
-            while True:
-                j = text.find("'", j)
-                if j < 0:
-                    raise ParseError("unterminated string literal", i)
-                if j + 1 < n and text[j + 1] == "'":  # '' escape
-                    j += 2
-                    continue
-                break
-            toks.append(Token(STRING, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if c == '"':
-            j = i + 1
-            while True:
-                j = text.find('"', j)
-                if j < 0:
-                    raise ParseError("unterminated quoted identifier", i)
-                if j + 1 < n and text[j + 1] == '"':
-                    j += 2
-                    continue
-                break
-            toks.append(Token(QIDENT, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if c == "`":
-            j = text.find("`", i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted identifier", i)
-            toks.append(Token(QIDENT, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if c == "[":
-            j = text.find("]", i + 1)
-            if j < 0:
-                raise ParseError("unterminated bracketed identifier", i)
-            toks.append(Token(QIDENT, text[i : j + 1], i))
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _NUMBER_RE.match(text, i)
-            toks.append(Token(NUMBER, m.group(), i))
-            i = m.end()
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            toks.append(Token(WORD, m.group(), i))
-            i = m.end()
-            continue
-        if c == ".":
-            toks.append(Token(DOT, ".", i))
-            i += 1
-            continue
-        if c == ",":
-            toks.append(Token(COMMA, ",", i))
-            i += 1
-            continue
-        if c == "(":
-            toks.append(Token(LPAREN, "(", i))
-            i += 1
-            continue
-        if c == ")":
-            toks.append(Token(RPAREN, ")", i))
-            i += 1
-            continue
-        if c == ";":
-            toks.append(Token(SEMI, ";", i))
-            i += 1
-            continue
-        if c == "?":
-            toks.append(Token(PARAM, "?", i))
-            i += 1
-            continue
-        if c in (":", "@"):
-            m = _WORD_RE.match(text, i + 1)
-            if m:
-                toks.append(Token(PARAM, c + m.group(), i))
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        two = text[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            toks.append(Token(OP, two, i))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            toks.append(Token(OP, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+    pos, end = 0, len(text)
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            c = text[pos]
+            if c in _UNTERMINATED:
+                raise ParseError(f"unterminated {_UNTERMINATED[c]}", pos)
+            raise ParseError(f"unexpected character {c!r}", pos)
+        kind = m.lastgroup
+        if kind != "skip":
+            tok = m.group()
+            toks.append(Token(kind, tok, pos, tok.upper() if kind == WORD else tok))
+        pos = m.end()
     return toks
 
 
@@ -266,22 +174,20 @@ _COMPARE_OPS = frozenset({"=", "==", "<", ">", "<=", ">=", "<>", "!="})
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], text_len: int):
-        self.toks = tokens
+    def __init__(self, tokens: list[Token]):
+        self.toks = tokens  # ends with the END sentinel
         self.i = 0
-        self.text_len = text_len
 
     # -- primitives ---------------------------------------------------
 
-    def _peek(self, k: int = 0) -> Token | None:
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+    def _peek(self, k: int = 0) -> Token:
+        return self.toks[self.i + k]
 
     def _error(self, message: str) -> None:
         tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"{message}, found {tok.text!r}", tok.pos)
-        raise ParseError(message, self.text_len)
+        if tok.kind == END:
+            raise ParseError(message, tok.pos)
+        raise ParseError(f"{message}, found {tok.text!r}", tok.pos)
 
     def _advance(self) -> Token:
         tok = self.toks[self.i]
@@ -289,16 +195,20 @@ class _Parser:
         return tok
 
     def _at(self, kind: str) -> bool:
-        t = self._peek()
-        return t is not None and t.kind == kind
+        return self._peek().kind == kind
 
     def _at_op(self, *texts: str) -> bool:
         t = self._peek()
-        return t is not None and t.kind == OP and t.text in texts
+        return t.kind == OP and t.text in texts
 
     def _at_word(self, *uppers: str) -> bool:
         t = self._peek()
-        return t is not None and t.kind == WORD and t.upper() in uppers
+        return t.kind == WORD and t.upper in uppers
+
+    def _at_name(self, stop: frozenset[str] = frozenset()) -> bool:
+        """At a quoted identifier or at a word outside ``stop``."""
+        t = self._peek()
+        return t.kind == QIDENT or (t.kind == WORD and t.upper not in stop)
 
     def _struct(self) -> Node:
         return Node("tok", token=self._advance(), role=STRUCTURAL)
@@ -316,11 +226,36 @@ class _Parser:
             self._error(f"expected {what}")
         return self._struct()
 
+    def _name(self, message: str) -> Node:
+        if not self._at_name():
+            self._error(message)
+        return self._schema()
+
+    def _comma_list(self, ch: list[Node], item) -> list[Node]:
+        """Append ``item (, item)*`` to ch."""
+        ch.append(item())
+        while self._at(COMMA):
+            ch.append(self._struct())
+            ch.append(item())
+        return ch
+
+    def _subquery_ahead(self, nested: bool) -> bool:
+        """At '(' followed by SELECT or WITH or, when ``nested``, by
+        another '('."""
+        nxt = self._peek(1)
+        return ((nested and nxt.kind == LPAREN)
+                or (nxt.kind == WORD and nxt.upper in ("SELECT", "WITH")))
+
+    def _subquery(self, label: str = "subquery") -> Node:
+        """``( select_stmt )`` as one node."""
+        return Node(label, [self._struct(), self._select_stmt(),
+                            self._punct(RPAREN, "')'")])
+
     # -- statements ---------------------------------------------------
 
     def parse(self) -> Node:
         stmt = self._select_stmt()
-        if self.i < len(self.toks):
+        if not self._at(END):
             self._error("unexpected token after end of query")
         return Node("query", [stmt])
 
@@ -339,23 +274,16 @@ class _Parser:
         ch = [self._kw("WITH")]
         if self._at_word("RECURSIVE"):
             ch.append(self._struct())
-        while True:
-            ch.append(self._cte())
-            if self._at(COMMA):
-                ch.append(self._struct())
-                continue
-            break
-        return Node("with", ch)
+        return Node("with", self._comma_list(ch, self._cte))
 
     def _cte(self) -> Node:
-        ch = []
-        if not (self._at(QIDENT) or (self._at(WORD) and not self._at_word(*_RESERVED_STOP))):
+        if not self._at_name(_RESERVED_STOP):
             self._error("expected common-table-expression name")
-        ch.append(self._schema())
+        ch = [self._schema()]
         if self._at(LPAREN):  # optional column list: drop with the names
             ch.append(self._schema())
             while not self._at(RPAREN):
-                if self._at(WORD) or self._at(QIDENT) or self._at(COMMA):
+                if self._at_name() or self._at(COMMA):
                     ch.append(self._schema())
                 else:
                     self._error("expected column name in CTE column list")
@@ -363,8 +291,7 @@ class _Parser:
         ch.append(self._kw("AS"))
         if not self._at(LPAREN):
             self._error("expected '(' after AS")
-        ch.append(Node("subquery", [self._struct(), self._select_stmt(),
-                                    self._punct(RPAREN, "')'")]))
+        ch.append(self._subquery())
         return Node("cte", ch)
 
     def _compound_select(self) -> Node:
@@ -381,11 +308,8 @@ class _Parser:
 
     def _select_core_or_paren(self) -> Node:
         if self._at(LPAREN):
-            nxt = self._peek(1)
-            if nxt is not None and (nxt.kind == LPAREN
-                                    or (nxt.kind == WORD and nxt.upper() in ("SELECT", "WITH"))):
-                return Node("paren_select", [self._struct(), self._select_stmt(),
-                                             self._punct(RPAREN, "')'")])
+            if self._subquery_ahead(nested=True):
+                return self._subquery("paren_select")
             self._error("expected SELECT")
         return self._select_core()
 
@@ -410,17 +334,13 @@ class _Parser:
         return Node("select", ch)
 
     def _select_list(self) -> Node:
-        ch = [self._select_item()]
-        while self._at(COMMA):
-            ch.append(self._struct())
-            ch.append(self._select_item())
-        return Node("select_list", ch)
+        return Node("select_list", self._comma_list([], self._select_item))
 
     def _select_item(self) -> Node:
         if self._at_op("*"):
             return Node("select_item", [Node("star", [self._struct()])])
         # qualified star: t.* or db.t.*
-        if (self._at(WORD) or self._at(QIDENT)) and self._qualified_star_ahead():
+        if self._at_name() and self._qualified_star_ahead():
             ch = [self._schema()]
             while self._at(DOT):
                 ch.append(self._schema())
@@ -429,40 +349,32 @@ class _Parser:
                     break
                 ch.append(self._schema())
             return Node("select_item", [Node("star", ch)])
-        ch = [self._expr()]
-        if self._at_word("AS"):
-            ch.append(self._schema())  # alias AS drops with the alias
-            ch.append(self._alias_name())
-        elif self._alias_ahead():
-            ch.append(self._alias_name())
-        return Node("select_item", ch)
+        return Node("select_item", self._optional_alias([self._expr()]))
 
     def _qualified_star_ahead(self) -> bool:
         k = 0
-        while True:
-            t0, t1 = self._peek(k), self._peek(k + 1)
-            if t0 is None or t1 is None or t0.kind not in (WORD, QIDENT) or t1.kind != DOT:
-                return False
-            t2 = self._peek(k + 2)
-            if t2 is not None and t2.kind == OP and t2.text == "*":
+        while self._peek(k).kind in (WORD, QIDENT) and self._peek(k + 1).kind == DOT:
+            if self._peek(k + 2).kind == OP and self._peek(k + 2).text == "*":
                 return True
             k += 2
+        return False
 
     def _alias_ahead(self) -> bool:
         t = self._peek()
-        if t is None:
-            return False
         if t.kind in (QIDENT, STRING):
             return True
-        return t.kind == WORD and t.upper() not in _NON_ALIAS_WORDS
+        return t.kind == WORD and t.upper not in _NON_ALIAS_WORDS
 
-    def _alias_name(self) -> Node:
-        t = self._peek()
-        if t is None or (t.kind == WORD and t.upper() in _NON_ALIAS_WORDS):
-            self._error("expected alias name")
-        if t.kind not in (WORD, QIDENT, STRING):
-            self._error("expected alias name")
-        return self._schema()
+    def _optional_alias(self, ch: list[Node]) -> list[Node]:
+        """Append ``[AS] alias`` to ch when present."""
+        if self._at_word("AS"):
+            ch.append(self._schema())  # alias AS drops with the alias
+            if not self._alias_ahead():
+                self._error("expected alias name")
+            ch.append(self._schema())
+        elif self._alias_ahead():
+            ch.append(self._schema())
+        return ch
 
     # -- FROM ----------------------------------------------------------
 
@@ -492,41 +404,23 @@ class _Parser:
         return Node("from", ch)
 
     def _table_or_subquery(self) -> Node:
-        ch = []
         if self._at(LPAREN):
-            nxt = self._peek(1)
-            if nxt is None or not (nxt.kind == LPAREN
-                                   or (nxt.kind == WORD and nxt.upper() in ("SELECT", "WITH"))):
+            if not self._subquery_ahead(nested=True):
                 self._error("expected SELECT after '(' in FROM")
-            ch.append(Node("subquery", [self._struct(), self._select_stmt(),
-                                        self._punct(RPAREN, "')'")]))
+            ch = [self._subquery()]
         else:
-            if not (self._at(QIDENT) or (self._at(WORD) and not self._at_word(*_NON_ALIAS_WORDS))):
+            if not self._at_name(_NON_ALIAS_WORDS):
                 self._error("expected table name")
             name = [self._schema()]
             while self._at(DOT):
                 name.append(self._schema())
-                if not (self._at(WORD) or self._at(QIDENT)):
-                    self._error("expected identifier after '.'")
-                name.append(self._schema())
-            ch.append(Node("table", name))
-        if self._at_word("AS"):
-            ch.append(self._schema())
-            ch.append(self._alias_name())
-        elif self._alias_ahead():
-            ch.append(self._alias_name())
-        return Node("table_ref", ch)
+                name.append(self._name("expected identifier after '.'"))
+            ch = [Node("table", name)]
+        return Node("table_ref", self._optional_alias(ch))
 
     def _using_cols(self) -> Node:
-        ch = [self._punct(LPAREN, "'('")]
-        while True:
-            if not (self._at(WORD) or self._at(QIDENT)):
-                self._error("expected column name in USING")
-            ch.append(self._schema())
-            if self._at(COMMA):
-                ch.append(self._struct())
-                continue
-            break
+        ch = self._comma_list([self._punct(LPAREN, "'('")],
+                              lambda: self._name("expected column name in USING"))
         ch.append(self._punct(RPAREN, "')'"))
         return Node("using_cols", ch)
 
@@ -558,18 +452,16 @@ class _Parser:
         return Node("limit", ch)
 
     def _expr_list(self) -> Node:
-        ch = [self._expr()]
-        while self._at(COMMA):
-            ch.append(self._struct())
-            ch.append(self._expr())
-        return Node("expr_list", ch)
+        return Node("expr_list", self._comma_list([], self._expr))
+
+    def _paren_list(self) -> Node:
+        ch = self._comma_list([self._struct()], self._expr)
+        ch.append(self._punct(RPAREN, "')'"))
+        return Node("paren", ch)
 
     # -- expressions -----------------------------------------------------
 
     def _expr(self) -> Node:
-        return self._or_expr()
-
-    def _or_expr(self) -> Node:
         node = self._and_expr()
         while self._at_word("OR"):
             node = Node("binary", [node, self._struct(), self._and_expr()])
@@ -590,7 +482,7 @@ class _Parser:
         node = self._concat()
         while True:
             t = self._peek()
-            if t is not None and t.kind == OP and t.text in _COMPARE_OPS:
+            if t.kind == OP and t.text in _COMPARE_OPS:
                 node = Node("binary", [node, self._struct(), self._concat()])
                 continue
             if self._at_word("IS"):
@@ -606,7 +498,7 @@ class _Parser:
             neg = None
             if self._at_word("NOT"):
                 nxt = self._peek(1)
-                if nxt is not None and nxt.kind == WORD and nxt.upper() in (
+                if nxt.kind == WORD and nxt.upper in (
                         "BETWEEN", "IN", "LIKE", "ILIKE", "GLOB", "REGEXP", "MATCH"):
                     neg = self._struct()
                 else:
@@ -635,17 +527,9 @@ class _Parser:
     def _in_rhs(self) -> Node:
         if not self._at(LPAREN):
             self._error("expected '(' after IN")
-        nxt = self._peek(1)
-        if nxt is not None and (nxt.kind == LPAREN
-                                or (nxt.kind == WORD and nxt.upper() in ("SELECT", "WITH"))):
-            return Node("subquery", [self._struct(), self._select_stmt(),
-                                     self._punct(RPAREN, "')'")])
-        ch = [self._struct(), self._expr()]
-        while self._at(COMMA):
-            ch.append(self._struct())
-            ch.append(self._expr())
-        ch.append(self._punct(RPAREN, "')'"))
-        return Node("paren", ch)
+        if self._subquery_ahead(nested=True):
+            return self._subquery()
+        return self._paren_list()
 
     def _concat(self) -> Node:
         node = self._additive()
@@ -668,35 +552,22 @@ class _Parser:
     def _unary(self) -> Node:
         if self._at_op("+", "-", "~"):
             return Node("unary", [self._struct(), self._unary()])
-        return self._postfix()
-
-    def _postfix(self) -> Node:
         node = self._primary()
         while self._at_word("COLLATE"):
-            ch = [node, self._struct()]
-            if not (self._at(WORD) or self._at(QIDENT)):
-                self._error("expected collation name")
-            ch.append(self._schema())
-            node = Node("collate", ch)
+            node = Node("collate", [node, self._struct(),
+                                    self._name("expected collation name")])
         return node
 
     def _primary(self) -> Node:
         t = self._peek()
-        if t is None:
+        if t.kind == END:
             self._error("unexpected end of query")
         if t.kind in (NUMBER, STRING, PARAM):
             return Node("lit", [self._schema()])
         if t.kind == LPAREN:
-            nxt = self._peek(1)
-            if nxt is not None and nxt.kind == WORD and nxt.upper() in ("SELECT", "WITH"):
-                return Node("subquery", [self._struct(), self._select_stmt(),
-                                         self._punct(RPAREN, "')'")])
-            ch = [self._struct(), self._expr()]
-            while self._at(COMMA):
-                ch.append(self._struct())
-                ch.append(self._expr())
-            ch.append(self._punct(RPAREN, "')'"))
-            return Node("paren", ch)
+            if self._subquery_ahead(nested=False):
+                return self._subquery()
+            return self._paren_list()
         if t.kind == OP and t.text == "*":
             return Node("star", [self._struct()])
         if t.kind == QIDENT:
@@ -704,22 +575,18 @@ class _Parser:
         if t.kind != WORD:
             self._error("expected expression")
 
-        up = t.upper()
-        follows_paren = self._peek(1) is not None and self._peek(1).kind == LPAREN
+        up = t.upper
+        follows_paren = self._peek(1).kind == LPAREN
         if up == "CASE":
             return self._case_expr()
         if up == "CAST" and follows_paren:
             return self._cast_expr()
         if up == "EXISTS" and follows_paren:
-            return Node("exists", [self._struct(),
-                                   Node("subquery", [self._struct(), self._select_stmt(),
-                                                     self._punct(RPAREN, "')'")])])
+            return Node("exists", [self._struct(), self._subquery()])
         if up == "EXTRACT" and follows_paren:
             return self._extract_expr()
-        if up == "INTERVAL":
-            nxt = self._peek(1)
-            if nxt is not None and nxt.kind in (STRING, NUMBER):
-                return self._interval_expr()
+        if up == "INTERVAL" and self._peek(1).kind in (STRING, NUMBER):
+            return self._interval_expr()
         if up in _CONST_WORDS:
             return Node("const", [self._struct()])
         if up in _RESERVED_STOP:
@@ -789,10 +656,7 @@ class _Parser:
             if self._at_op("*"):
                 ch.append(Node("star", [self._struct()]))
             else:
-                ch.append(self._expr())
-                while self._at(COMMA):
-                    ch.append(self._struct())
-                    ch.append(self._expr())
+                self._comma_list(ch, self._expr)
         ch.append(self._punct(RPAREN, "')'"))
         node = Node("func", ch)
         if self._at_word("FILTER"):
@@ -817,9 +681,7 @@ class _Parser:
                 ch.append(self._frame_spec())
             ch.append(self._punct(RPAREN, "')'"))
         else:
-            if not (self._at(WORD) or self._at(QIDENT)):
-                self._error("expected window name or '(' after OVER")
-            ch.append(self._schema())
+            ch.append(self._name("expected window name or '(' after OVER"))
         return Node("over", ch)
 
     def _frame_spec(self) -> Node:
@@ -838,7 +700,7 @@ class _Parser:
         return Node("frame_bound", [self._expr(), self._kw("PRECEDING", "FOLLOWING")])
 
     def _column_ref(self) -> Node:
-        if not (self._at(QIDENT) or (self._at(WORD) and not self._at_word(*_RESERVED_STOP))):
+        if not self._at_name(_RESERVED_STOP):
             self._error("expected column reference")
         ch = [self._schema()]
         while self._at(DOT):
@@ -846,20 +708,24 @@ class _Parser:
             if self._at_op("*"):
                 ch.append(self._struct())
                 return Node("star", ch)
-            if not (self._at(WORD) or self._at(QIDENT)):
-                self._error("expected identifier after '.'")
-            ch.append(self._schema())
+            ch.append(self._name("expected identifier after '.'"))
         return Node("col", ch)
 
 
-def parse_sql(query: SqlQuery | str) -> SyntaxTree:
+def parse_sql(text: str) -> SyntaxTree:
     """Parse a SELECT query into a role-tagged syntax tree.
 
-    Raises ParseError on anything outside the supported grammar; callers
-    that process whole corpora catch it and record the failure.
+    Every failure is a ParseError: text outside the supported grammar, text
+    with no tokens, and nesting deeper than the interpreter's recursion
+    limit allows ("query nests too deeply"). Callers that process whole
+    corpora catch it and record the failure.
     """
-    text = query.text if isinstance(query, SqlQuery) else SqlQuery(text=query).text
     toks = _strip_trailing_semis(tokenize(text))
     if not toks:
         raise ParseError("query contains no tokens", 0)
-    return _Parser(toks, len(text)).parse()
+    toks.append(Token(END, "", len(text), ""))
+    parser = _Parser(toks)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("query nests too deeply", toks[parser.i].pos) from None

@@ -20,7 +20,7 @@ from .parsing import Node, ParseError, parse_sql
 def _func_name(node: Node) -> str:
     for child in node.children:
         if child.token is not None:
-            return child.token.text.upper()
+            return child.token.upper
     return ""
 
 
@@ -102,7 +102,7 @@ def match_iif(tree: Node) -> bool:
 
 def match_union(tree: Node) -> bool:
     for op in tree.find_all("setop_op"):
-        if op.children and op.children[0].token.text.upper() == "UNION":
+        if op.children and op.children[0].token.upper == "UNION":
             return True
     return False
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parsing import STRUCTURAL, SqlQuery, SyntaxTree, parse_sql
+from .parsing import STRUCTURAL, SyntaxTree, parse_sql
 
 
 @dataclass(frozen=True)
@@ -30,15 +30,10 @@ class StructuralTemplate:
 def derive_template(tree: SyntaxTree) -> StructuralTemplate:
     """Keep the structural tokens of a tree in source order, uppercasing
     word tokens. Total on valid trees."""
-    out = []
-    for node in tree.token_nodes():
-        if node.role != STRUCTURAL:
-            continue
-        text = node.token.text
-        out.append(text.upper() if text[0].isalpha() or text[0] == "_" else text)
-    return StructuralTemplate(tuple(out))
+    return StructuralTemplate(tuple(
+        node.token.upper for node in tree.token_nodes() if node.role == STRUCTURAL))
 
 
-def templatize(query: SqlQuery | str) -> StructuralTemplate:
+def templatize(query: str) -> StructuralTemplate:
     """Parse a query and derive its structural template in one step."""
     return derive_template(parse_sql(query))

@@ -65,7 +65,7 @@ def record(sql: str) -> dict:
         out["tokens"] = _digest([(t.kind, t.text, t.pos) for t in tokenize(sql)])
     except ParseError:
         pass
-    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+    except Exception as exc:  # recorded, not hidden
         out["crash"] = type(exc).__name__
         return out
     try:
@@ -75,7 +75,7 @@ def record(sql: str) -> dict:
         out["tree"] = _digest(_shape(tree))
     except ParseError as exc:
         out["error"] = str(exc)
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:
         out["crash"] = type(exc).__name__
     return out
 

@@ -128,6 +128,29 @@ def test_load_rejects_non_array_json(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("name, data", [
+    ("c.json", b'[{"sql": "SELECT 1"}, {"sql": "SEL'),
+    ("c.jsonl", b'{"sql": "SELECT \xff"}\n'),
+    ("c.csv", "sql\n".encode() + b"x" * 200_000 + b"\n"),
+], ids=["truncated-json-array", "jsonl-not-utf8", "csv-field-over-limit"])
+def test_load_unreadable_file_raises_format_error(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(FormatError):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("c.csv", "sql,domain\nSELECT 1,d\n"),
+    ("c.json", '[{"sql": "SELECT 1"}]'),
+    ("c.jsonl", '{"sql": "SELECT 1"}\n'),
+])
+def test_load_accepts_a_byte_order_mark(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8-sig")
+    assert [r.sql for r in load_corpus(path).records] == ["SELECT 1"]
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_corpus(tmp_path / "missing.jsonl")

@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sqlalign.errors import EmptyDistributionError, EmptyTargetSetError
+import sqlalign
+from sqlalign.errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
 from sqlalign.metrics import (
     AlignmentScore,
     AlignmentRatio,
@@ -64,6 +69,34 @@ def test_kl_rejects_empty_distributions():
         kl_divergence(p, empty, alpha=0.5)
     with pytest.raises(EmptyDistributionError):
         kl_divergence(empty, p, alpha=0.5)
+
+
+def test_kl_rejects_different_l_max():
+    p = dist({"a": 1, "b": 2})
+    q = NGramDistribution(counts=p.counts, total=p.total, l_max=3)
+    with pytest.raises(SpecMismatchError):
+        kl_divergence(p, q)
+
+
+_KL_SCRIPT = """
+import random
+from sqlalign.metrics import kl_divergence
+from sqlalign.ngrams import NGramDistribution
+rng = random.Random(3)
+def dist():
+    counts = {("SELECT", f"g{i}"): rng.randint(1, 1000) for i in range(3000) if rng.random() < 0.7}
+    return NGramDistribution(counts=counts, total=sum(counts.values()), l_max=15)
+print(repr(kl_divergence(dist(), dist())))
+"""
+
+
+def test_kl_is_identical_across_hash_seeds():
+    src = str(Path(sqlalign.__file__).parents[1])
+    outputs = {subprocess.run([sys.executable, "-c", _KL_SCRIPT], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
+               for seed in ("0", "1")}
+    assert len(outputs) == 1, outputs
 
 
 def test_kl_is_asymmetric():

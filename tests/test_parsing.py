@@ -9,7 +9,6 @@ from sqlalign.errors import ParseError
 from sqlalign.parsing import (
     SCHEMA,
     STRUCTURAL,
-    SqlQuery,
     normalize_sql,
     parse_sql,
     tokenize,
@@ -90,25 +89,16 @@ def test_string_literal_keeps_quotes_and_escapes():
     "SELECT a FROM t WHERE b = 1 extra garbage ) (",
     "SELECT CAST(a) FROM t",
     "SELECT CASE a THEN 1 END FROM t",
+    "SELECT ²",
+    "SELECT " + "(" * 3000 + "1" + ")" * 3000,
+    "   ",
+    "-- only a comment",
 ])
 def test_invalid_sql_raises_parse_error(sql):
     with pytest.raises(ParseError) as err:
         parse_sql(sql)
     assert isinstance(err.value.position, int)
     assert err.value.position >= 0
-
-
-def test_empty_query_rejected_at_construction():
-    with pytest.raises(ValueError):
-        SqlQuery(text="   ")
-    with pytest.raises(ValueError):
-        SqlQuery(text="SELECT 1", dialect="oracle")
-
-
-def test_dialect_tag_is_carried_but_does_not_change_parsing():
-    a = parse_sql(SqlQuery(text="SELECT a FROM t", dialect="sqlite"))
-    b = parse_sql(SqlQuery(text="SELECT a FROM t", dialect="generic"))
-    assert a.serialize() == b.serialize()
 
 
 def test_subquery_nodes_only_for_nested_selects():
