@@ -80,17 +80,14 @@ def _iter_rows(path: Path, input_format: str):
     read as UTF-8, with or without a byte-order mark."""
     try:
         yield from _read_rows(path, input_format)
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
         raise FormatError(f"unreadable {input_format} file: {exc}") from exc
 
 
 def _read_rows(path: Path, input_format: str):
     if input_format == "json":
         with open(path, encoding="utf-8-sig") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc}") from exc
+            data = json.load(fh)
         if not isinstance(data, list):
             raise FormatError("expected a JSON array of objects")
         for i, row in enumerate(data):
