@@ -42,8 +42,6 @@ from .ngrams import (
     NGram,
     NGramDistribution,
     build_distribution,
-    extract_ngrams,
-    is_valid_ngram,
     read_distribution,
     write_distribution,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "count_patterns",
     "derive_template",
     "diff_pattern_counts",
-    "extract_ngrams",
-    "is_valid_ngram",
     "kl_alignment",
     "kl_divergence",
     "load_corpus",

@@ -16,39 +16,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .corpus import Corpus, SampleSpec, load_corpus, sample_corpus, templatize_corpus, write_templates
 from .errors import SqlAlignError
-from .metrics import DEFAULT_ALPHA, AlignmentScore, alignment_ratio, batch_align, ovlp_ratio
+from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
 
 log = logging.getLogger("sqlalign")
-
-
-@dataclass
-class RunConfig:
-    """Everything that influenced a run; echoed into every report."""
-
-    l_max: int = DEFAULT_L_MAX
-    alpha: float = DEFAULT_ALPHA
-    c_mode: str = "max_in_batch"
-    c: float | None = None
-    seed: int = 0
-    sql_field: str = "sql"
-    question_field: str | None = None
-    group_field: str | None = None
-    input_format: str | None = None
-    skip_bad_rows: bool = False
-    output_format: str = "json"
-    log_base: str = "e"  # divergences are in nats
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _json_value(value) -> str:
@@ -79,28 +59,21 @@ def dumps_report(report: dict) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    data = text.encode("utf-8")  # an unencodable text fails before the file exists
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _write_csv(path: str | None, fieldnames: list[str], rows: list[dict]) -> None:
-    def fmt(value):
-        if isinstance(value, float):
-            return f"{value:.6f}"
-        return "" if value is None else value
-
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: fmt(v) for k, v in row.items()})
-    finally:
-        if path is not None:
-            out.close()
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:  # csv writes None as an empty field
+        writer.writerow({k: f"{v:.6f}" if isinstance(v, float) else v for k, v in row.items()})
+    _write_text(path, out.getvalue())
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -147,20 +120,23 @@ def _load(args, path, kind) -> Corpus:
                        skip_bad_rows=args.skip_bad_rows)
 
 
-def _config(args, c_mode=None, c=None, seed=0) -> RunConfig:
-    return RunConfig(
-        l_max=getattr(args, "l_max", DEFAULT_L_MAX),
-        alpha=getattr(args, "alpha", DEFAULT_ALPHA),
-        c_mode=c_mode or "max_in_batch",
-        c=c,
-        seed=seed,
-        sql_field=args.sql_field,
-        question_field=args.question_field,
-        group_field=args.group_field,
-        input_format=args.input_format,
-        skip_bad_rows=args.skip_bad_rows,
-        output_format=getattr(args, "format", "json"),
-    )
+def _config(args) -> dict:
+    """Everything that influenced a run; echoed into every report."""
+    c = getattr(args, "c", None)
+    return {
+        "l_max": getattr(args, "l_max", DEFAULT_L_MAX),
+        "alpha": getattr(args, "alpha", DEFAULT_ALPHA),
+        "c_mode": "max_in_batch" if c is None else "fixed",
+        "c": c,
+        "seed": 0,
+        "sql_field": args.sql_field,
+        "question_field": args.question_field,
+        "group_field": args.group_field,
+        "input_format": args.input_format,
+        "skip_bad_rows": args.skip_bad_rows,
+        "output_format": getattr(args, "format", "json"),
+        "log_base": "e",  # divergences are in nats
+    }
 
 
 # -- commands ------------------------------------------------------------
@@ -178,7 +154,7 @@ def cmd_templates(args) -> int:
         write_distribution(result.distribution, args.distribution)
     if args.report:
         report = {
-            "config": _config(args).as_dict(),
+            "config": _config(args),
             "corpus": corpus.name,
             "n_records": len(corpus),
             "parsed": result.parsed,
@@ -192,84 +168,62 @@ def cmd_templates(args) -> int:
 
 
 def cmd_align(args) -> int:
-    config = _config(args, c_mode="fixed" if args.c is not None else "max_in_batch",
-                     c=args.c)
     target_corpus = _load(args, args.target, kind="target")
     target = templatize_corpus(target_corpus, l_max=args.l_max)
     target_set = {t.canonical_text for t in target.templates}
 
-    prepared = []  # (source_path, corpus, result) or (source_path, error)
+    rows = []
+    loaded = []  # (row, corpus, result) of every source that loaded
     for source_path in args.source:
+        row = {"target": str(args.target), "source": str(source_path)}
+        rows.append(row)
         try:
             source_corpus = _load(args, source_path, kind="train")
-            prepared.append((source_path, source_corpus,
-                             templatize_corpus(source_corpus, l_max=args.l_max)))
+            loaded.append((row, source_corpus,
+                           templatize_corpus(source_corpus, l_max=args.l_max)))
         except (SqlAlignError, OSError) as exc:
-            prepared.append((source_path, exc, None))
+            row["error"] = f"{type(exc).__name__}: {exc}"
 
-    successes = [p for p in prepared if p[2] is not None]
-    scores: dict[str, AlignmentScore] = {}
-    if successes:
-        aligned = batch_align(target.distribution,
-                              [p[2].distribution for p in successes],
-                              alpha=args.alpha, c=args.c)
-        scores = {p[0]: score for p, score in zip(successes, aligned)}
+    if loaded:
+        scores = batch_align(target.distribution, [result.distribution for _, _, result in loaded],
+                             alpha=args.alpha, c=args.c)
+        for (row, source_corpus, result), score in zip(loaded, scores):
+            row.update({
+                "d_kl": score.d_kl,
+                "a_kl": score.a_kl,
+                "ovlp": ovlp_ratio(target_set, {t.canonical_text for t in result.templates}),
+                "c": score.c,
+                "alpha": score.alpha,
+                "l_max": args.l_max,
+                "n_target_queries": len(target_corpus),
+                "n_source_queries": len(source_corpus),
+                "parse_failures": {"target": target.failed, "source": result.failed},
+            })
 
-    rows = []
-    had_errors = False
-    for entry in prepared:
-        source_path = entry[0]
-        if entry[2] is None:
-            had_errors = True
-            exc = entry[1]
-            rows.append({"target": str(args.target), "source": str(source_path),
-                         "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        _, source_corpus, source_result = entry
-        score = scores[source_path]
-        rows.append({
-            "target": str(args.target),
-            "source": str(source_path),
-            "d_kl": score.d_kl,
-            "a_kl": score.a_kl,
-            "ovlp": ovlp_ratio(target_set,
-                               {t.canonical_text for t in source_result.templates}),
-            "c": score.c,
-            "alpha": score.alpha,
-            "l_max": args.l_max,
-            "n_target_queries": len(target_corpus),
-            "n_source_queries": len(source_corpus),
-            "parse_failures": {"target": target.failed, "source": source_result.failed},
-        })
-
+    n_errors = sum("error" in row for row in rows)
     if args.format == "csv":
-        flat = []
         for row in rows:
-            row = dict(row)
             failures = row.pop("parse_failures", {})
             row["parse_failures_target"] = failures.get("target")
             row["parse_failures_source"] = failures.get("source")
-            flat.append(row)
         fields = ["target", "source", "d_kl", "a_kl", "ovlp", "c", "alpha",
                   "l_max", "n_target_queries", "n_source_queries",
                   "parse_failures_target", "parse_failures_source", "error"]
-        _write_csv(args.output, fields, flat)
+        _write_csv(args.output, fields, rows)
     else:
-        _write_text(args.output, dumps_report({"config": config.as_dict(), "rows": rows}))
-    print(f"align: {len(rows)} row(s), {sum(1 for r in rows if 'error' in r)} error(s)",
-          file=sys.stderr)
-    return 2 if had_errors else 0
+        _write_text(args.output, dumps_report({"config": _config(args), "rows": rows}))
+    print(f"align: {len(rows)} row(s), {n_errors} error(s)", file=sys.stderr)
+    return 2 if n_errors else 0
 
 
 def cmd_ar(args) -> int:
-    config = _config(args, c_mode="fixed", c=args.c)
     target = templatize_corpus(_load(args, args.target, kind="target"), l_max=args.l_max)
     train = templatize_corpus(_load(args, args.train, kind="train"), l_max=args.l_max)
     pred = templatize_corpus(_load(args, args.pred, kind="prediction"), l_max=args.l_max)
     ratio = alignment_ratio(target.distribution, train.distribution,
                             pred.distribution, alpha=args.alpha, c=args.c)
     report = {
-        "config": config.as_dict(),
+        "config": _config(args),
         "target": str(args.target),
         "train": str(args.train),
         "pred": str(args.pred),
@@ -305,7 +259,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_patterns(args) -> int:
-    config = _config(args)
     before = count_patterns(_load(args, args.before, kind="prediction"))
     after = count_patterns(_load(args, args.after, kind="prediction"))
     diff = diff_pattern_counts(before, after)
@@ -314,7 +267,7 @@ def cmd_patterns(args) -> int:
         _write_csv(args.output, ["pattern_id", "before", "after", "delta", "direction"], rows)
     else:
         report = {
-            "config": config.as_dict(),
+            "config": _config(args),
             "before_corpus": before.corpus_name,
             "after_corpus": after.corpus_name,
             "parse_failures": {"before": before.parse_failures,
@@ -423,7 +376,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
-    except (SqlAlignError, OSError) as exc:
+    except (SqlAlignError, OSError, UnicodeEncodeError) as exc:
         print(f"sqlalign: error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyDistributionError
+from .errors import EmptyDistributionError, FormatError
 from .keywords import SQL_KEYWORDS
 from .templates import StructuralTemplate
 
@@ -34,57 +34,40 @@ class NGramDistribution:
     source_label: str = ""
 
 
-def _tokens_of(template: StructuralTemplate | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(template, StructuralTemplate):
-        return template.tokens
-    return tuple(template)
-
-
-def extract_ngrams(template: StructuralTemplate | Sequence[str], l_max: int) -> list[NGram]:
-    """All contiguous windows of 1..min(l_max, len) tokens, unfiltered.
-
-    A template of length L yields max(0, L - n + 1) windows of order n.
-    """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    tokens = _tokens_of(template)
-    length = len(tokens)
-    grams: list[NGram] = []
-    for n in range(1, min(l_max, length) + 1):
-        for start in range(length - n + 1):
-            grams.append(tokens[start : start + n])
-    return grams
-
-
-def is_valid_ngram(gram: NGram, keywords: frozenset[str] | set[str] = SQL_KEYWORDS) -> bool:
-    """Keep an n-gram iff it has a keyword, no comma on either end, and
-    equal numbers of opening and closing parentheses."""
-    if not keywords:
-        raise ValueError("keyword set must be non-empty")
-    if not gram or gram[0] == "," or gram[-1] == ",":
-        return False
-    if gram.count("(") != gram.count(")"):
-        return False
-    return any(tok in keywords for tok in gram)
-
-
 def build_distribution(
     templates: Iterable[StructuralTemplate | Sequence[str]],
     l_max: int = DEFAULT_L_MAX,
     source_label: str = "",
-    keywords: frozenset[str] | set[str] = SQL_KEYWORDS,
 ) -> NGramDistribution:
-    """Pool valid n-grams of all templates into one frequency distribution.
+    """Pool the valid n-grams of all templates into one frequency distribution.
 
-    Counting is per occurrence: duplicate templates contribute duplicate
-    counts. Merging is plain integer addition, so the result does not
-    depend on template order.
+    Every window of 1..l_max tokens is a candidate. Counting is per
+    occurrence: a template that occurs k times contributes each of its
+    windows k times, and it is scanned once. Merging is plain integer
+    addition, so the result does not depend on template order.
     """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    distinct = Counter(t.tokens if isinstance(t, StructuralTemplate) else tuple(t)
+                       for t in templates)
     counts: Counter[NGram] = Counter()
-    for template in templates:
-        for gram in extract_ngrams(template, l_max):
-            if is_valid_ngram(gram, keywords):
-                counts[gram] += 1
+    for tokens, multiplicity in distinct.items():
+        length = len(tokens)
+        for start in range(length):
+            if tokens[start] == ",":
+                continue
+            balance = 0  # "(" minus ")" so far
+            keyword_seen = False
+            for end in range(start, min(start + l_max, length)):
+                token = tokens[end]
+                if token == "(":
+                    balance += 1
+                elif token == ")":
+                    balance -= 1
+                elif token in SQL_KEYWORDS:
+                    keyword_seen = True
+                if balance == 0 and keyword_seen and token != ",":
+                    counts[tokens[start : end + 1]] += multiplicity
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistributionError("no n-grams survived filtering")
@@ -113,11 +96,22 @@ def write_distribution(dist: NGramDistribution, path) -> None:
 
 
 def read_distribution(path) -> NGramDistribution:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    counts = {tuple(key.split(" ")): int(v) for key, v in payload["counts"].items()}
+    """Load a file written by write_distribution. Anything else (not JSON,
+    not an object, no integer l_max, no counts map, a count that is not an
+    integer) raises FormatError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"distribution file {path} is not JSON: {exc}") from exc
+    counts = payload.get("counts") if isinstance(payload, dict) else None
+    if (not isinstance(counts, dict) or type(payload.get("l_max")) is not int
+            or any(type(v) is not int for v in counts.values())):
+        raise FormatError(f"distribution file {path} is not an object with an "
+                          "integer l_max and integer counts")
+    counts = {tuple(key.split(" ")): v for key, v in counts.items()}
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistributionError(f"distribution file {path} has no counts")
-    return NGramDistribution(counts=counts, total=total, l_max=int(payload["l_max"]),
+    return NGramDistribution(counts=counts, total=total, l_max=payload["l_max"],
                              source_label=payload.get("source_label", ""))

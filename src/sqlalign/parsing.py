@@ -70,9 +70,14 @@ class Node:
     role: str | None = None
 
     def walk(self) -> Iterator["Node"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node in pre-order. The walk keeps its own stack, so a
+        long operator chain (a deep left-nested tree) cannot exhaust the
+        interpreter's."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def find_all(self, label: str) -> Iterator["Node"]:
         return (n for n in self.walk() if n.label == label)
@@ -172,11 +177,19 @@ _INTERVAL_UNITS = frozenset({
 
 _COMPARE_OPS = frozenset({"=", "==", "<", ">", "<=", ">=", "<>", "!="})
 
+# How deeply statements and expressions may nest: each one inside another
+# is one level deeper. The parser counts the levels itself, so whether a
+# query parses does not depend on how deep the caller's stack already is.
+# Chains of prefix operators (NOT NOT x, - - x) are parsed by loops and do
+# not count.
+MAX_NESTING = 32
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens  # ends with the END sentinel
         self.i = 0
+        self.depth = 0  # open nesting levels, at most MAX_NESTING
 
     # -- primitives ---------------------------------------------------
 
@@ -209,6 +222,13 @@ class _Parser:
         """At a quoted identifier or at a word outside ``stop``."""
         t = self._peek()
         return t.kind == QIDENT or (t.kind == WORD and t.upper not in stop)
+
+    def _enter(self) -> None:
+        """Open one nesting level; the caller closes it by decrementing
+        ``depth`` once its node is built."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("query nests too deeply", self._peek().pos)
 
     def _struct(self) -> Node:
         return Node("tok", token=self._advance(), role=STRUCTURAL)
@@ -260,6 +280,7 @@ class _Parser:
         return Node("query", [stmt])
 
     def _select_stmt(self) -> Node:
+        self._enter()
         ch = []
         if self._at_word("WITH"):
             ch.append(self._with_clause())
@@ -268,6 +289,7 @@ class _Parser:
             ch.append(self._order_clause())
         if self._at_word("LIMIT"):
             ch.append(self._limit_clause())
+        self.depth -= 1
         return Node("select_stmt", ch)
 
     def _with_clause(self) -> Node:
@@ -462,9 +484,11 @@ class _Parser:
     # -- expressions -----------------------------------------------------
 
     def _expr(self) -> Node:
+        self._enter()
         node = self._and_expr()
         while self._at_word("OR"):
             node = Node("binary", [node, self._struct(), self._and_expr()])
+        self.depth -= 1
         return node
 
     def _and_expr(self) -> Node:
@@ -473,10 +497,19 @@ class _Parser:
             node = Node("binary", [node, self._struct(), self._not_expr()])
         return node
 
+    @staticmethod
+    def _prefixed(ops: list[Node], node: Node) -> Node:
+        """Wrap node in one unary node per prefix operator, the last
+        operator innermost."""
+        for op in reversed(ops):
+            node = Node("unary", [op, node])
+        return node
+
     def _not_expr(self) -> Node:
-        if self._at_word("NOT"):
-            return Node("unary", [self._struct(), self._not_expr()])
-        return self._predicate()
+        nots = []
+        while self._at_word("NOT"):
+            nots.append(self._struct())
+        return self._prefixed(nots, self._predicate())
 
     def _predicate(self) -> Node:
         node = self._concat()
@@ -550,13 +583,14 @@ class _Parser:
         return node
 
     def _unary(self) -> Node:
-        if self._at_op("+", "-", "~"):
-            return Node("unary", [self._struct(), self._unary()])
+        signs = []
+        while self._at_op("+", "-", "~"):
+            signs.append(self._struct())
         node = self._primary()
-        while self._at_word("COLLATE"):
+        while self._at_word("COLLATE"):  # binds before the signs wrap it
             node = Node("collate", [node, self._struct(),
                                     self._name("expected collation name")])
-        return node
+        return self._prefixed(signs, node)
 
     def _primary(self) -> Node:
         t = self._peek()
@@ -716,9 +750,10 @@ def parse_sql(text: str) -> SyntaxTree:
     """Parse a SELECT query into a role-tagged syntax tree.
 
     Every failure is a ParseError: text outside the supported grammar, text
-    with no tokens, and nesting deeper than the interpreter's recursion
-    limit allows ("query nests too deeply"). Callers that process whole
-    corpora catch it and record the failure.
+    with no tokens, and nesting deeper than MAX_NESTING levels ("query
+    nests too deeply"). A RecursionError, which the explicit limit should
+    prevent, is reported the same way. Callers that process whole corpora
+    catch it and record the failure.
     """
     toks = _strip_trailing_semis(tokenize(text))
     if not toks:

@@ -232,6 +232,16 @@ def test_sample_per_group_determinism(corpora, tmp_path):
     assert len(out_a.read_text().splitlines()) == 3  # one per group
 
 
+def test_sample_unencodable_text_is_data_error(tmp_path, capsys):
+    path = tmp_path / "lone.jsonl"
+    path.write_text('{"sql": "SELECT 1", "q": "\\ud800"}\n', encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--fraction", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqlalign: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sample_rejects_bad_fraction(corpora):
     with pytest.raises(SystemExit) as exc:
         main(["sample", corpora["target"], "--fraction", "1.5"])

@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlalign.errors import EmptyDistributionError
+from sqlalign.errors import EmptyDistributionError, FormatError
 from sqlalign.keywords import SQL_KEYWORDS
 from sqlalign.ngrams import (
     build_distribution,
-    extract_ngrams,
-    is_valid_ngram,
     read_distribution,
     sorted_items,
     write_distribution,
@@ -15,9 +13,19 @@ from sqlalign.ngrams import (
 from sqlalign.templates import StructuralTemplate, templatize
 
 
-def naive_valid_counts(token_lists, l_max, keywords=SQL_KEYWORDS):
-    """Independent enumerator: loops over (start, end) spans and restates
-    the filter from scratch. Oracle for the distribution builder."""
+def naive_is_valid(window):
+    """The filter restated from scratch: a keyword, no comma at either
+    end, as many "(" as ")"."""
+    if window[0] == "," or window[-1] == ",":
+        return False
+    if sum(1 for t in window if t == "(") != sum(1 for t in window if t == ")"):
+        return False
+    return any(t in SQL_KEYWORDS for t in window)
+
+
+def naive_valid_counts(token_lists, l_max):
+    """Independent enumerator: loops over (start, end) spans of every
+    template occurrence. Oracle for the distribution builder."""
     counts = {}
     for tokens in token_lists:
         tokens = list(tokens)
@@ -25,15 +33,8 @@ def naive_valid_counts(token_lists, l_max, keywords=SQL_KEYWORDS):
         for start in range(length):
             for end in range(start + 1, min(start + l_max, length) + 1):
                 window = tuple(tokens[start:end])
-                if window[0] == "," or window[-1] == ",":
-                    continue
-                opens = sum(1 for t in window if t == "(")
-                closes = sum(1 for t in window if t == ")")
-                if opens != closes:
-                    continue
-                if not any(t in keywords for t in window):
-                    continue
-                counts[window] = counts.get(window, 0) + 1
+                if naive_is_valid(window):
+                    counts[window] = counts.get(window, 0) + 1
     return counts
 
 
@@ -41,31 +42,9 @@ TOKEN_POOL = ["SELECT", "FROM", "WHERE", "GROUP", "BY", "COUNT", "SUM", "ON",
               "JOIN", "(", ")", ",", "=", "*", "/", "+", "||", "<", "xx", "yy"]
 
 
-def test_extract_enumerates_all_windows():
-    grams = extract_ngrams(["SELECT", "*", "FROM"], l_max=2)
-    assert grams == [("SELECT",), ("*",), ("FROM",),
-                     ("SELECT", "*"), ("*", "FROM")]
-
-
-def test_extract_single_token_template():
-    assert extract_ngrams(["SELECT"], l_max=15) == [("SELECT",)]
-
-
-def test_extract_window_count_formula():
-    # a template of length L yields max(0, L - n + 1) windows of order n
-    golden = templatize("SELECT meal/enrollment FROM frpm WHERE county='Alameda' "
-                        "ORDER BY (CAST(meal AS REAL) / enrollment) DESC LIMIT 1")
-    length = len(golden.tokens)
-    assert length == 15
-    grams = extract_ngrams(golden, l_max=15)
-    assert len(grams) == sum(length - n + 1 for n in range(1, length + 1)) == 120
-    for n in range(1, length + 1):
-        assert sum(1 for g in grams if len(g) == n) == length - n + 1
-
-
-def test_extract_rejects_bad_l_max():
+def test_build_rejects_bad_l_max():
     with pytest.raises(ValueError):
-        extract_ngrams(["SELECT"], l_max=0)
+        build_distribution([["SELECT"]], l_max=0)
 
 
 @pytest.mark.parametrize("gram,expected", [
@@ -81,12 +60,13 @@ def test_extract_rejects_bad_l_max():
     ((")", "FROM", "("), True,),      # equal counts, order not required
 ])
 def test_validity_filter(gram, expected):
-    assert is_valid_ngram(gram) is expected
-
-
-def test_validity_needs_keyword_set():
-    with pytest.raises(ValueError):
-        is_valid_ngram(("SELECT",), keywords=set())
+    # With l_max == len(gram) the whole gram is the only window of its length.
+    try:
+        dist = build_distribution([gram], l_max=len(gram))
+    except EmptyDistributionError:
+        assert not expected  # nothing in the gram survives
+        return
+    assert (gram in dist.counts) is expected
 
 
 def test_build_pools_duplicate_templates():
@@ -120,15 +100,17 @@ def test_every_stored_ngram_passes_the_filter():
         "SELECT x FROM (SELECT x FROM u) s",
     ]]
     dist = build_distribution(templates, l_max=15)
-    assert all(is_valid_ngram(g) for g in dist.counts)
+    assert all(naive_is_valid(g) for g in dist.counts)
     assert dist.total == sum(dist.counts.values()) > 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=20),
-                min_size=1, max_size=8),
+                min_size=1, max_size=4)
+       .flatmap(lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=8)),
        st.integers(1, 15))
 def test_matches_naive_enumerator(token_lists, l_max):
+    # Templates repeat, so the count-per-distinct-template path is exercised.
     naive = naive_valid_counts(token_lists, l_max)
     try:
         dist = build_distribution(token_lists, l_max=l_max)
@@ -171,3 +153,19 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     assert loaded.source_label == "demo"
     keys = [k for k, _ in sorted_items(dist)]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("content", [
+    "not json",                                   # not JSON
+    "[1, 2]",                                     # not an object
+    "{}",                                         # neither l_max nor counts
+    '{"counts": {"SELECT": 1}}',                  # no l_max
+    '{"l_max": 15}',                              # no counts
+    '{"l_max": 15, "counts": {"SELECT": 1.5}}',   # non-integer count
+    '{"l_max": 15, "counts": {"SELECT": "1"}}',   # count as a string
+])
+def test_read_distribution_rejects_malformed_files(tmp_path, content):
+    path = tmp_path / "dist.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(FormatError, match="dist.json"):
+        read_distribution(path)

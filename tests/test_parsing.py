@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import corpusgen
 from sqlalign.errors import ParseError
 from sqlalign.parsing import (
+    MAX_NESTING,
     SCHEMA,
     STRUCTURAL,
     normalize_sql,
@@ -99,6 +100,43 @@ def test_invalid_sql_raises_parse_error(sql):
         parse_sql(sql)
     assert isinstance(err.value.position, int)
     assert err.value.position >= 0
+
+
+# Query builders that nest one construct n levels deep.
+NESTERS = {
+    "parens": lambda n: "SELECT " + "(" * n + "1" + ")" * n,
+    "paren_select": lambda n: "(" * n + "SELECT 1" + ")" * n,
+    "in_subquery": lambda n: "SELECT a FROM t WHERE a IN (" * n + "SELECT 1" + ")" * n,
+    "function_args": lambda n: "SELECT " + "f(" * n + "1" + ")" * n,
+    "case": lambda n: "SELECT " + "CASE WHEN a THEN " * n + "1" + " END" * n,
+}
+
+
+def _outcome(sql):
+    try:
+        return " ".join(n.token.text for n in parse_sql(sql).token_nodes())
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+def _outcome_at_depth(sql, frames):
+    return _outcome(sql) if frames == 0 else _outcome_at_depth(sql, frames - 1)
+
+
+@pytest.mark.parametrize("nester", sorted(NESTERS))
+def test_nesting_limit_does_not_depend_on_the_callers_stack(nester):
+    queries = [NESTERS[nester](n) for n in range(1, MAX_NESTING + 3)]
+    shallow = [_outcome(sql) for sql in queries]
+    assert [_outcome_at_depth(sql, 200) for sql in queries] == shallow
+    assert isinstance(shallow[0], str)  # one level parses
+    assert shallow[-1][0] == "query nests too deeply"
+
+
+def test_prefix_operator_chains_do_not_count_as_nesting():
+    for sql in ("SELECT " + "NOT " * 3000 + "1", "SELECT " + "- " * 3000 + "1"):
+        # the walk over the 3000-deep tree needs no interpreter stack either
+        assert sum(1 for _ in parse_sql(sql).find_all("unary")) == 3000
+        assert _outcome_at_depth(sql, 200) == _outcome(sql)
 
 
 def test_subquery_nodes_only_for_nested_selects():
