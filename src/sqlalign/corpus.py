@@ -114,6 +114,8 @@ def _read_rows(path: Path, input_format: str):
             if reader.fieldnames is None:
                 raise FormatError("CSV file has no header row")
             for i, row in enumerate(reader):
+                if None in row:  # DictReader files surplus cells under the key None
+                    raise FormatError("more fields than the header", row=i)
                 yield i, row
     else:
         raise FormatError(f"unknown input format {input_format!r}")
@@ -204,8 +206,28 @@ class TemplatizeResult:
     failures: list[tuple[int, str]]
 
 
+def map_distinct_sql(corpus: Corpus, fn) -> list:
+    """fn(record.sql) for every record, in record order, calling fn once
+    per distinct SQL string (exact text: a ParseError's offset differs
+    between strings that differ only in whitespace). Where fn raises a
+    ParseError, the error takes the result's place."""
+    results: dict[str, object] = {}
+    for record in corpus.records:
+        sql = record.sql
+        if sql not in results:
+            try:
+                results[sql] = fn(sql)
+            except ParseError as exc:
+                # Keep the error without its traceback (or the RecursionError
+                # it replaced), whose parser frames would stay alive with it.
+                exc.__traceback__ = exc.__context__ = None
+                results[sql] = exc
+    return [results[record.sql] for record in corpus.records]
+
+
 def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX) -> TemplatizeResult:
-    """Parse every record, derive templates and build the distribution.
+    """Template every record, parsing each distinct SQL string once, and
+    build the distribution.
 
     Records that fail to parse are recorded and excluded; if nothing
     parses, EmptyDistributionError propagates from the distribution
@@ -213,11 +235,11 @@ def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX) -> TemplatizeR
     """
     templates: list[StructuralTemplate] = []
     failures: list[tuple[int, str]] = []
-    for i, record in enumerate(corpus.records):
-        try:
-            templates.append(templatize(record.sql))
-        except ParseError as exc:
-            failures.append((i, str(exc)))
+    for i, result in enumerate(map_distinct_sql(corpus, templatize)):
+        if isinstance(result, ParseError):
+            failures.append((i, str(result)))
+        else:
+            templates.append(result)
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)
     return TemplatizeResult(templates=templates, distribution=distribution,
                             parsed=len(templates), failed=len(failures),

@@ -90,9 +90,12 @@ def write_distribution(dist: NGramDistribution, path) -> None:
         "total": dist.total,
         "counts": dict(sorted_items(dist)),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Encoded before the file is opened, so text that is not encodable (a
+    # lone surrogate in source_label) leaves no truncated file behind.
+    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_distribution(path) -> NGramDistribution:

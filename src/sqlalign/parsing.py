@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .errors import ParseError
@@ -80,7 +81,21 @@ class Node:
             stack.extend(reversed(node.children))
 
     def find_all(self, label: str) -> Iterator["Node"]:
-        return (n for n in self.walk() if n.label == label)
+        """Every node labelled ``label``, in pre-order. The first call
+        indexes the nodes below this one by label in one walk and caches
+        the index on the node, so later calls are lookups; trees are not
+        changed after parsing. The node stays out of its own index, so
+        the cache makes no reference cycle."""
+        index = self.__dict__.get("_label_index")
+        if index is None:
+            index = {}
+            below = self.walk()
+            next(below)
+            for node in below:
+                index.setdefault(node.label, []).append(node)
+            self._label_index = index
+        found = index.get(label, ())
+        return chain((self,), found) if self.label == label else iter(found)
 
     def token_nodes(self) -> Iterator["Node"]:
         return (n for n in self.walk() if n.token is not None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import Corpus
+from .corpus import Corpus, map_distinct_sql
 from .errors import SpecMismatchError
 from .parsing import Node, ParseError, parse_sql
 
@@ -143,20 +143,24 @@ class PatternCounts:
 
 def count_patterns(corpus: Corpus,
                    specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS) -> PatternCounts:
+    """Count the records that match each spec, parsing and matching each
+    distinct SQL string once."""
     ids = [spec.id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("pattern ids must be unique")
+
+    def matching_ids(sql: str) -> list[str]:
+        tree = parse_sql(sql)
+        return [spec.id for spec in specs if spec.match(tree)]
+
     counts = {spec.id: 0 for spec in specs}
     failures = 0
-    for record in corpus.records:
-        try:
-            tree = parse_sql(record.sql)
-        except ParseError:
+    for result in map_distinct_sql(corpus, matching_ids):
+        if isinstance(result, ParseError):
             failures += 1
-            continue
-        for spec in specs:
-            if spec.match(tree):
-                counts[spec.id] += 1
+        else:
+            for pattern_id in result:
+                counts[pattern_id] += 1
     return PatternCounts(corpus_name=corpus.name, counts=counts, parse_failures=failures)
 
 

@@ -128,9 +128,10 @@ def test_align_error_row_and_exit_code_for_bad_source(corpora, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"SQL": "SELECT broken FROM"}]))
     out = tmp_path / "align.json"
-    code = main(["align", "--target", corpora["target"], "--source", str(bad),
-                 "--source", corpora["near"], "--sql-field", "SQL",
-                 "-o", str(out)])
+    with pytest.warns(UserWarning, match="single candidate"):
+        code = main(["align", "--target", corpora["target"], "--source", str(bad),
+                     "--source", corpora["near"], "--sql-field", "SQL",
+                     "-o", str(out)])
     assert code == 2
     rows = read_json(out)["rows"]
     assert "EmptyDistribution" in rows[0]["error"]
@@ -239,6 +240,19 @@ def test_sample_unencodable_text_is_data_error(tmp_path, capsys):
     assert main(["sample", str(path), "--fraction", "1", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sqlalign: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [
+    [],  # the surplus cells would land under the key None and be dropped
+    ["--question-field", "question", "--group-field", "db_id"],  # sorting meta keys hit None
+], ids=["default-fields", "question-and-group-fields"])
+def test_sample_csv_row_longer_than_header_is_data_error(tmp_path, capsys, fields):
+    path = tmp_path / "c.csv"
+    path.write_text("sql,question,db_id,extra\nSELECT 1,q,d,e,surplus\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--fraction", "1", "-o", str(out)] + fields) == 2
+    assert capsys.readouterr().err == "sqlalign: error: row 0: more fields than the header\n"
     assert not out.exists()
 
 

@@ -1,18 +1,26 @@
 import csv
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpusgen
 from sqlalign.corpus import (
     Corpus,
     CorpusRecord,
     SampleSpec,
     load_corpus,
+    map_distinct_sql,
     sample_corpus,
     templatize_corpus,
     write_templates,
 )
-from sqlalign.errors import EmptyCorpusError, EmptyDistributionError, FormatError
+from sqlalign.errors import EmptyCorpusError, EmptyDistributionError, FormatError, ParseError
+from sqlalign.parsing import parse_sql
+from sqlalign.patterns import DEFAULT_PATTERNS, count_patterns
+from sqlalign.templates import templatize
 
 
 def write_jsonl(path, rows):
@@ -227,6 +235,67 @@ def test_templatize_distribution_is_permutation_stable():
     forward = templatize_corpus(make_corpus(sqls)).distribution
     backward = templatize_corpus(make_corpus(list(reversed(sqls)))).distribution
     assert forward.counts == backward.counts
+
+
+def test_map_distinct_sql_calls_once_per_exact_string():
+    calls = []
+
+    def fn(sql):
+        calls.append(sql)
+        return parse_sql(sql)
+
+    sqls = ["SELECT a FROM t", "SELECT broken FROM", "SELECT a FROM t",
+            "SELECT  a FROM t", "SELECT broken FROM"]
+    results = map_distinct_sql(make_corpus(sqls), fn)
+    assert calls == ["SELECT a FROM t", "SELECT broken FROM", "SELECT  a FROM t"]
+    assert results[0] is results[2] and results[0] is not results[3]
+    assert isinstance(results[1], ParseError) and results[1] is results[4]
+    assert results[1].__traceback__ is None
+
+
+_GENERATED_SQL = st.builds(
+    lambda seed, skeleton: corpusgen.make_query(random.Random(seed), skeleton=skeleton),
+    st.integers(0, 10_000), st.sampled_from(corpusgen.SKELETONS + corpusgen.FAR_SKELETONS))
+_TRUNCATED_SQL = st.builds(lambda sql, cut: sql[:cut], _GENERATED_SQL, st.integers(1, 60))
+_SQL = st.one_of(_GENERATED_SQL, _TRUNCATED_SQL, st.text(max_size=30)).filter(str.strip)
+# A pool of strings, then records drawn from it, so that strings repeat. Each
+# string also comes with a leading space, which moves a ParseError's offset.
+_CORPUS_SQLS = st.lists(_SQL, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool + [" " + sql for sql in pool]),
+                          min_size=1, max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CORPUS_SQLS)
+def test_deduplicated_views_equal_a_per_record_loop(sqls):
+    templates, failures = [], []
+    pattern_counts = {spec.id: 0 for spec in DEFAULT_PATTERNS}
+    parse_failures = 0
+    for i, sql in enumerate(sqls):
+        try:
+            templates.append(templatize(sql))
+        except ParseError as exc:
+            failures.append((i, str(exc)))
+        try:
+            tree = parse_sql(sql)  # raises only ParseError
+        except ParseError:
+            parse_failures += 1
+            continue
+        for spec in DEFAULT_PATTERNS:
+            if spec.match(tree):
+                pattern_counts[spec.id] += 1
+    corpus = make_corpus(sqls)
+
+    counted = count_patterns(corpus)
+    assert (counted.counts, counted.parse_failures) == (pattern_counts, parse_failures)
+    if not templates:
+        with pytest.raises(EmptyDistributionError):
+            templatize_corpus(corpus)
+        return
+    result = templatize_corpus(corpus)
+    assert result.parsed + result.failed == len(sqls)
+    assert result.templates == templates
+    assert result.failures == failures
 
 
 def test_write_templates_one_per_line_lf(tmp_path):

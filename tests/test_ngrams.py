@@ -155,6 +155,21 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("existing", [b"old bytes\n", None], ids=["existing-file", "no-file"])
+def test_write_distribution_of_unencodable_label_leaves_the_path_alone(tmp_path, existing):
+    # a file name holding the byte 0xff reaches source_label as "\udcff"
+    dist = build_distribution([templatize("SELECT a FROM t")], l_max=3, source_label="x\udcff.jsonl")
+    path = tmp_path / "dist.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(UnicodeEncodeError):
+        write_distribution(dist, path)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
 @pytest.mark.parametrize("content", [
     "not json",                                   # not JSON
     "[1, 2]",                                     # not an object

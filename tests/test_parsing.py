@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,31 @@ def test_prefix_operator_chains_do_not_count_as_nesting():
         # the walk over the 3000-deep tree needs no interpreter stack either
         assert sum(1 for _ in parse_sql(sql).find_all("unary")) == 3000
         assert _outcome_at_depth(sql, 200) == _outcome(sql)
+
+
+@pytest.mark.parametrize("sql", QUERY_ZOO)
+def test_find_all_returns_the_filtered_walk(sql):
+    tree = parse_sql(sql)
+    labels = sorted({n.label for n in tree.walk()}) + ["no_such_label"]
+    for node in tree.walk():  # every subtree, the root included
+        for _ in range(2):  # the call that builds the index, then a cached one
+            for label in labels:
+                expected = [n for n in node.walk() if n.label == label]
+                assert [id(n) for n in node.find_all(label)] == [id(n) for n in expected]
+
+
+def test_find_all_index_keeps_no_reference_cycle():
+    gc.disable()
+    try:
+        tree = parse_sql("SELECT a FROM t WHERE b IN (SELECT c FROM u)")
+        assert list(tree.find_all(tree.label)) == [tree]
+        subquery = next(tree.find_all("subquery"))
+        assert list(subquery.find_all("col"))
+        ref = weakref.ref(tree)
+        del tree, subquery
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_subquery_nodes_only_for_nested_selects():
