@@ -6,13 +6,15 @@ pattern ids and a digest of the full tree (labels, roles, token kinds,
 texts and positions). A digest of the token stream is kept too, so a
 tokenizer change that a later parse error would hide still shows.
 
-Running this module rewrites ``parser_golden.jsonl`` from the parser that
-is installed now, over a fixed, seeded set of inputs:
+Running this module brings ``parser_golden.jsonl`` up to date with a
+fixed, seeded list of inputs. Records already in the file are kept as they
+are, so each line stays what the parser that first wrote it produced; the
+parser installed now only records the inputs appended since:
 
     PYTHONPATH=src:tests python3 tests/parser_golden.py
 
-Only regenerate it on purpose: ``test_parser_golden.py`` checks the parser
-against the committed file.
+Only run it on purpose, with the parser the new records should pin:
+``test_parser_golden.py`` checks the parser against the committed file.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ WORD_ALPHABET = (
     "\"q\"", "ASC", "DESC", "COLLATE", "INTERVAL", "EXTRACT", "FILTER",
 )
 CHAR_ALPHABET = "SELECTFROMWHEREabc_19 ()*,.;:?@'\"`[]-/+<>=!|%~\n$²\u00a0"
+
+# Operator-mix expressions: every binary precedence level, prefix chains,
+# COLLATE and the predicate forms, so the file pins how operators group.
+BINARY_OPS = ("||", "+", "-", "*", "/", "%", "=", "==", "<", ">", "<=", ">=",
+              "<>", "!=", "AND", "OR")
+SIGNS = ("-", "+", "~")
+OPERANDS = ("a", "t.b", "1", "2.5", "'x'", "?", ":p", "NULL", "\"q\"", "f(a)",
+            "COUNT(*)", "CURRENT_DATE")
 
 
 def _digest(value) -> str:
@@ -104,6 +114,60 @@ def _token_mutation(rng: random.Random, sql: str) -> str:
     return " ".join(words)
 
 
+def _mix_operand(rng: random.Random, depth: int) -> str:
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return rng.choice(OPERANDS)
+    if roll < 0.5:
+        return f"({_mix_expr(rng, depth - 1)})"
+    sub = _mix_operand(rng, depth - 1)
+    if roll < 0.62:
+        return " ".join(rng.choice(SIGNS) for _ in range(rng.randint(1, 3))) + " " + sub
+    if roll < 0.7:
+        return f"{sub} COLLATE NOCASE"
+    other = _mix_operand(rng, depth - 1)
+    neg = rng.choice(("", "NOT "))
+    form = rng.randrange(5)
+    if form == 0:
+        return f"{sub} IS {neg}DISTINCT FROM {other}"
+    if form == 1:
+        return f"{sub} {neg}BETWEEN {other} AND {_mix_operand(rng, depth - 1)}"
+    if form == 2:
+        return f"{sub} {neg}IN ({other}, {_mix_operand(rng, depth - 1)})"
+    if form == 3:
+        escape = rng.choice(("", " ESCAPE '!'"))
+        return f"{sub} {neg}{rng.choice(('LIKE', 'ILIKE', 'GLOB'))} {other}{escape}"
+    return f"{sub} IS {neg}NULL"
+
+
+def _mix_expr(rng: random.Random, depth: int) -> str:
+    """Operands joined by binary operators; an operand that starts the
+    expression or follows AND / OR may carry a chain of NOTs."""
+    parts = []
+    for i in range(rng.randint(2, 5)):
+        if i:
+            parts.append(rng.choice(BINARY_OPS))
+        if (i == 0 or parts[-1] in ("AND", "OR")) and rng.random() < 0.3:
+            parts.append(" ".join(["NOT"] * rng.randint(1, 3)))
+        parts.append(_mix_operand(rng, depth))
+    return " ".join(parts)
+
+
+def operator_mix_inputs(seed: int = 20261018) -> list[str]:
+    """Seeded queries that mix binary operators of every precedence level
+    with prefix chains and predicates, plus broken variants of some."""
+    rng = random.Random(seed)
+    inputs = []
+    for _ in range(600):
+        sql = rng.choice(("SELECT {}", "SELECT {} FROM t", "SELECT a FROM t WHERE {}",
+                          "SELECT a FROM t GROUP BY a HAVING {} ORDER BY {}"))
+        sql = sql.format(*(_mix_expr(rng, 2) for _ in range(sql.count("{}"))))
+        inputs.append(sql)
+        if rng.random() < 0.2:
+            inputs.append(_token_mutation(rng, sql))
+    return inputs
+
+
 def golden_inputs(seed: int = 20251004) -> list[str]:
     """A few thousand inputs: valid queries, their prefixes, splices and
     token mutations, random token and character strings, and edge cases."""
@@ -135,12 +199,22 @@ def golden_inputs(seed: int = 20251004) -> list[str]:
         "SELECT " + "- " * 200 + "1",
         "SELECT " + "NOT " * 100 + "1",
     ]
-    return inputs
+    return inputs + operator_mix_inputs()
+
+
+def committed_inputs() -> list[str]:
+    """The ``sql`` column of the committed file, in order."""
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return [json.loads(line)["sql"] for line in fh]
 
 
 def main() -> None:
-    with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
-        for sql in golden_inputs():
+    inputs, done = golden_inputs(), committed_inputs()
+    if inputs[:len(done)] != done:
+        raise SystemExit(f"{GOLDEN_PATH.name} does not start with golden_inputs(); "
+                         "inputs may only be appended")
+    with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
+        for sql in inputs[len(done):]:
             fh.write(json.dumps(record(sql), ensure_ascii=False, separators=(",", ":")) + "\n")
 
 

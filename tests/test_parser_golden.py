@@ -3,7 +3,7 @@ text, or template, pattern ids and full tree digest (see parser_golden)."""
 
 import json
 
-from parser_golden import GOLDEN_PATH, record
+from parser_golden import GOLDEN_PATH, committed_inputs, golden_inputs, record
 
 
 def test_parser_matches_the_golden_file():
@@ -21,3 +21,9 @@ def test_parser_matches_the_golden_file():
         if actual != expected:
             mismatches.append((expected, actual))
     assert not mismatches, mismatches[:5]
+
+
+def test_golden_inputs_match_the_committed_file():
+    # An edit to golden_inputs() that was never written to the file would
+    # otherwise leave its new inputs unchecked.
+    assert golden_inputs() == committed_inputs()
