@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -48,11 +48,16 @@ STRUCTURAL = "structural"
 SCHEMA = "schema"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One source token. ``upper`` is a word's text uppercased once, at
     construction, and any other token's text as is: keywords are matched
-    and written into templates in this form."""
+    and written into templates in this form.
+
+    A string, quoted identifier or parameter keeps its quote or sigil in
+    ``upper``, and numbers and punctuation cannot spell a word, so
+    ``upper == "AND"`` (or any keyword) holds only for a word token and
+    ``upper == "*"`` only for the operator. The parser relies on this to
+    test a token with one lookup on ``upper``."""
 
     kind: str
     text: str
@@ -109,52 +114,70 @@ class Node:
 SyntaxTree = Node
 
 
-# One alternative per token kind, named after it; the first alternative
-# that matches wins, so "--" starts a comment before it is two minus signs.
-# A quoted literal ends at the first quote that is not doubled: the (?!')
-# and (?!") guards stop the regex from backtracking to an earlier, shorter
-# literal when no such quote exists.
+# Each match is the whitespace and comments before one token, then the
+# token: one alternative per token kind, named after it. Skipping comes
+# first and the first alternative that matches wins, so "--" starts a
+# comment before it is two minus signs. The next to last alternative,
+# ``bad``, takes any character the others do not, so a finditer scan never
+# skips text and a ``bad`` match is a tokenizing error; the last matches
+# only at the end of the text, after trailing whitespace, and holds no
+# token. A quoted literal ends at the first quote that is not doubled: the
+# (?!') and (?!") guards stop the regex from backtracking to an earlier,
+# shorter literal when no such quote exists.
 _TOKEN_RE = re.compile(r"""
-    (?P<skip> \s+ | --[^\n]* | /\*.*?\*/ )
-  | (?P<string> '[^']*(?:''[^']*)*'(?!') )
-  | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
-  | (?P<number> (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? )
-  | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
-  | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
-  | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
-  | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
+    (?: \s+ | --[^\n]* | /\*.*?\*/ )*
+    (?: (?P<string> '[^']*(?:''[^']*)*'(?!') )
+      | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+      | (?P<number> (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? )
+      | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
+      | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
+      | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
+      | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
+      | (?P<bad> . )
+      | \Z )
 """, re.VERBOSE | re.DOTALL)
 
-# What an opening character that no alternative matched leaves open.
+# Token kind by the number of its group in _TOKEN_RE.
+_KIND_OF_GROUP = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
+_WORD_GROUP = _TOKEN_RE.groupindex[WORD]
+_BAD_GROUP = _TOKEN_RE.groupindex["bad"]
+
+# What an opening character that no other alternative matched leaves open.
 _UNTERMINATED = {"'": "string literal", '"': "quoted identifier",
                  "`": "quoted identifier", "[": "bracketed identifier",
                  "/": "block comment"}
+
+# Builds a Token from one (kind, text, pos, upper) tuple without the
+# Python-level call that Token(...) makes; tokenize builds one per token.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Split SQL text into tokens, dropping comments and whitespace."""
     toks: list[Token] = []
-    pos, end = 0, len(text)
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            c = text[pos]
-            if c in _UNTERMINATED:
-                raise ParseError(f"unterminated {_UNTERMINATED[c]}", pos)
-            raise ParseError(f"unexpected character {c!r}", pos)
-        kind = m.lastgroup
-        if kind != "skip":
-            tok = m.group()
-            toks.append(Token(kind, tok, pos, tok.upper() if kind == WORD else tok))
-        pos = m.end()
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:  # trailing whitespace and comments
+            continue
+        tok = m[group]
+        if group == _WORD_GROUP:
+            append(_new_token(Token, (WORD, tok, m.start(group), tok.upper())))
+        elif group == _BAD_GROUP:
+            pos = m.start(group)
+            if tok in _UNTERMINATED:
+                raise ParseError(f"unterminated {_UNTERMINATED[tok]}", pos)
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        else:
+            append(_new_token(Token, (_KIND_OF_GROUP[group], tok, m.start(group), tok)))
     return toks
 
 
 def _strip_trailing_semis(toks: list[Token]) -> list[Token]:
-    end = len(toks)
-    while end > 0 and toks[end - 1].kind == SEMI:
-        end -= 1
-    return toks[:end]
+    """Drop trailing semicolons from ``toks`` in place and return it."""
+    while toks and toks[-1].kind == SEMI:
+        toks.pop()
+    return toks
 
 
 def normalize_sql(text: str) -> str:
@@ -186,11 +209,29 @@ _CONST_WORDS = frozenset({
 
 _JOIN_WORDS = frozenset({"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL"})
 
+_JOIN_PREFIX = frozenset({"INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL", "OUTER"})
+
+_SET_OPS = frozenset({"UNION", "INTERSECT", "EXCEPT"})
+
 _INTERVAL_UNITS = frozenset({
     "YEAR", "MONTH", "DAY", "HOUR", "MINUTE", "SECOND", "WEEK", "QUARTER",
 })
 
+# Words _primary parses specially (when followed by the right token).
+_PRIMARY_WORDS = frozenset({"CASE", "CAST", "EXISTS", "EXTRACT", "INTERVAL"})
+
 _COMPARE_OPS = frozenset({"=", "==", "<", ">", "<=", ">=", "<>", "!="})
+
+# Words that NOT may negate after an operand, and every token that can
+# continue a predicate after its first operand.
+_NEGATABLE = frozenset({"BETWEEN", "IN", "LIKE", "ILIKE", "GLOB", "REGEXP", "MATCH"})
+_PREDICATE_STARTS = _COMPARE_OPS | _NEGATABLE | {"IS", "NOT"}
+
+# Binding levels of the binary operators; a higher level binds tighter.
+_LOGICAL_LEVELS = {"OR": 0, "AND": 1}
+_ARITH_LEVELS = {"||": 0, "+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+
+_SIGNS = frozenset({"+", "-", "~"})
 
 # How deeply statements and expressions may nest: each one inside another
 # is one level deeper. The parser counts the levels itself, so whether a
@@ -204,38 +245,26 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens  # ends with the END sentinel
         self.i = 0
+        self.tok = tokens[0]  # always toks[i]
         self.depth = 0  # open nesting levels, at most MAX_NESTING
 
     # -- primitives ---------------------------------------------------
+    # Keyword and operator tests look at ``self.tok.upper`` alone; see
+    # Token for why that cannot match a token of another kind.
 
-    def _peek(self, k: int = 0) -> Token:
+    def _peek(self, k: int) -> Token:
+        """The token k places after the current one."""
         return self.toks[self.i + k]
 
     def _error(self, message: str) -> None:
-        tok = self._peek()
+        tok = self.tok
         if tok.kind == END:
             raise ParseError(message, tok.pos)
         raise ParseError(f"{message}, found {tok.text!r}", tok.pos)
 
-    def _advance(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def _at(self, kind: str) -> bool:
-        return self._peek().kind == kind
-
-    def _at_op(self, *texts: str) -> bool:
-        t = self._peek()
-        return t.kind == OP and t.text in texts
-
-    def _at_word(self, *uppers: str) -> bool:
-        t = self._peek()
-        return t.kind == WORD and t.upper in uppers
-
     def _at_name(self, stop: frozenset[str] = frozenset()) -> bool:
         """At a quoted identifier or at a word outside ``stop``."""
-        t = self._peek()
+        t = self.tok
         return t.kind == QIDENT or (t.kind == WORD and t.upper not in stop)
 
     def _enter(self) -> None:
@@ -243,21 +272,29 @@ class _Parser:
         ``depth`` once its node is built."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("query nests too deeply", self._peek().pos)
+            raise ParseError("query nests too deeply", self.tok.pos)
 
     def _struct(self) -> Node:
-        return Node("tok", token=self._advance(), role=STRUCTURAL)
+        """The current token as a structural leaf; moves past it."""
+        tok = self.tok
+        self.i += 1
+        self.tok = self.toks[self.i]
+        return Node("tok", [], tok, STRUCTURAL)
 
     def _schema(self) -> Node:
-        return Node("tok", token=self._advance(), role=SCHEMA)
+        """The current token as a schema leaf; moves past it."""
+        tok = self.tok
+        self.i += 1
+        self.tok = self.toks[self.i]
+        return Node("tok", [], tok, SCHEMA)
 
     def _kw(self, *expected: str) -> Node:
-        if not self._at_word(*expected):
+        if self.tok.upper not in expected:
             self._error(f"expected {' or '.join(expected)}")
         return self._struct()
 
     def _punct(self, kind: str, what: str) -> Node:
-        if not self._at(kind):
+        if self.tok.kind != kind:
             self._error(f"expected {what}")
         return self._struct()
 
@@ -269,7 +306,7 @@ class _Parser:
     def _comma_list(self, ch: list[Node], item) -> list[Node]:
         """Append ``item (, item)*`` to ch."""
         ch.append(item())
-        while self._at(COMMA):
+        while self.tok.kind == COMMA:
             ch.append(self._struct())
             ch.append(item())
         return ch
@@ -278,8 +315,7 @@ class _Parser:
         """At '(' followed by SELECT or WITH or, when ``nested``, by
         another '('."""
         nxt = self._peek(1)
-        return ((nested and nxt.kind == LPAREN)
-                or (nxt.kind == WORD and nxt.upper in ("SELECT", "WITH")))
+        return (nested and nxt.kind == LPAREN) or nxt.upper in ("SELECT", "WITH")
 
     def _subquery(self, label: str = "subquery") -> Node:
         """``( select_stmt )`` as one node."""
@@ -290,26 +326,26 @@ class _Parser:
 
     def parse(self) -> Node:
         stmt = self._select_stmt()
-        if not self._at(END):
+        if self.tok.kind != END:
             self._error("unexpected token after end of query")
         return Node("query", [stmt])
 
     def _select_stmt(self) -> Node:
         self._enter()
         ch = []
-        if self._at_word("WITH"):
+        if self.tok.upper == "WITH":
             ch.append(self._with_clause())
         ch.append(self._compound_select())
-        if self._at_word("ORDER"):
+        if self.tok.upper == "ORDER":
             ch.append(self._order_clause())
-        if self._at_word("LIMIT"):
+        if self.tok.upper == "LIMIT":
             ch.append(self._limit_clause())
         self.depth -= 1
         return Node("select_stmt", ch)
 
     def _with_clause(self) -> Node:
         ch = [self._kw("WITH")]
-        if self._at_word("RECURSIVE"):
+        if self.tok.upper == "RECURSIVE":
             ch.append(self._struct())
         return Node("with", self._comma_list(ch, self._cte))
 
@@ -317,25 +353,25 @@ class _Parser:
         if not self._at_name(_RESERVED_STOP):
             self._error("expected common-table-expression name")
         ch = [self._schema()]
-        if self._at(LPAREN):  # optional column list: drop with the names
+        if self.tok.kind == LPAREN:  # optional column list: drop with the names
             ch.append(self._schema())
-            while not self._at(RPAREN):
-                if self._at_name() or self._at(COMMA):
+            while self.tok.kind != RPAREN:
+                if self._at_name() or self.tok.kind == COMMA:
                     ch.append(self._schema())
                 else:
                     self._error("expected column name in CTE column list")
             ch.append(self._schema())
         ch.append(self._kw("AS"))
-        if not self._at(LPAREN):
+        if self.tok.kind != LPAREN:
             self._error("expected '(' after AS")
         ch.append(self._subquery())
         return Node("cte", ch)
 
     def _compound_select(self) -> Node:
         parts = [self._select_core_or_paren()]
-        while self._at_word("UNION", "INTERSECT", "EXCEPT"):
+        while self.tok.upper in _SET_OPS:
             op = [self._struct()]
-            if self._at_word("ALL", "DISTINCT"):
+            if self.tok.upper in ("ALL", "DISTINCT"):
                 op.append(self._struct())
             parts.append(Node("setop_op", op))
             parts.append(self._select_core_or_paren())
@@ -344,7 +380,7 @@ class _Parser:
         return Node("setop", parts)
 
     def _select_core_or_paren(self) -> Node:
-        if self._at(LPAREN):
+        if self.tok.kind == LPAREN:
             if self._subquery_ahead(nested=True):
                 return self._subquery("paren_select")
             self._error("expected SELECT")
@@ -352,21 +388,21 @@ class _Parser:
 
     def _select_core(self) -> Node:
         ch = [self._kw("SELECT")]
-        if self._at_word("DISTINCT", "ALL"):
+        if self.tok.upper in ("DISTINCT", "ALL"):
             ch.append(self._struct())
         ch.append(self._select_list())
-        if self._at_word("FROM"):
-            ch.append(self._kw("FROM"))
+        if self.tok.upper == "FROM":
+            ch.append(self._struct())
             ch.append(self._from_clause())
-        if self._at_word("WHERE"):
-            ch.append(self._kw("WHERE"))
+        if self.tok.upper == "WHERE":
+            ch.append(self._struct())
             ch.append(self._expr())
-        if self._at_word("GROUP"):
-            ch.append(self._kw("GROUP"))
+        if self.tok.upper == "GROUP":
+            ch.append(self._struct())
             ch.append(self._kw("BY"))
             ch.append(self._expr_list())
-        if self._at_word("HAVING"):
-            ch.append(self._kw("HAVING"))
+        if self.tok.upper == "HAVING":
+            ch.append(self._struct())
             ch.append(self._expr())
         return Node("select", ch)
 
@@ -374,14 +410,14 @@ class _Parser:
         return Node("select_list", self._comma_list([], self._select_item))
 
     def _select_item(self) -> Node:
-        if self._at_op("*"):
+        if self.tok.upper == "*":
             return Node("select_item", [Node("star", [self._struct()])])
         # qualified star: t.* or db.t.*
-        if self._at_name() and self._qualified_star_ahead():
+        if self._qualified_star_ahead():
             ch = [self._schema()]
-            while self._at(DOT):
+            while self.tok.kind == DOT:
                 ch.append(self._schema())
-                if self._at_op("*"):
+                if self.tok.upper == "*":
                     ch.append(self._struct())
                     break
                 ch.append(self._schema())
@@ -389,22 +425,22 @@ class _Parser:
         return Node("select_item", self._optional_alias([self._expr()]))
 
     def _qualified_star_ahead(self) -> bool:
-        k = 0
-        while self._peek(k).kind in (WORD, QIDENT) and self._peek(k + 1).kind == DOT:
-            if self._peek(k + 2).kind == OP and self._peek(k + 2).text == "*":
+        toks, k = self.toks, self.i
+        while toks[k].kind in (WORD, QIDENT) and toks[k + 1].kind == DOT:
+            if toks[k + 2].upper == "*":
                 return True
             k += 2
         return False
 
     def _alias_ahead(self) -> bool:
-        t = self._peek()
+        t = self.tok
         if t.kind in (QIDENT, STRING):
             return True
         return t.kind == WORD and t.upper not in _NON_ALIAS_WORDS
 
     def _optional_alias(self, ch: list[Node]) -> list[Node]:
         """Append ``[AS] alias`` to ch when present."""
-        if self._at_word("AS"):
+        if self.tok.upper == "AS":
             ch.append(self._schema())  # alias AS drops with the alias
             if not self._alias_ahead():
                 self._error("expected alias name")
@@ -418,30 +454,29 @@ class _Parser:
     def _from_clause(self) -> Node:
         ch = [self._table_or_subquery()]
         while True:
-            if self._at(COMMA):
+            if self.tok.kind == COMMA:
                 ch.append(self._struct())
                 ch.append(self._table_or_subquery())
                 continue
-            if self._at_word(*_JOIN_WORDS):
+            if self.tok.upper in _JOIN_WORDS:
                 op = []
-                while self._at_word("INNER", "LEFT", "RIGHT", "FULL", "CROSS",
-                                    "NATURAL", "OUTER"):
+                while self.tok.upper in _JOIN_PREFIX:
                     op.append(self._struct())
                 op.append(self._kw("JOIN"))
                 ch.append(Node("join_op", op))
                 ch.append(self._table_or_subquery())
-                if self._at_word("ON"):
-                    ch.append(self._kw("ON"))
+                if self.tok.upper == "ON":
+                    ch.append(self._struct())
                     ch.append(self._expr())
-                elif self._at_word("USING"):
-                    ch.append(self._kw("USING"))
+                elif self.tok.upper == "USING":
+                    ch.append(self._struct())
                     ch.append(self._using_cols())
                 continue
             break
         return Node("from", ch)
 
     def _table_or_subquery(self) -> Node:
-        if self._at(LPAREN):
+        if self.tok.kind == LPAREN:
             if not self._subquery_ahead(nested=True):
                 self._error("expected SELECT after '(' in FROM")
             ch = [self._subquery()]
@@ -449,7 +484,7 @@ class _Parser:
             if not self._at_name(_NON_ALIAS_WORDS):
                 self._error("expected table name")
             name = [self._schema()]
-            while self._at(DOT):
+            while self.tok.kind == DOT:
                 name.append(self._schema())
                 name.append(self._name("expected identifier after '.'"))
             ch = [Node("table", name)]
@@ -467,12 +502,12 @@ class _Parser:
         ch = [self._kw("ORDER"), self._kw("BY")]
         while True:
             ch.append(self._expr())
-            if self._at_word("ASC", "DESC"):
+            if self.tok.upper in ("ASC", "DESC"):
                 ch.append(self._struct())
-            if self._at_word("NULLS"):
+            if self.tok.upper == "NULLS":
                 ch.append(self._struct())
                 ch.append(self._kw("FIRST", "LAST"))
-            if self._at(COMMA):
+            if self.tok.kind == COMMA:
                 ch.append(self._struct())
                 continue
             break
@@ -480,10 +515,7 @@ class _Parser:
 
     def _limit_clause(self) -> Node:
         ch = [self._kw("LIMIT"), self._expr()]
-        if self._at_word("OFFSET"):
-            ch.append(self._struct())
-            ch.append(self._expr())
-        elif self._at(COMMA):
+        if self.tok.upper == "OFFSET" or self.tok.kind == COMMA:
             ch.append(self._struct())
             ch.append(self._expr())
         return Node("limit", ch)
@@ -497,20 +529,29 @@ class _Parser:
         return Node("paren", ch)
 
     # -- expressions -----------------------------------------------------
+    # Binary operators of one level associate to the left; a tighter
+    # level's operand is parsed by the recursive call with ``level + 1``.
 
     def _expr(self) -> Node:
         self._enter()
-        node = self._and_expr()
-        while self._at_word("OR"):
-            node = Node("binary", [node, self._struct(), self._and_expr()])
+        node = self._logical(0)
         self.depth -= 1
         return node
 
-    def _and_expr(self) -> Node:
-        node = self._not_expr()
-        while self._at_word("AND"):
-            node = Node("binary", [node, self._struct(), self._not_expr()])
-        return node
+    def _logical(self, min_level: int) -> Node:
+        """``NOT* predicate`` joined by OR (level 0) and AND (level 1)."""
+        if self.tok.upper == "NOT":
+            nots = []
+            while self.tok.upper == "NOT":
+                nots.append(self._struct())
+            node = self._prefixed(nots, self._predicate())
+        else:
+            node = self._predicate()
+        while True:
+            level = _LOGICAL_LEVELS.get(self.tok.upper)
+            if level is None or level < min_level:
+                return node
+            node = Node("binary", [node, self._struct(), self._logical(level + 1)])
 
     @staticmethod
     def _prefixed(ops: list[Node], node: Node) -> Node:
@@ -520,146 +561,125 @@ class _Parser:
             node = Node("unary", [op, node])
         return node
 
-    def _not_expr(self) -> Node:
-        nots = []
-        while self._at_word("NOT"):
-            nots.append(self._struct())
-        return self._prefixed(nots, self._predicate())
-
     def _predicate(self) -> Node:
-        node = self._concat()
-        while True:
-            t = self._peek()
-            if t.kind == OP and t.text in _COMPARE_OPS:
-                node = Node("binary", [node, self._struct(), self._concat()])
+        node = self._arith(0)
+        while self.tok.upper in _PREDICATE_STARTS:
+            up = self.tok.upper
+            if up in _COMPARE_OPS:
+                node = Node("binary", [node, self._struct(), self._arith(0)])
                 continue
-            if self._at_word("IS"):
+            if up == "IS":
                 ch = [node, self._struct()]
-                if self._at_word("NOT"):
+                if self.tok.upper == "NOT":
                     ch.append(self._struct())
-                if self._at_word("DISTINCT"):
+                if self.tok.upper == "DISTINCT":
                     ch.append(self._struct())
                     ch.append(self._kw("FROM"))
-                ch.append(self._concat())
+                ch.append(self._arith(0))
                 node = Node("binary", ch)
                 continue
-            neg = None
-            if self._at_word("NOT"):
-                nxt = self._peek(1)
-                if nxt.kind == WORD and nxt.upper in (
-                        "BETWEEN", "IN", "LIKE", "ILIKE", "GLOB", "REGEXP", "MATCH"):
-                    neg = self._struct()
-                else:
+            ch = [node]
+            if up == "NOT":
+                if self._peek(1).upper not in _NEGATABLE:
                     break
-            if self._at_word("BETWEEN"):
-                ch = [node] + ([neg] if neg else [])
-                ch += [self._struct(), self._concat(), self._kw("AND"), self._concat()]
+                ch.append(self._struct())
+                up = self.tok.upper
+            if up == "BETWEEN":
+                ch += [self._struct(), self._arith(0), self._kw("AND"), self._arith(0)]
                 node = Node("between", ch)
-                continue
-            if self._at_word("IN"):
-                ch = [node] + ([neg] if neg else []) + [self._struct(), self._in_rhs()]
+            elif up == "IN":
+                ch += [self._struct(), self._in_rhs()]
                 node = Node("in_expr", ch)
-                continue
-            if self._at_word("LIKE", "ILIKE", "GLOB", "REGEXP", "MATCH"):
-                ch = [node] + ([neg] if neg else []) + [self._struct(), self._concat()]
-                if self._at_word("ESCAPE"):
+            else:  # LIKE, ILIKE, GLOB, REGEXP or MATCH
+                ch += [self._struct(), self._arith(0)]
+                if self.tok.upper == "ESCAPE":
                     ch.append(self._struct())
-                    ch.append(self._concat())
+                    ch.append(self._arith(0))
                 node = Node("binary", ch)
-                continue
-            if neg is not None:  # solitary NOT after an operand
-                self._error("expected BETWEEN, IN or LIKE after NOT")
-            break
         return node
 
     def _in_rhs(self) -> Node:
-        if not self._at(LPAREN):
+        if self.tok.kind != LPAREN:
             self._error("expected '(' after IN")
         if self._subquery_ahead(nested=True):
             return self._subquery()
         return self._paren_list()
 
-    def _concat(self) -> Node:
-        node = self._additive()
-        while self._at_op("||"):
-            node = Node("binary", [node, self._struct(), self._additive()])
-        return node
-
-    def _additive(self) -> Node:
-        node = self._multiplicative()
-        while self._at_op("+", "-"):
-            node = Node("binary", [node, self._struct(), self._multiplicative()])
-        return node
-
-    def _multiplicative(self) -> Node:
+    def _arith(self, min_level: int) -> Node:
+        """Operands joined by || (level 0), + - (level 1) and * / % (2)."""
         node = self._unary()
-        while self._at_op("*", "/", "%"):
-            node = Node("binary", [node, self._struct(), self._unary()])
-        return node
+        while True:
+            level = _ARITH_LEVELS.get(self.tok.upper)
+            if level is None or level < min_level:
+                return node
+            node = Node("binary", [node, self._struct(), self._arith(level + 1)])
 
     def _unary(self) -> Node:
-        signs = []
-        while self._at_op("+", "-", "~"):
-            signs.append(self._struct())
+        signs = None
+        if self.tok.upper in _SIGNS:
+            signs = []
+            while self.tok.upper in _SIGNS:
+                signs.append(self._struct())
         node = self._primary()
-        while self._at_word("COLLATE"):  # binds before the signs wrap it
+        while self.tok.upper == "COLLATE":  # binds before the signs wrap it
             node = Node("collate", [node, self._struct(),
                                     self._name("expected collation name")])
-        return self._prefixed(signs, node)
+        return node if signs is None else self._prefixed(signs, node)
 
     def _primary(self) -> Node:
-        t = self._peek()
-        if t.kind == END:
-            self._error("unexpected end of query")
-        if t.kind in (NUMBER, STRING, PARAM):
+        t = self.tok
+        kind = t.kind
+        if kind == WORD:
+            up = t.upper
+            if up in _PRIMARY_WORDS:
+                follows_paren = self._peek(1).kind == LPAREN
+                if up == "CASE":
+                    return self._case_expr()
+                if up == "CAST" and follows_paren:
+                    return self._cast_expr()
+                if up == "EXISTS" and follows_paren:
+                    return Node("exists", [self._struct(), self._subquery()])
+                if up == "EXTRACT" and follows_paren:
+                    return self._extract_expr()
+                if up == "INTERVAL" and self._peek(1).kind in (STRING, NUMBER):
+                    return self._interval_expr()
+            if up in _CONST_WORDS:
+                return Node("const", [self._struct()])
+            if up in _RESERVED_STOP:
+                self._error("expected expression")
+            if self._peek(1).kind == LPAREN:
+                return self._func_call()
+            return self._column_ref()
+        if kind in (NUMBER, STRING, PARAM):
             return Node("lit", [self._schema()])
-        if t.kind == LPAREN:
+        if kind == LPAREN:
             if self._subquery_ahead(nested=False):
                 return self._subquery()
             return self._paren_list()
-        if t.kind == OP and t.text == "*":
-            return Node("star", [self._struct()])
-        if t.kind == QIDENT:
+        if kind == QIDENT:
             return self._column_ref()
-        if t.kind != WORD:
-            self._error("expected expression")
-
-        up = t.upper
-        follows_paren = self._peek(1).kind == LPAREN
-        if up == "CASE":
-            return self._case_expr()
-        if up == "CAST" and follows_paren:
-            return self._cast_expr()
-        if up == "EXISTS" and follows_paren:
-            return Node("exists", [self._struct(), self._subquery()])
-        if up == "EXTRACT" and follows_paren:
-            return self._extract_expr()
-        if up == "INTERVAL" and self._peek(1).kind in (STRING, NUMBER):
-            return self._interval_expr()
-        if up in _CONST_WORDS:
-            return Node("const", [self._struct()])
-        if up in _RESERVED_STOP:
-            self._error("expected expression")
-        if follows_paren:
-            return self._func_call()
-        return self._column_ref()
+        if kind == END:
+            self._error("unexpected end of query")
+        if t.upper == "*":
+            return Node("star", [self._struct()])
+        self._error("expected expression")
 
     def _case_expr(self) -> Node:
         ch = [self._kw("CASE")]
-        if not self._at_word("WHEN"):
+        if self.tok.upper != "WHEN":
             ch.append(self._expr())
-        if not self._at_word("WHEN"):
+        if self.tok.upper != "WHEN":
             self._error("expected WHEN in CASE expression")
-        while self._at_word("WHEN"):
+        while self.tok.upper == "WHEN":
             ch += [self._struct(), self._expr(), self._kw("THEN"), self._expr()]
-        if self._at_word("ELSE"):
+        if self.tok.upper == "ELSE":
             ch += [self._struct(), self._expr()]
         ch.append(self._kw("END"))
         return Node("case", ch)
 
     def _cast_expr(self) -> Node:
         ch = [self._kw("CAST"), self._punct(LPAREN, "'('"), self._expr()]
-        if not self._at_word("AS"):
+        if self.tok.upper != "AS":
             self._error("expected AS in CAST")
         ch.append(self._schema())  # AS drops together with the type name
         ch.append(self._type_name())
@@ -667,23 +687,23 @@ class _Parser:
         return Node("cast", ch)
 
     def _type_name(self) -> Node:
-        if not self._at(WORD):
+        if self.tok.kind != WORD:
             self._error("expected type name")
         ch = [self._schema()]
-        while self._at(WORD):  # multi-word types: DOUBLE PRECISION, UNSIGNED BIG INT
+        while self.tok.kind == WORD:  # multi-word types: DOUBLE PRECISION, UNSIGNED BIG INT
             ch.append(self._schema())
-        if self._at(LPAREN):  # type parameters: VARCHAR(20), DECIMAL(10, 2)
+        if self.tok.kind == LPAREN:  # type parameters: VARCHAR(20), DECIMAL(10, 2)
             ch.append(self._schema())
-            while self._at(NUMBER) or self._at(COMMA) or self._at(WORD):
+            while self.tok.kind in (NUMBER, COMMA, WORD):
                 ch.append(self._schema())
-            if not self._at(RPAREN):
+            if self.tok.kind != RPAREN:
                 self._error("expected ')' after type parameters")
             ch.append(self._schema())
         return Node("type_name", ch)
 
     def _extract_expr(self) -> Node:
         ch = [self._kw("EXTRACT"), self._punct(LPAREN, "'('")]
-        if not self._at(WORD):
+        if self.tok.kind != WORD:
             self._error("expected date part in EXTRACT")
         ch.append(self._struct())  # the date part carries shape, keep it
         ch.append(self._kw("FROM"))
@@ -693,40 +713,40 @@ class _Parser:
 
     def _interval_expr(self) -> Node:
         ch = [self._kw("INTERVAL"), self._schema()]
-        if self._at_word(*_INTERVAL_UNITS):
+        if self.tok.upper in _INTERVAL_UNITS:
             ch.append(self._struct())
         return Node("const", ch)
 
     def _func_call(self) -> Node:
         ch = [self._struct(), self._punct(LPAREN, "'('")]
-        if not self._at(RPAREN):
-            if self._at_word("DISTINCT", "ALL"):
+        if self.tok.kind != RPAREN:
+            if self.tok.upper in ("DISTINCT", "ALL"):
                 ch.append(self._struct())
-            if self._at_op("*"):
+            if self.tok.upper == "*":
                 ch.append(Node("star", [self._struct()]))
             else:
                 self._comma_list(ch, self._expr)
         ch.append(self._punct(RPAREN, "')'"))
         node = Node("func", ch)
-        if self._at_word("FILTER"):
+        if self.tok.upper == "FILTER":
             fch = [node, self._struct(), self._punct(LPAREN, "'('"),
                    self._kw("WHERE"), self._expr(), self._punct(RPAREN, "')'")]
             node = Node("filtered", fch)
-        if self._at_word("OVER"):
+        if self.tok.upper == "OVER":
             node = Node("window", [node, self._over_clause()])
         return node
 
     def _over_clause(self) -> Node:
         ch = [self._kw("OVER")]
-        if self._at(LPAREN):
+        if self.tok.kind == LPAREN:
             ch.append(self._struct())
-            if self._at_word("PARTITION"):
+            if self.tok.upper == "PARTITION":
                 ch.append(self._struct())
                 ch.append(self._kw("BY"))
                 ch.append(self._expr_list())
-            if self._at_word("ORDER"):
+            if self.tok.upper == "ORDER":
                 ch.append(self._order_clause())
-            if self._at_word("ROWS", "RANGE", "GROUPS"):
+            if self.tok.upper in ("ROWS", "RANGE", "GROUPS"):
                 ch.append(self._frame_spec())
             ch.append(self._punct(RPAREN, "')'"))
         else:
@@ -735,16 +755,16 @@ class _Parser:
 
     def _frame_spec(self) -> Node:
         ch = [self._struct()]
-        if self._at_word("BETWEEN"):
+        if self.tok.upper == "BETWEEN":
             ch += [self._struct(), self._frame_bound(), self._kw("AND"), self._frame_bound()]
         else:
             ch.append(self._frame_bound())
         return Node("frame", ch)
 
     def _frame_bound(self) -> Node:
-        if self._at_word("UNBOUNDED"):
+        if self.tok.upper == "UNBOUNDED":
             return Node("frame_bound", [self._struct(), self._kw("PRECEDING", "FOLLOWING")])
-        if self._at_word("CURRENT"):
+        if self.tok.upper == "CURRENT":
             return Node("frame_bound", [self._struct(), self._kw("ROW")])
         return Node("frame_bound", [self._expr(), self._kw("PRECEDING", "FOLLOWING")])
 
@@ -752,9 +772,9 @@ class _Parser:
         if not self._at_name(_RESERVED_STOP):
             self._error("expected column reference")
         ch = [self._schema()]
-        while self._at(DOT):
+        while self.tok.kind == DOT:
             ch.append(self._schema())
-            if self._at_op("*"):
+            if self.tok.upper == "*":
                 ch.append(self._struct())
                 return Node("star", ch)
             ch.append(self._name("expected identifier after '.'"))
@@ -778,4 +798,4 @@ def parse_sql(text: str) -> SyntaxTree:
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("query nests too deeply", toks[parser.i].pos) from None
+        raise ParseError("query nests too deeply", parser.tok.pos) from None

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -69,6 +70,28 @@ def test_tokenize_positions_point_into_source():
     sql = "SELECT a FROM t"
     for tok in tokenize(sql):
         assert sql[tok.pos : tok.pos + len(tok.text)] == tok.text
+
+
+# What may lie between two tokens: whitespace and comments, nothing else.
+_GAP_RE = re.compile(r"(?:\s+|--[^\n]*|/\*.*?\*/)*", re.DOTALL)
+_SQLISH = st.sampled_from("SELECTfromAND a_1$.,;()*'\"`[]-/+<>=!|%~?:@ \n\t\u00a0²")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.one_of(_SQLISH, st.characters()), max_size=40))
+def test_tokens_cover_the_text_apart_from_whitespace_and_comments(text):
+    try:
+        toks = tokenize(text)
+    except ParseError:
+        return
+    last_pos, end = -1, 0  # the previous token's start and end
+    for tok in toks:
+        assert last_pos < tok.pos and end <= tok.pos
+        assert text[tok.pos : tok.pos + len(tok.text)] == tok.text
+        assert _GAP_RE.fullmatch(text, end, tok.pos), (text[end:tok.pos], tok)
+        assert tok.upper == (tok.text.upper() if tok.kind == "word" else tok.text)
+        last_pos, end = tok.pos, tok.pos + len(tok.text)
+    assert _GAP_RE.fullmatch(text, end), text[end:]
 
 
 def test_string_literal_keeps_quotes_and_escapes():
