@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 
@@ -355,11 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     if getattr(args, "l_max", 1) < 1:
         parser.error("--l-max must be >= 1")
-    if getattr(args, "alpha", 1.0) <= 0:
-        parser.error("--alpha must be positive")
-    c = getattr(args, "c", None)
-    if c is not None and c <= 0:
-        parser.error("--c must be positive")
+    for name in ("alpha", "c"):  # NaN fails both comparisons, so test finiteness
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            parser.error(f"--{name} must be positive and finite")
     fraction = getattr(args, "fraction", None)
     if fraction is not None and not 0 < fraction <= 1:
         parser.error("--fraction must be in (0, 1]")

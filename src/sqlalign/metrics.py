@@ -19,6 +19,11 @@ from .ngrams import NGramDistribution
 DEFAULT_ALPHA = 0.5
 
 
+def _positive_finite(x: float) -> bool:
+    """False for zero, negative values, NaN and infinity."""
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class AlignmentScore:
     """One divergence measurement plus its alignment transform and the
@@ -57,8 +62,8 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
     clamped to 0. Distributions built with different l_max raise
     SpecMismatchError.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not _positive_finite(alpha):
+        raise ValueError("alpha must be positive and finite")
     if p.total <= 0 or q.total <= 0:
         raise EmptyDistributionError("cannot compare empty distributions")
     if p.l_max != q.l_max:
@@ -81,8 +86,8 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
 
 def kl_alignment(d_kl: float, c: float) -> float:
     """exp(-d_kl / c): 1 at zero divergence, exactly 1/e at d_kl == c."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not _positive_finite(c):
+        raise ValueError("c must be positive and finite")
     return math.exp(-d_kl / c)
 
 
@@ -119,8 +124,8 @@ def batch_align(target: NGramDistribution,
         d_max = max(divergences)
         c_eff = d_max if d_max > 0 else 1.0
     else:
-        if c <= 0:
-            raise ValueError("c must be positive")
+        if not _positive_finite(c):
+            raise ValueError("c must be positive and finite")
         c_eff = c
     return [AlignmentScore(d_kl=d, a_kl=kl_alignment(d, c_eff), c=c_eff, alpha=alpha)
             for d in divergences]

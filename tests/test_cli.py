@@ -166,6 +166,17 @@ def test_align_usage_error_exit_code(corpora):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--c"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_align_rejects_a_non_finite_or_non_positive_constant(corpora, tmp_path, option, value):
+    out = tmp_path / "align.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["align", "--target", corpora["target"], "--source", corpora["near"],
+              "--sql-field", "SQL", option, value, "-o", str(out)])
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
 # -- ar -------------------------------------------------------------------------
 
 def test_ar_equal_train_and_pred(corpora, tmp_path):
@@ -203,6 +214,16 @@ def test_ar_requires_c(corpora):
     with pytest.raises(SystemExit) as exc:
         main(["ar", "--target", corpora["target"], "--train", corpora["near"],
               "--pred", corpora["near"], "--sql-field", "SQL"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--c"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_ar_rejects_a_non_finite_constant(corpora, option, value):
+    argv = ["ar", "--target", corpora["target"], "--train", corpora["near"],
+            "--pred", corpora["far"], "--sql-field", "SQL", "--c", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
     assert exc.value.code == 1
 
 

@@ -62,6 +62,13 @@ def test_kl_requires_positive_alpha():
         kl_divergence(p, p, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_kl_rejects_non_finite_alpha(alpha):
+    p = dist({"a": 1})
+    with pytest.raises(ValueError):
+        kl_divergence(p, p, alpha=alpha)
+
+
 def test_kl_rejects_empty_distributions():
     p = dist({"a": 1})
     empty = NGramDistribution(counts={}, total=0, l_max=15)
@@ -149,6 +156,15 @@ def test_alignment_transform_monotonic():
 def test_alignment_requires_positive_c():
     with pytest.raises(ValueError):
         kl_alignment(1.0, 0.0)
+
+
+@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+def test_alignment_rejects_non_positive_or_non_finite_c(c):
+    with pytest.raises(ValueError):
+        kl_alignment(1.0, c)
+    p, q = dist({"a": 1}), dist({"b": 1})
+    with pytest.raises(ValueError):
+        batch_align(p, [q], alpha=0.5, c=c)
 
 
 # -- batch_align -----------------------------------------------------------
