@@ -127,6 +127,20 @@ def test_invalid_sql_raises_parse_error(sql):
     assert err.value.position >= 0
 
 
+# The dialect gaps the README lists, with the message each one gives.
+@pytest.mark.parametrize("sql, message", [
+    ("SELECT a::int FROM t", "unexpected character ':'"),
+    ("SELECT a FROM t WHERE b = $1", "unexpected character '$'"),
+    ("SELECT a FROM t FETCH FIRST 5 ROWS ONLY",
+     "unexpected token after end of query, found 'FETCH'"),
+    ("SELECT a FROM t WHERE b IN ()", "expected expression, found ')'"),
+])
+def test_documented_dialect_gaps_fail_with_their_message(sql, message):
+    with pytest.raises(ParseError) as err:
+        parse_sql(sql)
+    assert err.value.message == message
+
+
 # Query builders that nest one construct n levels deep.
 NESTERS = {
     "parens": lambda n: "SELECT " + "(" * n + "1" + ")" * n,
