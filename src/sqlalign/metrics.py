@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
@@ -55,10 +57,13 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
     """Smoothed KL divergence D(p || q) in nats.
 
     Both count vectors are smoothed by adding alpha to every n-gram of the
-    union vocabulary V and normalizing by (total + alpha * |V|). The
-    terms are summed with math.fsum, so the result does not depend on the
-    iteration order of V (which follows string hashing). Exact zeros can
-    come out a hair negative in floating point; values inside -1e-9..0 are
+    union vocabulary V and normalizing by (total + alpha * |V|). A term
+    depends only on the pair (count in p, count in q), so each distinct
+    pair's term is computed once and repeated as many times as the pair
+    occurs. math.fsum rounds the exact sum of that multiset of terms once,
+    so the result is bit-identical to summing one term per n-gram in any
+    order, and does not depend on string hashing. Exact zeros can come
+    out a hair negative in floating point; values inside -1e-9..0 are
     clamped to 0. Distributions built with different l_max raise
     SpecMismatchError.
     """
@@ -68,17 +73,26 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
         raise EmptyDistributionError("cannot compare empty distributions")
     if p.l_max != q.l_max:
         raise SpecMismatchError(f"cannot compare distributions with l_max {p.l_max} and {q.l_max}")
-    vocab = p.counts.keys() | q.counts.keys()
-    denom_p = p.total + alpha * len(vocab)
-    denom_q = q.total + alpha * len(vocab)
-
-    def terms():
-        for gram in vocab:
-            pp = (p.counts.get(gram, 0) + alpha) / denom_p
-            qq = (q.counts.get(gram, 0) + alpha) / denom_q
-            yield pp * math.log(pp / qq)
-
-    total = math.fsum(terms())
+    pc, qc = p.counts, q.counts
+    shared = pc.keys() & qc.keys()
+    shared_p = list(map(pc.__getitem__, shared))
+    shared_q = list(map(qc.__getitem__, shared))
+    pairs = Counter(zip(shared_p, shared_q))
+    # An n-gram in one distribution only pairs its count with 0; the counts
+    # of those n-grams are all counts of that side less the shared ones.
+    for count, n in (Counter(pc.values()) - Counter(shared_p)).items():
+        pairs[count, 0] += n
+    for count, n in (Counter(qc.values()) - Counter(shared_q)).items():
+        pairs[0, count] += n
+    vocab = len(pc) + len(qc) - len(shared)
+    denom_p = p.total + alpha * vocab
+    denom_q = q.total + alpha * vocab
+    terms = []
+    for count_p, count_q in pairs:
+        pp = (count_p + alpha) / denom_p
+        qq = (count_q + alpha) / denom_q
+        terms.append(pp * math.log(pp / qq))
+    total = math.fsum(chain.from_iterable(map(repeat, terms, pairs.values())))
     if -1e-9 < total < 0.0:
         return 0.0
     return total

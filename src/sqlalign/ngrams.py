@@ -5,11 +5,17 @@ candidate is kept only if it contains at least one SQL keyword, does not
 begin or end with a comma, and has equal counts of "(" and ")". Counts of
 all surviving windows, all orders pooled together, form one distribution
 per query set.
+
+An n-gram is the string of its tokens joined by single spaces, the same
+string that keys a distribution file. Each surviving window is cut from
+its template's canonical text at precomputed token offsets, so counting
+hashes one string slice per window and creates no tuple.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,8 +24,9 @@ from .errors import EmptyDistributionError, FormatError
 from .keywords import SQL_KEYWORDS
 from .templates import StructuralTemplate
 
-# An n-gram is a tuple of template tokens; its order is its length.
-NGram = tuple[str, ...]
+# An n-gram is its template tokens joined by single spaces; its order is
+# its number of tokens.
+NGram = str
 
 DEFAULT_L_MAX = 15
 
@@ -43,52 +50,64 @@ def build_distribution(
 
     Every window of 1..l_max tokens is a candidate. Counting is per
     occurrence: a template that occurs k times contributes each of its
-    windows k times, and it is scanned once. Merging is plain integer
-    addition, so the result does not depend on template order.
+    windows k times, and it is scanned once. Only the surviving windows
+    are visited: from each start, the ends that balance its parentheses
+    are looked up by bisection. Merging is plain integer addition, so the
+    result does not depend on template order.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     distinct = Counter(t.tokens if isinstance(t, StructuralTemplate) else tuple(t)
                        for t in templates)
-    counts: Counter[NGram] = Counter()
+    counts: dict[NGram, int] = {}
+    get = counts.get
     for tokens, multiplicity in distinct.items():
         length = len(tokens)
+        text = " ".join(tokens)
+        # Window start..end is balanced iff balance[start] == balance[end + 1],
+        # where balance[i] counts "(" minus ")" in tokens[:i]. So the valid
+        # ends of a start are the ends after its balance, grouped by it,
+        # from its first keyword on and short of start + l_max.
+        starts, stops = [], []  # token i is text[starts[i]:stops[i]]
+        balance = [0]
+        ends_after: dict[int, list[int]] = {}
+        pos = 0
+        for end, token in enumerate(tokens):
+            starts.append(pos)
+            pos += len(token)
+            stops.append(pos)
+            pos += 1
+            depth = balance[-1] + (token == "(") - (token == ")")
+            balance.append(depth)
+            if token != ",":
+                ends_after.setdefault(depth, []).append(end)
+        first_keyword = [length] * (length + 1)
+        for i in range(length - 1, -1, -1):
+            first_keyword[i] = i if tokens[i] in SQL_KEYWORDS else first_keyword[i + 1]
         for start in range(length):
-            if tokens[start] == ",":
+            ends = ends_after.get(balance[start])
+            if ends is None or tokens[start] == ",":
                 continue
-            balance = 0  # "(" minus ")" so far
-            keyword_seen = False
-            for end in range(start, min(start + l_max, length)):
-                token = tokens[end]
-                if token == "(":
-                    balance += 1
-                elif token == ")":
-                    balance -= 1
-                elif token in SQL_KEYWORDS:
-                    keyword_seen = True
-                if balance == 0 and keyword_seen and token != ",":
-                    counts[tokens[start : end + 1]] += multiplicity
+            begin = starts[start]
+            lo = bisect_left(ends, first_keyword[start])
+            for end in ends[lo:bisect_left(ends, start + l_max, lo)]:
+                gram = text[begin:stops[end]]
+                counts[gram] = get(gram, 0) + multiplicity
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistributionError("no n-grams survived filtering")
-    return NGramDistribution(counts=dict(counts), total=total, l_max=l_max,
+    return NGramDistribution(counts=counts, total=total, l_max=l_max,
                              source_label=source_label)
-
-
-def sorted_items(dist: NGramDistribution) -> list[tuple[str, int]]:
-    """("token token token", count) pairs, sorted lexicographically for
-    byte-stable export."""
-    return sorted((" ".join(gram), count) for gram, count in dist.counts.items())
 
 
 def write_distribution(dist: NGramDistribution, path) -> None:
     """Persist a distribution as a JSON map with lexicographically sorted
-    n-gram keys."""
+    n-gram keys (sort_keys sorts the counts map too)."""
     payload = {
         "l_max": dist.l_max,
         "source_label": dist.source_label,
         "total": dist.total,
-        "counts": dict(sorted_items(dist)),
+        "counts": dist.counts,
     }
     # Encoded before the file is opened, so text that is not encodable (a
     # lone surrogate in source_label) leaves no truncated file behind.
@@ -101,7 +120,7 @@ def write_distribution(dist: NGramDistribution, path) -> None:
 def read_distribution(path) -> NGramDistribution:
     """Load a file written by write_distribution. Anything else (not JSON,
     not an object, no integer l_max, no counts map, a count that is not an
-    integer) raises FormatError naming the path."""
+    integer of at least 1) raises FormatError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -109,10 +128,9 @@ def read_distribution(path) -> NGramDistribution:
         raise FormatError(f"distribution file {path} is not JSON: {exc}") from exc
     counts = payload.get("counts") if isinstance(payload, dict) else None
     if (not isinstance(counts, dict) or type(payload.get("l_max")) is not int
-            or any(type(v) is not int for v in counts.values())):
+            or any(type(v) is not int or v < 1 for v in counts.values())):
         raise FormatError(f"distribution file {path} is not an object with an "
-                          "integer l_max and integer counts")
-    counts = {tuple(key.split(" ")): v for key, v in counts.items()}
+                          "integer l_max and integer counts of at least 1")
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistributionError(f"distribution file {path} has no counts")

@@ -42,7 +42,6 @@ def _report(name: str, started: float, limit: float) -> None:
 
 
 def _dist(counts):
-    counts = {(k,): v for k, v in counts.items()}
     return NGramDistribution(counts=counts, total=sum(counts.values()), l_max=15)
 
 

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqlalign
 from sqlalign.errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
@@ -23,7 +25,6 @@ from sqlalign.ngrams import NGramDistribution
 
 
 def dist(counts, label=""):
-    counts = {(k,) if isinstance(k, str) else tuple(k): v for k, v in counts.items()}
     return NGramDistribution(counts=counts, total=sum(counts.values()),
                              l_max=15, source_label=label)
 
@@ -90,10 +91,12 @@ import random
 from sqlalign.metrics import kl_divergence
 from sqlalign.ngrams import NGramDistribution
 rng = random.Random(3)
-def dist():
-    counts = {("SELECT", f"g{i}"): rng.randint(1, 1000) for i in range(3000) if rng.random() < 0.7}
+def dist(lo, hi):
+    counts = {f"SELECT g{i}": rng.randint(1, 1000) for i in range(lo, hi) if rng.random() < 0.7}
     return NGramDistribution(counts=counts, total=sum(counts.values()), l_max=15)
-print(repr(kl_divergence(dist(), dist())))
+# q holds n-grams that p lacks, and p n-grams that q lacks
+p, q = dist(0, 3000), dist(1000, 4000)
+print(repr(kl_divergence(p, q)), repr(kl_divergence(q, p)))
 """
 
 
@@ -104,6 +107,39 @@ def test_kl_is_identical_across_hash_seeds():
                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
                for seed in ("0", "1")}
     assert len(outputs) == 1, outputs
+
+
+def reference_kl(p, q, alpha):
+    """One term per n-gram of the union vocabulary, summed with fsum and
+    clamped like kl_divergence."""
+    vocab = p.counts.keys() | q.counts.keys()
+    denom_p = p.total + alpha * len(vocab)
+    denom_q = q.total + alpha * len(vocab)
+    terms = []
+    for gram in vocab:
+        pp = (p.counts.get(gram, 0) + alpha) / denom_p
+        qq = (q.counts.get(gram, 0) + alpha) / denom_q
+        terms.append(pp * math.log(pp / qq))
+    total = math.fsum(terms)
+    return 0.0 if -1e-9 < total < 0.0 else total
+
+
+# Few keys and mostly small counts, so count pairs repeat; the keys drawn
+# for p and q overlap in part, so n-grams occur in p only and in q only.
+_COUNTS = st.dictionaries(st.sampled_from([f"SELECT g{i}" for i in range(40)]),
+                          st.integers(1, 4) | st.integers(1, 10**6),
+                          min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COUNTS, _COUNTS, st.booleans(),
+       st.sampled_from([1e-9, 1e-6, 0.5, 3.0]) | st.floats(1e-9, 10.0))
+def test_kl_equals_the_per_ngram_fsum(p_counts, q_counts, disjoint, alpha):
+    if disjoint:
+        q_counts = {f"FROM {gram}": n for gram, n in q_counts.items()}
+    p, q = dist(p_counts), dist(q_counts)
+    assert kl_divergence(p, q, alpha) == reference_kl(p, q, alpha)
+    assert kl_divergence(q, p, alpha) == reference_kl(q, p, alpha)
 
 
 def test_kl_is_asymmetric():

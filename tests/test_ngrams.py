@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from sqlalign.keywords import SQL_KEYWORDS
 from sqlalign.ngrams import (
     build_distribution,
     read_distribution,
-    sorted_items,
     write_distribution,
 )
 from sqlalign.templates import StructuralTemplate, templatize
@@ -25,16 +26,18 @@ def naive_is_valid(window):
 
 def naive_valid_counts(token_lists, l_max):
     """Independent enumerator: loops over (start, end) spans of every
-    template occurrence. Oracle for the distribution builder."""
+    template occurrence and keys each valid window by its space-joined
+    tokens. Oracle for the distribution builder."""
     counts = {}
     for tokens in token_lists:
         tokens = list(tokens)
         length = len(tokens)
         for start in range(length):
             for end in range(start + 1, min(start + l_max, length) + 1):
-                window = tuple(tokens[start:end])
+                window = tokens[start:end]
                 if naive_is_valid(window):
-                    counts[window] = counts.get(window, 0) + 1
+                    gram = " ".join(window)
+                    counts[gram] = counts.get(gram, 0) + 1
     return counts
 
 
@@ -66,20 +69,19 @@ def test_validity_filter(gram, expected):
     except EmptyDistributionError:
         assert not expected  # nothing in the gram survives
         return
-    assert (gram in dist.counts) is expected
+    assert (" ".join(gram) in dist.counts) is expected
 
 
 def test_build_pools_duplicate_templates():
     dist = build_distribution([StructuralTemplate(("SELECT",)),
                                StructuralTemplate(("SELECT",))], l_max=15)
-    assert dist.counts == {("SELECT",): 2}
+    assert dist.counts == {"SELECT": 2}
     assert dist.total == 2
 
 
 def test_build_select_star_from_example():
     dist = build_distribution([["SELECT", "*", "FROM"]], l_max=3)
-    assert set(dist.counts) == {("SELECT",), ("FROM",), ("SELECT", "*"),
-                                ("*", "FROM"), ("SELECT", "*", "FROM")}
+    assert set(dist.counts) == {"SELECT", "FROM", "SELECT *", "* FROM", "SELECT * FROM"}
     assert dist.total == 5
 
 
@@ -100,7 +102,7 @@ def test_every_stored_ngram_passes_the_filter():
         "SELECT x FROM (SELECT x FROM u) s",
     ]]
     dist = build_distribution(templates, l_max=15)
-    assert all(naive_is_valid(g) for g in dist.counts)
+    assert all(naive_is_valid(g.split(" ")) for g in dist.counts)
     assert dist.total == sum(dist.counts.values()) > 0
 
 
@@ -151,7 +153,7 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     assert loaded.total == dist.total
     assert loaded.l_max == dist.l_max
     assert loaded.source_label == "demo"
-    keys = [k for k, _ in sorted_items(dist)]
+    keys = list(json.loads(path_a.read_text(encoding="utf-8"))["counts"])
     assert keys == sorted(keys)
 
 
@@ -178,6 +180,8 @@ def test_write_distribution_of_unencodable_label_leaves_the_path_alone(tmp_path,
     '{"l_max": 15}',                              # no counts
     '{"l_max": 15, "counts": {"SELECT": 1.5}}',   # non-integer count
     '{"l_max": 15, "counts": {"SELECT": "1"}}',   # count as a string
+    '{"l_max": 15, "counts": {"SELECT": -1, "FROM": 3}}',  # negative count
+    '{"l_max": 15, "counts": {"SELECT": 0, "FROM": 3}}',   # zero count
 ])
 def test_read_distribution_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "dist.json"
