@@ -64,6 +64,9 @@ def build_distribution(
     for tokens, multiplicity in distinct.items():
         length = len(tokens)
         text = " ".join(tokens)
+        if length and text.count(" ") != length - 1:
+            # one window key would stand for two different token sequences
+            raise ValueError(f"template token holds a space: {text!r}")
         # Window start..end is balanced iff balance[start] == balance[end + 1],
         # where balance[i] counts "(" minus ")" in tokens[:i]. So the valid
         # ends of a start are the ends after its balance, grouped by it,

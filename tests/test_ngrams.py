@@ -50,6 +50,12 @@ def test_build_rejects_bad_l_max():
         build_distribution([["SELECT"]], l_max=0)
 
 
+def test_build_rejects_a_token_holding_a_space():
+    # "SELECT a b" would key both ("SELECT", "a b") and ("SELECT a", "b")
+    with pytest.raises(ValueError, match="space"):
+        build_distribution([["SELECT", "a b"]], l_max=2)
+
+
 @pytest.mark.parametrize("gram,expected", [
     (("FROM", "WHERE"), True),
     (("(", ")"), False),           # balanced but keyword-free
