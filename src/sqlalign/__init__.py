@@ -45,7 +45,7 @@ from .ngrams import (
     read_distribution,
     write_distribution,
 )
-from .parsing import Node, SyntaxTree, normalize_sql, parse_sql
+from .parsing import Node, parse_sql
 from .patterns import (
     DEFAULT_PATTERNS,
     PatternCounts,
@@ -80,7 +80,6 @@ __all__ = [
     "SpecMismatchError",
     "SqlAlignError",
     "StructuralTemplate",
-    "SyntaxTree",
     "TemplatizeResult",
     "align",
     "alignment_ratio",
@@ -92,7 +91,6 @@ __all__ = [
     "kl_alignment",
     "kl_divergence",
     "load_corpus",
-    "normalize_sql",
     "ovlp_ratio",
     "parse_sql",
     "read_distribution",

@@ -29,8 +29,6 @@ from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
 
-log = logging.getLogger("sqlalign")
-
 
 def _json_value(value) -> str:
     if isinstance(value, bool):

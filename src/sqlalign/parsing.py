@@ -2,19 +2,21 @@
 text-to-SQL corpora (SQLite flavoured, plus the common PostgreSQL-isms such
 as ILIKE, EXTRACT and INTERVAL literals).
 
-The parser builds an ordered tree in which every token carries exactly one
-of two roles:
+The parser builds an ordered tree in which every token is one leaf, in
+source order, and carries exactly one of two roles:
 
 * ``STRUCTURAL`` - keywords, operators, commas, parentheses and ``*``;
-  these survive template derivation.
+  these form the structural template.
 * ``SCHEMA`` - identifiers, aliases, literals and parameter markers (plus
   the ``AS type`` annotation inside CAST, which is dropped together with
-  the operand's leaf tokens); these are removed by template derivation.
+  the operand's leaf tokens); these are left out of it.
 
-Joining all token texts of a tree in order reproduces the
-whitespace-normalized query text (see ``normalize_sql``). Comments and
-trailing semicolons are stripped before parsing. Anything the grammar does
-not cover raises ``ParseError`` rather than producing a partial tree.
+The parser only moves forward, so it records the template as it goes:
+``_struct``, which makes every structural leaf, appends the token's
+``upper`` text, and the root that ``parse_sql`` returns carries the result
+as ``template``. Comments and trailing semicolons are stripped before
+parsing. Anything the grammar does not cover raises ``ParseError`` rather
+than producing a partial tree.
 
 All types here are immutable after construction; ``parse_sql`` is a pure
 function and safe to call concurrently.
@@ -68,7 +70,8 @@ class Token(NamedTuple):
 @dataclass
 class Node:
     """A parse-tree node: either an internal node (children, no token) or a
-    token node (token + role, no children)."""
+    token node (token + role, no children). The root that ``parse_sql``
+    returns also has ``template``, the tuple of its structural tokens."""
 
     label: str
     children: list["Node"] = field(default_factory=list)
@@ -101,17 +104,6 @@ class Node:
             self._label_index = index
         found = index.get(label, ())
         return chain((self,), found) if self.label == label else iter(found)
-
-    def token_nodes(self) -> Iterator["Node"]:
-        return (n for n in self.walk() if n.token is not None)
-
-    def serialize(self) -> str:
-        """All token texts in source order, single-space separated."""
-        return " ".join(n.token.text for n in self.token_nodes())
-
-
-# The tree returned by parse_sql is just its root node.
-SyntaxTree = Node
 
 
 # Each match is the whitespace and comments before one token, then the
@@ -171,20 +163,6 @@ def tokenize(text: str) -> list[Token]:
         else:
             append(_new_token(Token, (_KIND_OF_GROUP[group], tok, m.start(group), tok)))
     return toks
-
-
-def _strip_trailing_semis(toks: list[Token]) -> list[Token]:
-    """Drop trailing semicolons from ``toks`` in place and return it."""
-    while toks and toks[-1].kind == SEMI:
-        toks.pop()
-    return toks
-
-
-def normalize_sql(text: str) -> str:
-    """The whitespace-normalized form of a query: its tokens (comments and
-    trailing semicolons removed) joined by single spaces. Serializing a
-    parse tree reproduces exactly this string."""
-    return " ".join(t.text for t in _strip_trailing_semis(tokenize(text)))
 
 
 # Words that can never begin an expression or name a table/alias.
@@ -247,6 +225,7 @@ class _Parser:
         self.i = 0
         self.tok = tokens[0]  # always toks[i]
         self.depth = 0  # open nesting levels, at most MAX_NESTING
+        self.template: list[str] = []  # the structural tokens so far
 
     # -- primitives ---------------------------------------------------
     # Keyword and operator tests look at ``self.tok.upper`` alone; see
@@ -275,10 +254,12 @@ class _Parser:
             raise ParseError("query nests too deeply", self.tok.pos)
 
     def _struct(self) -> Node:
-        """The current token as a structural leaf; moves past it."""
+        """The current token as a structural leaf, added to the template;
+        moves past it. Every structural leaf is made here."""
         tok = self.tok
         self.i += 1
         self.tok = self.toks[self.i]
+        self.template.append(tok.upper)
         return Node("tok", [], tok, STRUCTURAL)
 
     def _schema(self) -> Node:
@@ -328,7 +309,9 @@ class _Parser:
         stmt = self._select_stmt()
         if self.tok.kind != END:
             self._error("unexpected token after end of query")
-        return Node("query", [stmt])
+        root = Node("query", [stmt])
+        root.template = tuple(self.template)
+        return root
 
     def _select_stmt(self) -> Node:
         self._enter()
@@ -781,8 +764,9 @@ class _Parser:
         return Node("col", ch)
 
 
-def parse_sql(text: str) -> SyntaxTree:
-    """Parse a SELECT query into a role-tagged syntax tree.
+def parse_sql(text: str) -> Node:
+    """Parse a SELECT query into a role-tagged syntax tree, whose root
+    carries the query's structural template as ``template``.
 
     Every failure is a ParseError: text outside the supported grammar, text
     with no tokens, and nesting deeper than MAX_NESTING levels ("query
@@ -790,7 +774,9 @@ def parse_sql(text: str) -> SyntaxTree:
     prevent, is reported the same way. Callers that process whole corpora
     catch it and record the failure.
     """
-    toks = _strip_trailing_semis(tokenize(text))
+    toks = tokenize(text)
+    while toks and toks[-1].kind == SEMI:
+        toks.pop()
     if not toks:
         raise ParseError("query contains no tokens", 0)
     toks.append(Token(END, "", len(text), ""))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parsing import STRUCTURAL, SyntaxTree, parse_sql
+from .parsing import Node, parse_sql
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,14 @@ class StructuralTemplate:
         return self.canonical_text
 
 
-def derive_template(tree: SyntaxTree) -> StructuralTemplate:
-    """Keep the structural tokens of a tree in source order, uppercasing
-    word tokens. Total on valid trees."""
-    return StructuralTemplate(tuple(
-        node.token.upper for node in tree.token_nodes() if node.role == STRUCTURAL))
+def derive_template(tree: Node) -> StructuralTemplate:
+    """The template of a tree returned by parse_sql: its structural tokens
+    in source order, word tokens uppercased, as the parser recorded them.
+    Any other node, a subtree of such a tree included, raises ValueError."""
+    template = getattr(tree, "template", None)
+    if template is None:
+        raise ValueError("derive_template takes the root of a tree returned by parse_sql")
+    return StructuralTemplate(template)
 
 
 def templatize(query: str) -> StructuralTemplate:

@@ -188,6 +188,16 @@ def test_write_distribution_of_unencodable_label_leaves_the_path_alone(tmp_path,
     '{"l_max": 15, "counts": {"SELECT": "1"}}',   # count as a string
     '{"l_max": 15, "counts": {"SELECT": -1, "FROM": 3}}',  # negative count
     '{"l_max": 15, "counts": {"SELECT": 0, "FROM": 3}}',   # zero count
+    '{"l_max": 0, "counts": {"SELECT": 1}}',      # l_max below 1
+    '{"l_max": 15, "counts": {"": 1}}',           # empty key
+    '{"l_max": 15, "counts": {"SELECT  FROM": 1}}',  # doubled space
+    '{"l_max": 15, "counts": {" SELECT": 1}}',    # leading space
+    '{"l_max": 15, "counts": {"SELECT ": 1}}',    # trailing space
+    '{"l_max": 1, "counts": {"SELECT FROM": 1}}',  # more than l_max tokens
+    '{"l_max": 15, "counts": {", SELECT": 1}}',   # begins with a comma
+    '{"l_max": 15, "counts": {"SELECT ,": 1}}',   # ends with a comma
+    '{"l_max": 15, "counts": {"( SELECT": 1}}',   # unbalanced parentheses
+    '{"l_max": 15, "counts": {"SELECT": 3, "x": 1}}',  # no keyword
 ])
 def test_read_distribution_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "dist.json"

@@ -13,7 +13,6 @@ from sqlalign.parsing import (
     MAX_NESTING,
     SCHEMA,
     STRUCTURAL,
-    normalize_sql,
     parse_sql,
     tokenize,
 )
@@ -48,22 +47,40 @@ QUERY_ZOO = [
 ]
 
 
+def _leaves(tree):
+    return [n for n in tree.walk() if n.token is not None]
+
+
+def _source_tokens(sql):
+    """The tokens of sql without its trailing semicolons."""
+    toks = tokenize(sql)
+    while toks and toks[-1].kind == "semi":
+        toks.pop()
+    return toks
+
+
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_roundtrip_serialization(sql):
-    tree = parse_sql(sql)
-    assert tree.serialize() == normalize_sql(sql)
+    # every token is exactly one leaf, in source order
+    assert [n.token for n in _leaves(parse_sql(sql))] == _source_tokens(sql)
 
 
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_every_token_has_exactly_one_role(sql):
-    for node in parse_sql(sql).token_nodes():
+    tree = parse_sql(sql)
+    for node in _leaves(tree):
         assert node.role in (STRUCTURAL, SCHEMA)
         assert not node.children
+    # the template the parser records is the walk over its structural leaves
+    assert tree.template == tuple(
+        n.token.upper for n in _leaves(tree) if n.role == STRUCTURAL)
 
 
 def test_normalize_strips_comments_and_trailing_semicolons():
     sql = "SELECT a -- pick a\nFROM t /* the table */ ; ;"
-    assert normalize_sql(sql) == "SELECT a FROM t"
+    leaves = [n.token for n in _leaves(parse_sql(sql))]
+    assert leaves == _source_tokens(sql)
+    assert [tok.text for tok in leaves] == ["SELECT", "a", "FROM", "t"]
 
 
 def test_tokenize_positions_point_into_source():
@@ -153,9 +170,11 @@ NESTERS = {
 
 def _outcome(sql):
     try:
-        return " ".join(n.token.text for n in parse_sql(sql).token_nodes())
+        leaves = [n.token for n in _leaves(parse_sql(sql))]
     except ParseError as exc:
         return exc.message, exc.position
+    assert leaves == _source_tokens(sql)
+    return leaves
 
 
 def _outcome_at_depth(sql, frames):
@@ -167,7 +186,7 @@ def test_nesting_limit_does_not_depend_on_the_callers_stack(nester):
     queries = [NESTERS[nester](n) for n in range(1, MAX_NESTING + 3)]
     shallow = [_outcome(sql) for sql in queries]
     assert [_outcome_at_depth(sql, 200) for sql in queries] == shallow
-    assert isinstance(shallow[0], str)  # one level parses
+    assert isinstance(shallow[0], list)  # one level parses
     assert shallow[-1][0] == "query nests too deeply"
 
 
@@ -215,4 +234,4 @@ def test_subquery_nodes_only_for_nested_selects():
        skeleton=st.sampled_from(corpusgen.SKELETONS + corpusgen.FAR_SKELETONS))
 def test_roundtrip_on_generated_queries(seed, skeleton):
     sql = corpusgen.make_query(random.Random(seed), skeleton=skeleton)
-    assert parse_sql(sql).serialize() == normalize_sql(sql)
+    assert [n.token for n in _leaves(parse_sql(sql))] == _source_tokens(sql)

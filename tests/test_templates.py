@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import corpusgen
 from sqlalign.keywords import SQL_KEYWORDS, TEMPLATE_OPERATORS
-from sqlalign.templates import templatize
+from sqlalign.parsing import parse_sql
+from sqlalign.templates import derive_template, templatize
 
 # The one fully worked leaf-removal example this tool is calibrated on.
 GOLDEN_QUERY = ("SELECT meal/enrollment FROM frpm WHERE county='Alameda' "
@@ -78,6 +79,14 @@ def test_template_tokens_come_from_the_allowed_universe():
     for sql in [GOLDEN_QUERY, "SELECT a || 'x', b % 2 FROM t WHERE c != 1 AND d <> 2"]:
         for tok in templatize(sql).tokens:
             assert tok in SQL_KEYWORDS or tok in TEMPLATE_OPERATORS, tok
+
+
+def test_derive_template_takes_only_a_parse_sql_root():
+    tree = parse_sql("SELECT a FROM t WHERE b IN (SELECT c FROM u)")
+    assert derive_template(tree).canonical_text == "SELECT FROM WHERE IN ( SELECT FROM )"
+    for node in (next(tree.find_all("subquery")), tree.children[0]):
+        with pytest.raises(ValueError, match="tree returned by parse_sql"):
+            derive_template(node)
 
 
 def test_qualified_star_matches_bare_star():
