@@ -10,6 +10,9 @@ Commands:
 Every report embeds the full run configuration, JSON output has sorted keys
 and fixed 6-decimal floats, so identical inputs and flags produce
 byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
+
+A command that reads several corpora keeps one run memo for them all, so
+it parses each distinct SQL string once; reports stay per corpus.
 """
 
 from __future__ import annotations
@@ -167,8 +170,9 @@ def cmd_templates(args) -> int:
 
 
 def cmd_align(args) -> int:
+    memo = {}
     target_corpus = _load(args, args.target, kind="target")
-    target = templatize_corpus(target_corpus, l_max=args.l_max)
+    target = templatize_corpus(target_corpus, l_max=args.l_max, memo=memo)
     target_set = {t.canonical_text for t in target.templates}
 
     rows = []
@@ -179,7 +183,7 @@ def cmd_align(args) -> int:
         try:
             source_corpus = _load(args, source_path, kind="train")
             loaded.append((row, source_corpus,
-                           templatize_corpus(source_corpus, l_max=args.l_max)))
+                           templatize_corpus(source_corpus, l_max=args.l_max, memo=memo)))
         except (SqlAlignError, OSError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -216,9 +220,13 @@ def cmd_align(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    target = templatize_corpus(_load(args, args.target, kind="target"), l_max=args.l_max)
-    train = templatize_corpus(_load(args, args.train, kind="train"), l_max=args.l_max)
-    pred = templatize_corpus(_load(args, args.pred, kind="prediction"), l_max=args.l_max)
+    memo = {}
+    target = templatize_corpus(_load(args, args.target, kind="target"),
+                               l_max=args.l_max, memo=memo)
+    train = templatize_corpus(_load(args, args.train, kind="train"),
+                              l_max=args.l_max, memo=memo)
+    pred = templatize_corpus(_load(args, args.pred, kind="prediction"),
+                             l_max=args.l_max, memo=memo)
     ratio = alignment_ratio(target.distribution, train.distribution,
                             pred.distribution, alpha=args.alpha, c=args.c)
     report = {
@@ -258,8 +266,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_patterns(args) -> int:
-    before = count_patterns(_load(args, args.before, kind="prediction"))
-    after = count_patterns(_load(args, args.after, kind="prediction"))
+    memo = {}
+    before = count_patterns(_load(args, args.before, kind="prediction"), memo=memo)
+    after = count_patterns(_load(args, args.after, kind="prediction"), memo=memo)
     diff = diff_pattern_counts(before, after)
     if args.format == "csv":
         rows = [{"pattern_id": pid, **entry} for pid, entry in diff.items()]

@@ -133,6 +133,14 @@ def _detect_format(path: Path) -> str:
         f"cannot infer format from {path.name!r}; pass input_format json, jsonl or csv")
 
 
+def _text_field(row: dict, name: str | None) -> str:
+    """The row's value of an optional field as text: "" when no field is
+    named or the row holds no value (absent or null); any other value,
+    0 and false included, keeps its text."""
+    value = row.get(name) if name else None
+    return "" if value is None else str(value)
+
+
 def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 group_field: str | None = None, name: str | None = None,
                 kind: str = "train", input_format: str | None = None,
@@ -142,7 +150,8 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     A row missing the SQL field (or holding an empty one) raises
     FormatError naming the row; with skip_bad_rows the row is dropped and
     counted in a warning instead. Question and group fields are optional
-    and default to "" when absent. All remaining row fields land in meta.
+    and default to "" when absent or null; any other value keeps its text
+    (a JSON 0 becomes "0"). All remaining row fields land in meta.
     """
     path = Path(path)
     fmt = input_format or _detect_format(path)
@@ -156,8 +165,8 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 log.warning("%s row %d: missing or empty field %r, skipped", path, i, sql_field)
                 continue
             raise FormatError(f"missing or empty field {sql_field!r}", row=i)
-        question = str(row.get(question_field) or "") if question_field else ""
-        group_id = str(row.get(group_field) or "") if group_field else ""
+        question = _text_field(row, question_field)
+        group_id = _text_field(row, group_field)
         claimed = {sql_field, question_field, group_field}
         meta = {k: v for k, v in row.items() if k not in claimed}
         records.append(CorpusRecord(sql=str(sql), question=question,
@@ -206,12 +215,20 @@ class TemplatizeResult:
     failures: list[tuple[int, str]]
 
 
-def map_distinct_sql(corpus: Corpus, fn) -> list:
+def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None, view=None) -> list:
     """fn(record.sql) for every record, in record order, calling fn once
     per distinct SQL string (exact text: a ParseError's offset differs
     between strings that differ only in whitespace). Where fn raises a
-    ParseError, the error takes the result's place."""
-    results: dict[str, object] = {}
+    ParseError, the error takes the result's place.
+
+    ``memo`` is a run memo: a plain dict shared by the calls of one run.
+    Its table under ``view`` maps SQL strings to earlier results of fn, so
+    ``view`` must fix everything those results depend on. Strings found
+    there are not passed to fn again and new results are added, so fn runs
+    once per string across all the corpora of the run. Without a memo the
+    table lives for this call only.
+    """
+    results = {} if memo is None else memo.setdefault(view, {})
     for record in corpus.records:
         sql = record.sql
         if sql not in results:
@@ -225,17 +242,20 @@ def map_distinct_sql(corpus: Corpus, fn) -> list:
     return [results[record.sql] for record in corpus.records]
 
 
-def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX) -> TemplatizeResult:
+def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
+                      memo: dict | None = None) -> TemplatizeResult:
     """Template every record, parsing each distinct SQL string once, and
     build the distribution.
 
     Records that fail to parse are recorded and excluded; if nothing
     parses, EmptyDistributionError propagates from the distribution
-    builder.
+    builder. ``memo`` is a run memo (see map_distinct_sql): a string
+    templated for an earlier corpus of the run is not parsed again. The
+    result is the same with or without it.
     """
     templates: list[StructuralTemplate] = []
     failures: list[tuple[int, str]] = []
-    for i, result in enumerate(map_distinct_sql(corpus, templatize)):
+    for i, result in enumerate(map_distinct_sql(corpus, templatize, memo, "templates")):
         if isinstance(result, ParseError):
             failures.append((i, str(result)))
         else:

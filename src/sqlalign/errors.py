@@ -18,6 +18,11 @@ class ParseError(SqlAlignError):
         self.message = message
         self.position = position
 
+    def __reduce__(self):
+        # The default rebuilds from args, the formatted text alone, which
+        # __init__ cannot take; rebuild from the __init__ arguments.
+        return type(self), (self.message, self.position), self.__dict__
+
 
 class EmptyDistributionError(SqlAlignError):
     """An n-gram distribution has no entries (nothing survived filtering)."""

@@ -96,11 +96,15 @@ class Node:
         the cache makes no reference cycle."""
         index = self.__dict__.get("_label_index")
         if index is None:
+            # walk() inlined, without the generator: this loop runs once
+            # for every node of a tree that a pattern is matched against.
             index = {}
-            below = self.walk()
-            next(below)
-            for node in below:
+            stack = self.children[::-1]
+            while stack:
+                node = stack.pop()
                 index.setdefault(node.label, []).append(node)
+                if node.children:
+                    stack.extend(node.children[::-1])
             self._label_index = index
         found = index.get(label, ())
         return chain((self,), found) if self.label == label else iter(found)

@@ -141,21 +141,28 @@ class PatternCounts:
     parse_failures: int = 0
 
 
-def count_patterns(corpus: Corpus,
-                   specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS) -> PatternCounts:
+def count_patterns(corpus: Corpus, specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
+                   memo: dict | None = None) -> PatternCounts:
     """Count the records that match each spec, parsing and matching each
-    distinct SQL string once."""
+    distinct SQL string once.
+
+    ``memo`` is a run memo shared with the other calls of one run (see
+    map_distinct_sql): a string matched against the same specs for an
+    earlier corpus is not parsed again. The memo keeps the matching ids,
+    never the tree, and the counts are the same with or without it.
+    """
+    specs = tuple(specs)
     ids = [spec.id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("pattern ids must be unique")
 
-    def matching_ids(sql: str) -> list[str]:
+    def matching_ids(sql: str) -> tuple[str, ...]:
         tree = parse_sql(sql)
-        return [spec.id for spec in specs if spec.match(tree)]
+        return tuple(spec.id for spec in specs if spec.match(tree))
 
     counts = {spec.id: 0 for spec in specs}
     failures = 0
-    for result in map_distinct_sql(corpus, matching_ids):
+    for result in map_distinct_sql(corpus, matching_ids, memo, ("patterns", specs)):
         if isinstance(result, ParseError):
             failures += 1
         else:

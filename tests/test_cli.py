@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sqlalign import corpus, patterns
 from sqlalign.cli import dumps_report, main
 
 TARGET_ROWS = [
@@ -227,6 +228,46 @@ def test_ar_rejects_a_non_finite_constant(corpora, option, value):
     assert exc.value.code == 1
 
 
+# -- one parse per distinct string per command ---------------------------------
+
+def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def count_call(sql):
+            calls.append(sql)
+            return fn(sql)
+        monkeypatch.setattr(module, name, count_call)
+
+    counted(corpus, "templatize")
+    counted(patterns, "parse_sql")
+    shared = ["SELECT a FROM t", "SELECT COUNT(*) FROM u", "SELECT broken FROM"]
+    files = {
+        "target": shared + ["SELECT b FROM v WHERE c > 1"],
+        "src1": shared[::-1] + ["SELECT SUM(d) FROM w", "SELECT a FROM t"],
+        "src2": ["SELECT SUM(d) FROM w", "SELECT broken FROM", "( ("],
+    }
+    paths = {}
+    for name, sqls in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps([{"sql": sql} for sql in sqls]))
+    commands = [
+        (["align", "--target", paths["target"], "--source", paths["src1"],
+          "--source", paths["src2"]], ["target", "src1", "src2"]),
+        (["ar", "--target", paths["target"], "--train", paths["src1"],
+          "--pred", paths["src2"], "--c", "1"], ["target", "src1", "src2"]),
+        (["patterns", "--before", paths["src1"], "--after", paths["src2"]], ["src1", "src2"]),
+    ]
+    for argv, read in commands:
+        calls.clear()
+        out = tmp_path / "out.json"
+        assert main([str(arg) for arg in argv] + ["-o", str(out)]) == 0
+        distinct = {sql for name in read for sql in files[name]}
+        assert sorted(calls) == sorted(distinct), argv[0]
+
+
 # -- sample ----------------------------------------------------------------------
 
 def test_sample_fraction_roundtrips_through_loader(corpora, tmp_path):
@@ -252,6 +293,18 @@ def test_sample_per_group_determinism(corpora, tmp_path):
     main(argv + ["-o", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(out_a.read_text().splitlines()) == 3  # one per group
+
+
+def test_sample_per_group_keeps_a_falsy_group_apart(tmp_path):
+    path = tmp_path / "c.json"
+    rows = [{"sql": "SELECT 1", "db_id": 0}, {"sql": "SELECT 2", "db_id": 0},
+            {"sql": "SELECT 3"}, {"sql": "SELECT 4"}, {"sql": "SELECT 5", "db_id": 1}]
+    path.write_text(json.dumps(rows))
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--group-field", "db_id", "--per-group", "1",
+                 "-o", str(out)]) == 0
+    groups = [json.loads(line)["group_id"] for line in out.read_text().splitlines()]
+    assert sorted(groups) == ["", "0", "1"]
 
 
 def test_sample_unencodable_text_is_data_error(tmp_path, capsys):

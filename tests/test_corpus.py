@@ -1,12 +1,15 @@
 import csv
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from sqlalign import patterns, templates
 from sqlalign.corpus import (
     Corpus,
     CorpusRecord,
@@ -159,6 +162,20 @@ def test_load_accepts_a_byte_order_mark(tmp_path, name, text):
     assert [r.sql for r in load_corpus(path).records] == ["SELECT 1"]
 
 
+def test_load_keeps_falsy_question_and_group_values(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [
+        {"sql": "SELECT 1", "q": 0, "db_id": 0},
+        {"sql": "SELECT 2", "q": False, "db_id": 0.0},
+        {"sql": "SELECT 3", "q": None, "db_id": None},
+        {"sql": "SELECT 4"},
+        {"sql": "SELECT 5", "q": "", "db_id": ""},
+    ])
+    records = load_corpus(path, question_field="q", group_field="db_id").records
+    assert [r.question for r in records] == ["0", "False", "", "", ""]
+    assert [r.group_id for r in records] == ["0", "0.0", "", "", ""]
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_corpus(tmp_path / "missing.jsonl")
@@ -296,6 +313,78 @@ def test_deduplicated_views_equal_a_per_record_loop(sqls):
     assert result.parsed + result.failed == len(sqls)
     assert result.templates == templates
     assert result.failures == failures
+
+
+def _templatize_view(corpus, memo=None):
+    """templatize_corpus as comparable values, its error included."""
+    try:
+        result = templatize_corpus(corpus, memo=memo)
+    except EmptyDistributionError:
+        return "empty"
+    return (result.templates, result.failures, result.parsed, result.failed,
+            result.distribution.counts, result.distribution.source_label)
+
+
+def _patterns_view(corpus, specs=DEFAULT_PATTERNS, memo=None):
+    counted = count_patterns(corpus, specs, memo=memo)
+    return counted.corpus_name, counted.counts, counted.parse_failures
+
+
+# Several corpora drawn from one pool of strings, so that strings repeat
+# within and across corpora.
+_POOLED_CORPORA = st.lists(_SQL, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.lists(st.sampled_from(pool + [" " + sql for sql in pool]), min_size=1, max_size=8),
+        min_size=2, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POOLED_CORPORA)
+def test_a_shared_memo_gives_the_per_corpus_results(corpora_sqls):
+    corpora = [make_corpus(sqls, name=f"c{i}") for i, sqls in enumerate(corpora_sqls)]
+    memo = {}
+    for corpus in corpora:
+        assert _templatize_view(corpus, memo) == _templatize_view(corpus)
+        assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
+
+
+def test_views_in_one_memo_do_not_mix():
+    sqls = ["SELECT a, SUM(b) FROM t GROUP BY a", "SELECT COUNT(*) FROM t",
+            "SELECT broken FROM", "SELECT SUM(b) FROM t", "SELECT COUNT(*) FROM t"]
+    corpus = make_corpus(sqls)
+    other_specs = tuple(reversed(DEFAULT_PATTERNS[:3]))
+    memo = {}
+    assert _templatize_view(corpus, memo) == _templatize_view(corpus)
+    assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
+    assert _patterns_view(corpus, other_specs, memo) == _patterns_view(corpus, other_specs)
+    assert _templatize_view(corpus, memo) == _templatize_view(corpus)
+    assert len(memo) == 3
+
+
+def test_the_memo_keeps_no_tree(monkeypatch):
+    refs = []
+
+    def tracked(parse):
+        def parse_and_track(sql):
+            tree = parse(sql)
+            refs.append(weakref.ref(tree))
+            return tree
+        return parse_and_track
+
+    monkeypatch.setattr(templates, "parse_sql", tracked(templates.parse_sql))
+    monkeypatch.setattr(patterns, "parse_sql", tracked(patterns.parse_sql))
+    corpus = make_corpus(["SELECT a FROM t WHERE b IN (SELECT c FROM u)",
+                          "SELECT COUNT(*) FROM t", "SELECT broken FROM"])
+    memo = {}
+    gc.disable()
+    try:
+        templatize_corpus(corpus, memo=memo)
+        count_patterns(corpus, memo=memo)
+        assert len(refs) == 4  # the failing string leaves no tree
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+    assert len(memo) == 2
 
 
 def test_write_templates_one_per_line_lf(tmp_path):
