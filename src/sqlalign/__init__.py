@@ -14,7 +14,6 @@ from .corpus import (
     load_corpus,
     sample_corpus,
     templatize_corpus,
-    write_templates,
 )
 from .errors import (
     EmptyCorpusError,
@@ -98,5 +97,4 @@ __all__ = [
     "templatize",
     "templatize_corpus",
     "write_distribution",
-    "write_templates",
 ]

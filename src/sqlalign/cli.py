@@ -24,9 +24,10 @@ import json
 import logging
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
-from .corpus import Corpus, SampleSpec, load_corpus, sample_corpus, templatize_corpus, write_templates
+from .corpus import Corpus, SampleSpec, load_corpus, sample_corpus, templatize_corpus
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, write_distribution
@@ -114,10 +115,10 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
                         help="report format (default: json)")
 
 
-def _load(args, path, kind) -> Corpus:
+def _load(args, path) -> Corpus:
     return load_corpus(path, sql_field=args.sql_field,
                        question_field=args.question_field,
-                       group_field=args.group_field, name=str(path), kind=kind,
+                       group_field=args.group_field,
                        input_format=args.input_format,
                        skip_bad_rows=args.skip_bad_rows)
 
@@ -145,13 +146,9 @@ def _config(args) -> dict:
 
 
 def cmd_templates(args) -> int:
-    corpus = _load(args, args.input, kind="train")
+    corpus = _load(args, args.input)
     result = templatize_corpus(corpus, l_max=args.l_max)
-    if args.output:
-        write_templates(result.templates, args.output)
-    else:
-        for template in result.templates:
-            print(template.canonical_text)
+    _write_text(args.output, "".join(t.canonical_text + "\n" for t in result.templates))
     if args.distribution:
         write_distribution(result.distribution, args.distribution)
     if args.report:
@@ -159,19 +156,19 @@ def cmd_templates(args) -> int:
             "config": _config(args),
             "corpus": corpus.name,
             "n_records": len(corpus),
-            "parsed": result.parsed,
-            "failed": result.failed,
+            "parsed": len(result.templates),
+            "failed": len(result.failures),
             "failures": [{"index": i, "message": m} for i, m in result.failures],
         }
         _write_text(args.report, dumps_report(report))
-    print(f"{corpus.name}: parsed={result.parsed} failed={result.failed}",
+    print(f"{corpus.name}: parsed={len(result.templates)} failed={len(result.failures)}",
           file=sys.stderr)
     return 0
 
 
 def cmd_align(args) -> int:
     memo = {}
-    target_corpus = _load(args, args.target, kind="target")
+    target_corpus = _load(args, args.target)
     target = templatize_corpus(target_corpus, l_max=args.l_max, memo=memo)
     target_set = {t.canonical_text for t in target.templates}
 
@@ -181,15 +178,20 @@ def cmd_align(args) -> int:
         row = {"target": str(args.target), "source": str(source_path)}
         rows.append(row)
         try:
-            source_corpus = _load(args, source_path, kind="train")
+            source_corpus = _load(args, source_path)
             loaded.append((row, source_corpus,
                            templatize_corpus(source_corpus, l_max=args.l_max, memo=memo)))
         except (SqlAlignError, OSError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
 
     if loaded:
-        scores = batch_align(target.distribution, [result.distribution for _, _, result in loaded],
-                             alpha=args.alpha, c=args.c)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scores = batch_align(target.distribution,
+                                 [result.distribution for _, _, result in loaded],
+                                 alpha=args.alpha, c=args.c)
+        for warning in caught:
+            print(f"sqlalign: warning: {warning.message}", file=sys.stderr)
         for (row, source_corpus, result), score in zip(loaded, scores):
             row.update({
                 "d_kl": score.d_kl,
@@ -200,7 +202,8 @@ def cmd_align(args) -> int:
                 "l_max": args.l_max,
                 "n_target_queries": len(target_corpus),
                 "n_source_queries": len(source_corpus),
-                "parse_failures": {"target": target.failed, "source": result.failed},
+                "parse_failures": {"target": len(target.failures),
+                                   "source": len(result.failures)},
             })
 
     n_errors = sum("error" in row for row in rows)
@@ -221,12 +224,9 @@ def cmd_align(args) -> int:
 
 def cmd_ar(args) -> int:
     memo = {}
-    target = templatize_corpus(_load(args, args.target, kind="target"),
-                               l_max=args.l_max, memo=memo)
-    train = templatize_corpus(_load(args, args.train, kind="train"),
-                              l_max=args.l_max, memo=memo)
-    pred = templatize_corpus(_load(args, args.pred, kind="prediction"),
-                             l_max=args.l_max, memo=memo)
+    target = templatize_corpus(_load(args, args.target), l_max=args.l_max, memo=memo)
+    train = templatize_corpus(_load(args, args.train), l_max=args.l_max, memo=memo)
+    pred = templatize_corpus(_load(args, args.pred), l_max=args.l_max, memo=memo)
     ratio = alignment_ratio(target.distribution, train.distribution,
                             pred.distribution, alpha=args.alpha, c=args.c)
     report = {
@@ -241,8 +241,8 @@ def cmd_ar(args) -> int:
                  "or negative change"),
         "numerator": asdict(ratio.numerator),
         "denominator": asdict(ratio.denominator),
-        "parse_failures": {"target": target.failed, "train": train.failed,
-                           "pred": pred.failed},
+        "parse_failures": {"target": len(target.failures), "train": len(train.failures),
+                           "pred": len(pred.failures)},
     }
     _write_text(args.output, dumps_report(report))
     print(f"ar={ratio.ar:.6f} sft_recommended={ratio.ar > 1.0}", file=sys.stderr)
@@ -250,7 +250,7 @@ def cmd_ar(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus = _load(args, args.input, kind="train")
+    corpus = _load(args, args.input)
     spec = SampleSpec(fraction=args.fraction, per_group=args.per_group, seed=args.seed)
     sampled = sample_corpus(corpus, spec)
     lines = []
@@ -267,8 +267,8 @@ def cmd_sample(args) -> int:
 
 def cmd_patterns(args) -> int:
     memo = {}
-    before = count_patterns(_load(args, args.before, kind="prediction"), memo=memo)
-    after = count_patterns(_load(args, args.after, kind="prediction"), memo=memo)
+    before = count_patterns(_load(args, args.before), memo=memo)
+    after = count_patterns(_load(args, args.after), memo=memo)
     diff = diff_pattern_counts(before, after)
     if args.format == "csv":
         rows = [{"pattern_id": pid, **entry} for pid, entry in diff.items()]

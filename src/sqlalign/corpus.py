@@ -3,6 +3,10 @@
 Corpora arrive as JSON arrays, JSON-lines or CSV files of rows that hold at
 least a SQL string; the caller names the fields explicitly. Records keep an
 open metadata map with whatever other fields the row carried.
+
+Every record of a corpus either yields a result or is a parse failure:
+``map_distinct_sql`` returns the two apart, and it is the only code that
+knows how a failure is kept in the run memo.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyCorpusError, FormatError
+from .errors import EmptyCorpusError, EmptyDistributionError, FormatError
 from .ngrams import DEFAULT_L_MAX, NGramDistribution, build_distribution
 from .parsing import ParseError
 from .templates import StructuralTemplate, templatize
 
 log = logging.getLogger(__name__)
-
-CORPUS_KINDS = ("train", "target", "prediction")
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,9 @@ class CorpusRecord:
 @dataclass(frozen=True)
 class Corpus:
     name: str
-    kind: str
     records: tuple[CorpusRecord, ...]
 
     def __post_init__(self):
-        if self.kind not in CORPUS_KINDS:
-            raise ValueError(f"unknown corpus kind {self.kind!r}; expected one of {CORPUS_KINDS}")
         if not self.records:
             raise ValueError("corpus must contain at least one record")
 
@@ -143,8 +142,7 @@ def _text_field(row: dict, name: str | None) -> str:
 
 def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 group_field: str | None = None, name: str | None = None,
-                kind: str = "train", input_format: str | None = None,
-                skip_bad_rows: bool = False) -> Corpus:
+                input_format: str | None = None, skip_bad_rows: bool = False) -> Corpus:
     """Load one corpus file into records.
 
     A row missing the SQL field (or holding an empty one) raises
@@ -175,7 +173,7 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
         log.warning("%s: skipped %d bad row(s)", path, skipped)
     if not records:
         raise EmptyCorpusError(f"{path} contains no usable records")
-    return Corpus(name=name or str(path), kind=kind, records=tuple(records))
+    return Corpus(name=name or str(path), records=tuple(records))
 
 
 def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
@@ -199,47 +197,54 @@ def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
         for indices in groups.values():
             picked.extend(rng.sample(indices, min(spec.per_group, len(indices))))
         chosen = sorted(picked)
-    return Corpus(name=corpus.name, kind=corpus.kind,
-                  records=tuple(corpus.records[i] for i in chosen))
+    return Corpus(name=corpus.name, records=tuple(corpus.records[i] for i in chosen))
 
 
 @dataclass
 class TemplatizeResult:
-    """Templates and pooled distribution of one corpus, plus the parse
-    accounting (parsed + failed == record count)."""
+    """Templates and pooled distribution of one corpus, plus the (record
+    index, message) of every record that failed to parse; the two lists
+    together hold each record once."""
 
     templates: list[StructuralTemplate]
     distribution: NGramDistribution
-    parsed: int
-    failed: int
     failures: list[tuple[int, str]]
 
 
-def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None, view=None) -> list:
-    """fn(record.sql) for every record, in record order, calling fn once
-    per distinct SQL string (exact text: a ParseError's offset differs
-    between strings that differ only in whitespace). Where fn raises a
-    ParseError, the error takes the result's place.
+def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
+                     view=None) -> tuple[list, list[tuple[int, str]]]:
+    """Apply fn to every record's SQL, calling it once per distinct string
+    (exact text: a ParseError's offset differs between strings that differ
+    only in whitespace), and return ``(results, failures)``: fn's value for
+    every record that parses, in record order, and ``(record index,
+    message)`` for every record whose string raised ParseError.
 
     ``memo`` is a run memo: a plain dict shared by the calls of one run.
-    Its table under ``view`` maps SQL strings to earlier results of fn, so
-    ``view`` must fix everything those results depend on. Strings found
-    there are not passed to fn again and new results are added, so fn runs
-    once per string across all the corpora of the run. Without a memo the
-    table lives for this call only.
+    Its table under ``view`` maps SQL strings to earlier values of fn, or
+    to the ParseError they raised, so ``view`` must fix everything those
+    values depend on. Strings found there are not passed to fn again and
+    new ones are added, so fn runs once per string across all the corpora
+    of the run. Without a memo the table lives for this call only.
     """
-    results = {} if memo is None else memo.setdefault(view, {})
-    for record in corpus.records:
+    table = {} if memo is None else memo.setdefault(view, {})
+    results: list = []
+    failures: list[tuple[int, str]] = []
+    for i, record in enumerate(corpus.records):
         sql = record.sql
-        if sql not in results:
+        if sql not in table:
             try:
-                results[sql] = fn(sql)
+                table[sql] = fn(sql)
             except ParseError as exc:
                 # Keep the error without its traceback (or the RecursionError
                 # it replaced), whose parser frames would stay alive with it.
                 exc.__traceback__ = exc.__context__ = None
-                results[sql] = exc
-    return [results[record.sql] for record in corpus.records]
+                table[sql] = exc
+        result = table[sql]
+        if isinstance(result, ParseError):
+            failures.append((i, str(result)))
+        else:
+            results.append(result)
+    return results, failures
 
 
 def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
@@ -247,27 +252,13 @@ def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
     """Template every record, parsing each distinct SQL string once, and
     build the distribution.
 
-    Records that fail to parse are recorded and excluded; if nothing
-    parses, EmptyDistributionError propagates from the distribution
-    builder. ``memo`` is a run memo (see map_distinct_sql): a string
-    templated for an earlier corpus of the run is not parsed again. The
-    result is the same with or without it.
+    Records that fail to parse are recorded and excluded; if none parses,
+    EmptyDistributionError names the corpus. ``memo`` is a run memo (see
+    map_distinct_sql): a string templated for an earlier corpus of the run
+    is not parsed again. The result is the same with or without it.
     """
-    templates: list[StructuralTemplate] = []
-    failures: list[tuple[int, str]] = []
-    for i, result in enumerate(map_distinct_sql(corpus, templatize, memo, "templates")):
-        if isinstance(result, ParseError):
-            failures.append((i, str(result)))
-        else:
-            templates.append(result)
+    templates, failures = map_distinct_sql(corpus, templatize, memo, "templates")
+    if not templates:
+        raise EmptyDistributionError(f"{corpus.name}: none of its {len(corpus)} records parsed")
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)
-    return TemplatizeResult(templates=templates, distribution=distribution,
-                            parsed=len(templates), failed=len(failures),
-                            failures=failures)
-
-
-def write_templates(templates, path) -> None:
-    """One canonical template per line, UTF-8, LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for template in templates:
-            fh.write(template.canonical_text + "\n")
+    return TemplatizeResult(templates=templates, distribution=distribution, failures=failures)

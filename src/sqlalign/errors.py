@@ -25,7 +25,8 @@ class ParseError(SqlAlignError):
 
 
 class EmptyDistributionError(SqlAlignError):
-    """An n-gram distribution has no entries (nothing survived filtering)."""
+    """An n-gram distribution has no entries: no record of its corpus
+    parsed, or nothing survived filtering."""
 
 
 class EmptyTargetSetError(SqlAlignError):

@@ -14,7 +14,7 @@ from typing import Callable
 
 from .corpus import Corpus, map_distinct_sql
 from .errors import SpecMismatchError
-from .parsing import Node, ParseError, parse_sql
+from .parsing import Node, parse_sql
 
 
 def _func_name(node: Node) -> str:
@@ -28,14 +28,11 @@ def _func_args(node: Node) -> list[Node]:
     return [child for child in node.children if child.token is None]
 
 
-def _select_items(tree: Node):
-    """Yield the select_item lists of every SELECT core in the tree."""
+def _select_exprs(tree: Node):
+    """Yield the item expressions of the select list of every SELECT core
+    in the tree."""
     for select_list in tree.find_all("select_list"):
-        yield [child for child in select_list.children if child.label == "select_item"]
-
-
-def _item_expr(item: Node) -> Node:
-    return item.children[0]
+        yield [item.children[0] for item in select_list.children if item.label == "select_item"]
 
 
 def _is_sum(expr: Node) -> bool:
@@ -46,50 +43,54 @@ def _is_plain_column(expr: Node) -> bool:
     return expr.label == "col"
 
 
+def _column_then_sum(exprs: list[Node]) -> bool:
+    """A plain column followed by a SUM aggregate: the grouped-total shape
+    of one select list."""
+    seen_column = False
+    for expr in exprs:
+        if _is_plain_column(expr):
+            seen_column = True
+        elif seen_column and _is_sum(expr):
+            return True
+    return False
+
+
 def match_attr_comma_sum(tree: Node) -> bool:
     """A select list with a plain column followed by a SUM aggregate
     (grouped-total shape: SELECT region, SUM(amount) ...)."""
-    for items in _select_items(tree):
-        exprs = [_item_expr(item) for item in items]
-        seen_column = False
-        for expr in exprs:
-            if _is_plain_column(expr):
-                seen_column = True
-            elif seen_column and _is_sum(expr):
-                return True
-    return False
+    return any(_column_then_sum(exprs) for exprs in _select_exprs(tree))
 
 
 def match_bare_sum(tree: Node) -> bool:
     """A select list with a SUM aggregate and no plain-column sibling
     (global-total shape: SELECT SUM(amount) ...). Exclusive with
     attr_comma_sum by construction."""
-    if match_attr_comma_sum(tree):
-        return False
-    for items in _select_items(tree):
-        exprs = [_item_expr(item) for item in items]
+    found = False
+    for exprs in _select_exprs(tree):
+        if _column_then_sum(exprs):
+            return False
         if any(_is_sum(e) for e in exprs) and not any(_is_plain_column(e) for e in exprs):
-            return True
+            found = True
+    return found
+
+
+def _has_count_of(tree: Node, label: str) -> bool:
+    """A one-argument COUNT whose argument is labelled ``label``."""
+    for func in tree.find_all("func"):
+        if _func_name(func) == "COUNT":
+            args = _func_args(func)
+            if len(args) == 1 and args[0].label == label:
+                return True
     return False
 
 
 def match_count_star(tree: Node) -> bool:
-    for func in tree.find_all("func"):
-        if _func_name(func) == "COUNT":
-            args = _func_args(func)
-            if len(args) == 1 and args[0].label == "star":
-                return True
-    return False
+    return _has_count_of(tree, "star")
 
 
 def match_count_attr(tree: Node) -> bool:
     """COUNT over a single column reference, COUNT(DISTINCT col) included."""
-    for func in tree.find_all("func"):
-        if _func_name(func) == "COUNT":
-            args = _func_args(func)
-            if len(args) == 1 and args[0].label == "col":
-                return True
-    return False
+    return _has_count_of(tree, "col")
 
 
 def match_case_when(tree: Node) -> bool:
@@ -161,14 +162,11 @@ def count_patterns(corpus: Corpus, specs: tuple[PatternSpec, ...] = DEFAULT_PATT
         return tuple(spec.id for spec in specs if spec.match(tree))
 
     counts = {spec.id: 0 for spec in specs}
-    failures = 0
-    for result in map_distinct_sql(corpus, matching_ids, memo, ("patterns", specs)):
-        if isinstance(result, ParseError):
-            failures += 1
-        else:
-            for pattern_id in result:
-                counts[pattern_id] += 1
-    return PatternCounts(corpus_name=corpus.name, counts=counts, parse_failures=failures)
+    results, failures = map_distinct_sql(corpus, matching_ids, memo, ("patterns", specs))
+    for ids_of_record in results:
+        for pattern_id in ids_of_record:
+            counts[pattern_id] += 1
+    return PatternCounts(corpus_name=corpus.name, counts=counts, parse_failures=len(failures))
 
 
 def diff_pattern_counts(before: PatternCounts, after: PatternCounts) -> dict[str, dict]:

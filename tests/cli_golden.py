@@ -66,6 +66,13 @@ CASES = (
                          "--question-field", "question", "--group-field", "db_id"], []),
     ("sample_per_group", ["sample", "train.json", "--per-group", "2", "--group-field", "db_id",
                           "-o", "s.jsonl"], ["s.jsonl"]),
+    ("templates_no_record_parses", ["templates", "bad.jsonl", "--report", "r.json"], ["r.json"]),
+    ("ar_no_record_parses", ["ar", "--target", "target.jsonl", "--train", "bad.jsonl",
+                             "--pred", "before.csv", "--c", "1"], []),
+    ("align_single_source", ["align", "--target", "target.jsonl", "--source", "train.json",
+                             "--format", "csv"], []),
+    ("align_no_record_parses", ["align", "--target", "target.jsonl", "--source", "bad.jsonl",
+                                "--source", "far.jsonl"], []),
 )
 
 BROKEN = ["SELECT broken FROM", "SELECT a FROM t WHERE", "( (", "SELECT COUNT( FROM t",

@@ -162,7 +162,7 @@ def test_criterion_08_small_sample_stability():
                     for k, w in enumerate(weights_corpus)]
 
     full_sql = corpusgen.make_mixture_corpus(10_000, seed=123, weights=weights_corpus)
-    corpus = Corpus(name="synthetic", kind="target",
+    corpus = Corpus(name="synthetic",
                     records=tuple(CorpusRecord(sql=s) for s in full_sql))
     full = templatize_corpus(corpus, l_max=15)
     assert len({t.canonical_text for t in full.templates}) >= 20
@@ -249,7 +249,7 @@ def test_criterion_11_optional_benchmark_ordering_diagnostic():
         for split in ("train", "eval"):
             path = root / f"{name}_{split}.jsonl"
             rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-            corpus = Corpus(name=f"{name}_{split}", kind="train", records=tuple(
+            corpus = Corpus(name=f"{name}_{split}", records=tuple(
                 CorpusRecord(sql=r["sql"]) for r in rows))
             dists[(name, split)] = templatize_corpus(corpus, l_max=15).distribution
     for train_name in names:

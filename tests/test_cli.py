@@ -58,6 +58,17 @@ def test_templates_writes_one_template_per_line(corpora, tmp_path):
     assert rep["config"]["l_max"] == 15
 
 
+def test_templates_file_and_stdout_hold_the_same_bytes(tmp_path, capsysbinary):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"sql": "SELECT a FROM t"}\n{"sql": "SELECT COUNT(*) FROM u"}\n')
+    out = tmp_path / "templates.txt"
+    assert main(["templates", str(path), "-o", str(out)]) == 0
+    assert main(["templates", str(path)]) == 0
+    expected = b"SELECT FROM\nSELECT COUNT ( * ) FROM\n"
+    assert out.read_bytes() == expected
+    assert capsysbinary.readouterr().out == expected
+
+
 def test_templates_tolerates_partial_failures(corpora, tmp_path):
     report = tmp_path / "report.json"
     code = main(["templates", corpora["far"], "--sql-field", "SQL",
@@ -125,18 +136,25 @@ def test_align_max_in_batch_pins_farthest_source(corpora, tmp_path):
     assert rows[2]["parse_failures"]["source"] == 1
 
 
-def test_align_error_row_and_exit_code_for_bad_source(corpora, tmp_path):
+def test_align_error_row_and_exit_code_for_bad_source(corpora, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"SQL": "SELECT broken FROM"}]))
     out = tmp_path / "align.json"
-    with pytest.warns(UserWarning, match="single candidate"):
-        code = main(["align", "--target", corpora["target"], "--source", str(bad),
-                     "--source", corpora["near"], "--sql-field", "SQL",
-                     "-o", str(out)])
+    code = main(["align", "--target", corpora["target"], "--source", str(bad),
+                 "--source", corpora["near"], "--sql-field", "SQL",
+                 "-o", str(out)])
     assert code == 2
     rows = read_json(out)["rows"]
     assert "EmptyDistribution" in rows[0]["error"]
+    assert f"{bad}: none of its 1 records parsed" in rows[0]["error"]
     assert "error" not in rows[1]
+    err = capsys.readouterr().err
+    assert err == (
+        "sqlalign: warning: max-in-batch scaling with a single candidate pins its "
+        "score to 1/e (or 1.0 at zero divergence); pass a fixed c for a meaningful "
+        "single-pair score\n"
+        "align: 2 row(s), 1 error(s)\n")
+    assert "UserWarning" not in err and "cli.py" not in err
 
 
 def test_align_csv_output(corpora, tmp_path):
@@ -216,6 +234,15 @@ def test_ar_requires_c(corpora):
         main(["ar", "--target", corpora["target"], "--train", corpora["near"],
               "--pred", corpora["near"], "--sql-field", "SQL"])
     assert exc.value.code == 1
+
+
+def test_ar_names_the_corpus_where_no_record_parses(corpora, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"SQL": "SELECT broken FROM"}, {"SQL": "( ("}]))
+    code = main(["ar", "--target", corpora["target"], "--train", str(bad),
+                 "--pred", corpora["near"], "--sql-field", "SQL", "--c", "1.0"])
+    assert code == 2
+    assert capsys.readouterr().err == f"sqlalign: error: {bad}: none of its 2 records parsed\n"
 
 
 @pytest.mark.parametrize("option", ["--alpha", "--c"])

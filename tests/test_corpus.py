@@ -18,7 +18,6 @@ from sqlalign.corpus import (
     map_distinct_sql,
     sample_corpus,
     templatize_corpus,
-    write_templates,
 )
 from sqlalign.errors import EmptyCorpusError, EmptyDistributionError, FormatError, ParseError
 from sqlalign.parsing import parse_sql
@@ -30,9 +29,9 @@ def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
 
-def make_corpus(sqls, name="c", kind="train", groups=None):
+def make_corpus(sqls, name="c", groups=None):
     groups = groups or [""] * len(sqls)
-    return Corpus(name=name, kind=kind, records=tuple(
+    return Corpus(name=name, records=tuple(
         CorpusRecord(sql=s, group_id=g) for s, g in zip(sqls, groups)))
 
 
@@ -43,13 +42,11 @@ def test_record_requires_sql():
         CorpusRecord(sql="   ")
 
 
-def test_corpus_requires_records_and_known_kind():
+def test_corpus_requires_records():
     record = CorpusRecord(sql="SELECT 1")
     with pytest.raises(ValueError):
-        Corpus(name="x", kind="train", records=())
-    with pytest.raises(ValueError):
-        Corpus(name="x", kind="dev", records=(record,))
-    assert len(Corpus(name="x", kind="prediction", records=(record,))) == 1
+        Corpus(name="x", records=())
+    assert len(Corpus(name="x", records=(record,))) == 1
 
 
 def test_sample_spec_validation():
@@ -75,9 +72,8 @@ def test_load_jsonl_with_field_mapping(tmp_path):
         {"question": "q2", "SQL": "SELECT c FROM v", "db_id": "d1"},
     ])
     corpus = load_corpus(path, sql_field="SQL", question_field="question",
-                         group_field="db_id", kind="target")
+                         group_field="db_id")
     assert len(corpus) == 3
-    assert corpus.kind == "target"
     assert corpus.records[0].question == "q0"
     assert corpus.records[0].group_id == "d1"
     assert corpus.records[0].meta == {"extra": 7}
@@ -226,7 +222,7 @@ def test_sampling_preserves_original_order():
 def test_templatize_all_valid():
     corpus = make_corpus(["SELECT a FROM t", "SELECT b FROM u"])
     result = templatize_corpus(corpus)
-    assert (result.parsed, result.failed) == (2, 0)
+    assert (len(result.templates), len(result.failures)) == (2, 0)
     assert result.failures == []
     assert len(result.templates) == 2
     assert result.distribution.total > 0
@@ -236,9 +232,9 @@ def test_templatize_all_valid():
 def test_templatize_records_failures_without_dying():
     corpus = make_corpus(["SELECT a FROM t", "SELECT broken FROM", "garbage ("])
     result = templatize_corpus(corpus)
-    assert (result.parsed, result.failed) == (1, 2)
+    assert (len(result.templates), len(result.failures)) == (1, 2)
     assert [i for i, _ in result.failures] == [1, 2]
-    assert result.parsed + result.failed == len(corpus)
+    assert len(result.templates) + len(result.failures) == len(corpus)
 
 
 def test_templatize_all_failing_raises():
@@ -263,11 +259,15 @@ def test_map_distinct_sql_calls_once_per_exact_string():
 
     sqls = ["SELECT a FROM t", "SELECT broken FROM", "SELECT a FROM t",
             "SELECT  a FROM t", "SELECT broken FROM"]
-    results = map_distinct_sql(make_corpus(sqls), fn)
+    memo = {}
+    results, failures = map_distinct_sql(make_corpus(sqls), fn, memo, "trees")
     assert calls == ["SELECT a FROM t", "SELECT broken FROM", "SELECT  a FROM t"]
-    assert results[0] is results[2] and results[0] is not results[3]
-    assert isinstance(results[1], ParseError) and results[1] is results[4]
-    assert results[1].__traceback__ is None
+    assert len(results) == 3
+    assert results[0] is results[1] and results[0] is not results[2]
+    assert [i for i, _ in failures] == [1, 4] and failures[0][1] == failures[1][1]
+    stored = memo["trees"]["SELECT broken FROM"]
+    assert isinstance(stored, ParseError) and stored.__traceback__ is None
+    assert failures[0][1] == str(stored)
 
 
 _GENERATED_SQL = st.builds(
@@ -310,9 +310,24 @@ def test_deduplicated_views_equal_a_per_record_loop(sqls):
             templatize_corpus(corpus)
         return
     result = templatize_corpus(corpus)
-    assert result.parsed + result.failed == len(sqls)
+    assert len(result.templates) + len(result.failures) == len(sqls)
     assert result.templates == templates
     assert result.failures == failures
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CORPUS_SQLS, st.booleans())
+def test_both_views_fail_the_same_records(sqls, shared_memo):
+    corpus = make_corpus(sqls)
+    memo = {} if shared_memo else None
+    counted = count_patterns(corpus, memo=memo)
+    try:
+        result = templatize_corpus(corpus, memo=memo)
+    except EmptyDistributionError:
+        assert counted.parse_failures == len(corpus)
+        return
+    assert counted.parse_failures == len(result.failures)
+    assert len(result.templates) + len(result.failures) == len(corpus)
 
 
 def _templatize_view(corpus, memo=None):
@@ -321,7 +336,7 @@ def _templatize_view(corpus, memo=None):
         result = templatize_corpus(corpus, memo=memo)
     except EmptyDistributionError:
         return "empty"
-    return (result.templates, result.failures, result.parsed, result.failed,
+    return (result.templates, result.failures, len(result.templates), len(result.failures),
             result.distribution.counts, result.distribution.source_label)
 
 
@@ -385,12 +400,3 @@ def test_the_memo_keeps_no_tree(monkeypatch):
     finally:
         gc.enable()
     assert len(memo) == 2
-
-
-def test_write_templates_one_per_line_lf(tmp_path):
-    corpus = make_corpus(["SELECT a FROM t", "SELECT COUNT(*) FROM u"])
-    result = templatize_corpus(corpus)
-    path = tmp_path / "templates.txt"
-    write_templates(result.templates, path)
-    data = path.read_bytes()
-    assert data == b"SELECT FROM\nSELECT COUNT ( * ) FROM\n"

@@ -66,7 +66,7 @@ MANUAL_TALLY = {
 
 def fixture_corpus(sqls=None, name="fixture"):
     sqls = sqls if sqls is not None else [sql for sql, _ in FIXTURE]
-    return Corpus(name=name, kind="prediction",
+    return Corpus(name=name,
                   records=tuple(CorpusRecord(sql=s) for s in sqls))
 
 
