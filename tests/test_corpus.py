@@ -222,7 +222,6 @@ def test_sampling_preserves_original_order():
 def test_templatize_all_valid():
     corpus = make_corpus(["SELECT a FROM t", "SELECT b FROM u"])
     result = templatize_corpus(corpus)
-    assert (len(result.templates), len(result.failures)) == (2, 0)
     assert result.failures == []
     assert len(result.templates) == 2
     assert result.distribution.total > 0
@@ -239,7 +238,7 @@ def test_templatize_records_failures_without_dying():
 
 def test_templatize_all_failing_raises():
     corpus = make_corpus(["SELECT broken FROM", "( ("])
-    with pytest.raises(EmptyDistributionError):
+    with pytest.raises(EmptyDistributionError, match="^c: none of its 2 records parsed$"):
         templatize_corpus(corpus)
 
 
