@@ -21,11 +21,9 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
 import sys
 import warnings
-from dataclasses import asdict
 
 from .corpus import Corpus, SampleSpec, load_corpus, sample_corpus, templatize_corpus
 from .errors import SqlAlignError
@@ -185,13 +183,9 @@ def cmd_align(args) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
 
     if loaded:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scores = batch_align(target.distribution,
-                                 [result.distribution for _, _, result in loaded],
-                                 alpha=args.alpha, c=args.c)
-        for warning in caught:
-            print(f"sqlalign: warning: {warning.message}", file=sys.stderr)
+        scores = batch_align(target.distribution,
+                             [result.distribution for _, _, result in loaded],
+                             alpha=args.alpha, c=args.c)
         for (row, source_corpus, result), score in zip(loaded, scores):
             row.update({
                 "d_kl": score.d_kl,
@@ -239,8 +233,8 @@ def cmd_ar(args) -> int:
         "note": ("heuristic: ar > 1 predicts that fine-tuning on the training "
                  "set improves accuracy on the target; ar <= 1 predicts little "
                  "or negative change"),
-        "numerator": asdict(ratio.numerator),
-        "denominator": asdict(ratio.denominator),
+        "numerator": ratio.numerator._asdict(),
+        "denominator": ratio.denominator._asdict(),
         "parse_failures": {"target": len(target.failures), "train": len(train.failures),
                            "pred": len(pred.failures)},
     }
@@ -375,17 +369,24 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--per-group must be >= 1")
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"sqlalign: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    try:
-        return args.func(args)
-    except (SqlAlignError, OSError, UnicodeEncodeError) as exc:
-        print(f"sqlalign: error: {exc}", file=sys.stderr)
-        return 2
+    # Every warning the command raises is printed when it is raised, as
+    # one line, however often the same text recurs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (SqlAlignError, OSError, UnicodeEncodeError) as exc:
+            print(f"sqlalign: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

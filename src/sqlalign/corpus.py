@@ -13,65 +13,65 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import random
-from dataclasses import dataclass, field
+import warnings
 from pathlib import Path
 
+from ._value import FrozenValue, Value
 from .errors import EmptyCorpusError, EmptyDistributionError, FormatError
 from .ngrams import DEFAULT_L_MAX, NGramDistribution, build_distribution
 from .parsing import ParseError
 from .templates import StructuralTemplate, templatize
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(FrozenValue):
     """One (question, SQL, group) row. The question may be empty, e.g. in
     model prediction dumps; the SQL may not."""
 
-    sql: str
-    question: str = ""
-    group_id: str = ""
-    meta: dict = field(default_factory=dict)
+    _fields = ("sql", "question", "group_id", "meta")
 
-    def __post_init__(self):
-        if not self.sql.strip():
+    def __init__(self, sql: str, question: str = "", group_id: str = "",
+                 meta: dict | None = None):
+        if not sql.strip():
             raise ValueError("record sql must be non-empty")
+        object.__setattr__(self, "sql", sql)
+        object.__setattr__(self, "question", question)
+        object.__setattr__(self, "group_id", group_id)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    name: str
-    records: tuple[CorpusRecord, ...]
+class Corpus(FrozenValue):
+    _fields = ("name", "records")
 
-    def __post_init__(self):
-        if not self.records:
+    def __init__(self, name: str, records: tuple[CorpusRecord, ...]):
+        if not records:
             raise ValueError("corpus must contain at least one record")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "records", records)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(FrozenValue):
     """Either a uniform fraction of the corpus or up to per_group records
     from every group, drawn without replacement by a seeded Mersenne
     Twister (random.Random). Original record order is preserved."""
 
-    fraction: float | None = None
-    per_group: int | None = None
-    seed: int = 0
+    _fields = ("fraction", "per_group", "seed")
 
-    def __post_init__(self):
-        if (self.fraction is None) == (self.per_group is None):
+    def __init__(self, fraction: float | None = None, per_group: int | None = None,
+                 seed: int = 0):
+        if (fraction is None) == (per_group is None):
             raise ValueError("specify exactly one of fraction and per_group")
-        if self.fraction is not None and not 0 < self.fraction <= 1:
+        if fraction is not None and not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
-        if self.per_group is not None and self.per_group < 1:
+        if per_group is not None and per_group < 1:
             raise ValueError("per_group must be >= 1")
+        object.__setattr__(self, "fraction", fraction)
+        object.__setattr__(self, "per_group", per_group)
+        object.__setattr__(self, "seed", seed)
 
 
 def _iter_rows(path: Path, input_format: str):
@@ -146,8 +146,9 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     """Load one corpus file into records.
 
     A row missing the SQL field (or holding an empty one) raises
-    FormatError naming the row; with skip_bad_rows the row is dropped and
-    counted in a warning instead. Question and group fields are optional
+    FormatError naming the row; with skip_bad_rows the row is dropped
+    instead, with a UserWarning naming it and a last one giving the count
+    (blamed on the caller's line). Question and group fields are optional
     and default to "" when absent or null; any other value keeps its text
     (a JSON 0 becomes "0"). All remaining row fields land in meta.
     """
@@ -160,7 +161,8 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
         if sql is None or not str(sql).strip():
             if skip_bad_rows:
                 skipped += 1
-                log.warning("%s row %d: missing or empty field %r, skipped", path, i, sql_field)
+                warnings.warn(f"{path} row {i}: missing or empty field {sql_field!r}, skipped",
+                              stacklevel=2)
                 continue
             raise FormatError(f"missing or empty field {sql_field!r}", row=i)
         question = _text_field(row, question_field)
@@ -170,7 +172,7 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
         records.append(CorpusRecord(sql=str(sql), question=question,
                                     group_id=group_id, meta=meta))
     if skipped:
-        log.warning("%s: skipped %d bad row(s)", path, skipped)
+        warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=2)
     if not records:
         raise EmptyCorpusError(f"{path} contains no usable records")
     return Corpus(name=name or str(path), records=tuple(records))
@@ -179,16 +181,21 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
 def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
     """Draw a deterministic sample without replacement.
 
-    fraction mode keeps ceil(fraction * n) records chosen uniformly;
-    per_group mode keeps min(per_group, group size) records from each
-    distinct group_id. Identical (seed, corpus) inputs reproduce identical
-    samples; selected records stay in their original order.
+    fraction mode keeps ceil(fraction * n) records chosen uniformly, and at
+    least one; a product within 1e-9 of an integer counts as that integer,
+    so floating-point error (0.28 * 25 is 7.000000000000001) does not add
+    a record. per_group mode keeps min(per_group, group size) records from
+    each distinct group_id. Identical (seed, corpus) inputs reproduce
+    identical samples; selected records stay in their original order.
     """
     rng = random.Random(spec.seed)
     n = len(corpus.records)
     if spec.fraction is not None:
-        k = math.ceil(spec.fraction * n)
-        chosen = sorted(rng.sample(range(n), k))
+        product = spec.fraction * n
+        k = round(product)
+        if abs(product - k) > 1e-9:
+            k = math.ceil(product)
+        chosen = sorted(rng.sample(range(n), max(k, 1)))
     else:
         groups: dict[str, list[int]] = {}
         for i, record in enumerate(corpus.records):
@@ -200,15 +207,18 @@ def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
     return Corpus(name=corpus.name, records=tuple(corpus.records[i] for i in chosen))
 
 
-@dataclass
-class TemplatizeResult:
+class TemplatizeResult(Value):
     """Templates and pooled distribution of one corpus, plus the (record
     index, message) of every record that failed to parse; the two lists
     together hold each record once."""
 
-    templates: list[StructuralTemplate]
-    distribution: NGramDistribution
-    failures: list[tuple[int, str]]
+    _fields = ("templates", "distribution", "failures")
+
+    def __init__(self, templates: list[StructuralTemplate], distribution: NGramDistribution,
+                 failures: list[tuple[int, str]]):
+        self.templates = templates
+        self.distribution = distribution
+        self.failures = failures
 
 
 def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,

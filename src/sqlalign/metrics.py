@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._value import FrozenValue
 from .errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
 from .ngrams import NGramDistribution
 
@@ -26,8 +26,7 @@ def _positive_finite(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
-@dataclass(frozen=True)
-class AlignmentScore:
+class AlignmentScore(NamedTuple):
     """One divergence measurement plus its alignment transform and the
     constants it was computed with."""
 
@@ -37,19 +36,19 @@ class AlignmentScore:
     alpha: float
 
 
-@dataclass(frozen=True)
-class AlignmentRatio:
+class AlignmentRatio(FrozenValue):
     """Alignment of target-vs-train relative to target-vs-predictions;
     ar > 1 means the training set sits closer to the target than the
     baseline predictions do."""
 
-    ar: float
-    numerator: AlignmentScore
-    denominator: AlignmentScore
+    _fields = ("ar", "numerator", "denominator")
 
-    def __post_init__(self):
-        if self.numerator.c != self.denominator.c:
+    def __init__(self, ar: float, numerator: AlignmentScore, denominator: AlignmentScore):
+        if numerator.c != denominator.c:
             raise ValueError("alignment ratio requires one shared scaling constant c")
+        object.__setattr__(self, "ar", ar)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def kl_divergence(p: NGramDistribution, q: NGramDistribution,

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import EmptyDistributionError, FormatError
 from .keywords import SQL_KEYWORDS
 from .templates import StructuralTemplate
@@ -31,14 +31,17 @@ NGram = str
 DEFAULT_L_MAX = 15
 
 
-@dataclass
-class NGramDistribution:
+class NGramDistribution(Value):
     """Pooled frequencies of valid n-grams from one template corpus."""
 
-    counts: dict[NGram, int]
-    total: int
-    l_max: int
-    source_label: str = ""
+    _fields = ("counts", "total", "l_max", "source_label")
+
+    def __init__(self, counts: dict[NGram, int], total: int, l_max: int,
+                 source_label: str = ""):
+        self.counts = counts
+        self.total = total
+        self.l_max = l_max
+        self.source_label = source_label
 
 
 def build_distribution(

@@ -25,10 +25,10 @@ function and safe to call concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, NamedTuple
 
+from ._value import Value
 from .errors import ParseError
 
 # Token kinds.
@@ -67,16 +67,20 @@ class Token(NamedTuple):
     upper: str
 
 
-@dataclass
-class Node:
+class Node(Value):
     """A parse-tree node: either an internal node (children, no token) or a
     token node (token + role, no children). The root that ``parse_sql``
-    returns also has ``template``, the tuple of its structural tokens."""
+    returns also has ``template``, the tuple of its structural tokens.
+    Nodes compare by their four fields and are not hashable."""
 
-    label: str
-    children: list["Node"] = field(default_factory=list)
-    token: Token | None = None
-    role: str | None = None
+    _fields = ("label", "children", "token", "role")
+
+    def __init__(self, label: str, children: list[Node] | None = None,
+                 token: Token | None = None, role: str | None = None):
+        self.label = label
+        self.children = [] if children is None else children
+        self.token = token
+        self.role = role
 
     def walk(self) -> Iterator["Node"]:
         """Every node in pre-order. The walk keeps its own stack, so a

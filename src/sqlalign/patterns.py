@@ -9,9 +9,9 @@ unit is queries containing a pattern at least once, not total occurrences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from ._value import Value
 from .corpus import Corpus, map_distinct_sql
 from .errors import SpecMismatchError
 from .parsing import Node, parse_sql
@@ -114,8 +114,7 @@ def match_subquery(tree: Node) -> bool:
     return any(True for _ in tree.find_all("subquery"))
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(NamedTuple):
     id: str
     match: Callable[[Node], bool]
 
@@ -132,14 +131,16 @@ DEFAULT_PATTERNS: tuple[PatternSpec, ...] = (
 )
 
 
-@dataclass
-class PatternCounts:
+class PatternCounts(Value):
     """Per-pattern counts of queries matching at least once; parse failures
     are non-matches but reported here."""
 
-    corpus_name: str
-    counts: dict[str, int]
-    parse_failures: int = 0
+    _fields = ("corpus_name", "counts", "parse_failures")
+
+    def __init__(self, corpus_name: str, counts: dict[str, int], parse_failures: int = 0):
+        self.corpus_name = corpus_name
+        self.counts = counts
+        self.parse_failures = parse_failures
 
 
 def count_patterns(corpus: Corpus, specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,

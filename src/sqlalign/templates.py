@@ -4,17 +4,18 @@ removed from a parse tree."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import FrozenValue
 from .parsing import Node, parse_sql
 
 
-@dataclass(frozen=True)
-class StructuralTemplate:
+class StructuralTemplate(FrozenValue):
     """Ordered structural tokens of one query. Keywords are uppercased;
     two queries are structurally identical iff their canonical_text match."""
 
-    tokens: tuple[str, ...]
+    _fields = ("tokens",)
+
+    def __init__(self, tokens: tuple[str, ...]):
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def canonical_text(self) -> str:

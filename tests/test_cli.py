@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -208,6 +209,8 @@ def test_ar_equal_train_and_pred(corpora, tmp_path):
     assert rep["ar"] == 1.0
     assert rep["sft_recommended"] is False
     assert "heuristic" in rep["note"]
+    assert rep["numerator"] == rep["denominator"]
+    assert sorted(rep["numerator"]) == ["a_kl", "alpha", "c", "d_kl"]
 
 
 def test_ar_prefers_structurally_closer_train(corpora, tmp_path):
@@ -227,6 +230,21 @@ def test_ar_prefers_structurally_closer_train(corpora, tmp_path):
     assert swapped["sft_recommended"] is False
     # reports carry 6-decimal floats, compare at that precision
     assert swapped["ar"] == pytest.approx(1.0 / rep["ar"], abs=1e-5)
+
+
+def test_every_warning_prints_as_one_line_when_raised(corpora, tmp_path, capsys):
+    gaps = tmp_path / "gaps.json"
+    gaps.write_text(json.dumps(NEAR_ROWS + [{"question": "no sql"}]))
+    shown = warnings.showwarning
+    code = main(["ar", "--target", corpora["target"], "--train", str(gaps), "--pred", str(gaps),
+                 "--sql-field", "SQL", "--skip-bad-rows", "--c", "1.0",
+                 "-o", str(tmp_path / "ar.json")])
+    assert code == 0
+    skipped = (f"sqlalign: warning: {gaps} row 4: missing or empty field 'SQL', skipped\n"
+               f"sqlalign: warning: {gaps}: skipped 1 bad row(s)\n")
+    # one load per role, and a repeated text is printed again
+    assert capsys.readouterr().err == skipped * 2 + "ar=1.000000 sft_recommended=False\n"
+    assert warnings.showwarning is shown
 
 
 def test_ar_requires_c(corpora):

@@ -49,6 +49,33 @@ def test_corpus_requires_records():
     assert len(Corpus(name="x", records=(record,))) == 1
 
 
+def test_records_corpora_and_sample_specs_compare_by_their_fields():
+    record = CorpusRecord(sql="SELECT 1", question="q", meta={"k": 1})
+    assert record == CorpusRecord("SELECT 1", "q", "", {"k": 1})
+    assert record != CorpusRecord("SELECT 1", "q", "", {"k": 2})
+    assert CorpusRecord("SELECT 1").meta == {}
+    # Every field is hashed, and meta is a dict.
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(record)
+    assert Corpus("x", (record,)) == Corpus("x", (record,)) != Corpus("y", (record,))
+    spec = SampleSpec(fraction=0.5, seed=3)
+    assert spec == SampleSpec(0.5, None, 3) != SampleSpec(0.5, None, 4)
+    assert hash(spec) == hash(SampleSpec(0.5, None, 3))
+    assert repr(spec) == "SampleSpec(fraction=0.5, per_group=None, seed=3)"
+
+
+@pytest.mark.parametrize("value, field", [
+    (CorpusRecord("SELECT 1"), "sql"),
+    (Corpus("x", (CorpusRecord("SELECT 1"),)), "records"),
+    (SampleSpec(per_group=2), "seed"),
+])
+def test_records_corpora_and_sample_specs_are_frozen(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
 def test_sample_spec_validation():
     with pytest.raises(ValueError):
         SampleSpec()
@@ -109,8 +136,15 @@ def test_load_skip_bad_rows(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"sql": "SELECT 1"}, {"nope": "x"}, {"sql": ""},
                        {"sql": "SELECT 2"}])
-    corpus = load_corpus(path, skip_bad_rows=True)
+    with pytest.warns(UserWarning) as caught:
+        corpus = load_corpus(path, skip_bad_rows=True)
     assert [r.sql for r in corpus.records] == ["SELECT 1", "SELECT 2"]
+    assert [str(w.message) for w in caught] == [
+        f"{path} row 1: missing or empty field 'sql', skipped",
+        f"{path} row 2: missing or empty field 'sql', skipped",
+        f"{path}: skipped 2 bad row(s)",
+    ]
+    assert {w.filename for w in caught} == {__file__}  # blamed on the caller
 
 
 def test_load_empty_file_raises_empty_corpus(tmp_path):
@@ -189,6 +223,18 @@ def test_fraction_rounds_up():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(10)])
     sampled = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=0))
     assert len(sampled) == 1
+
+
+@pytest.mark.parametrize("fraction, n, kept", [
+    (0.28, 25, 7),  # 0.28 * 25 == 7.000000000000001
+    (0.56, 50, 28),
+    (0.14, 50, 7),
+    (0.281, 25, 8),
+    (1e-12, 5, 1),
+])
+def test_fraction_counts_a_product_near_an_integer_as_that_integer(fraction, n, kept):
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(n)])
+    assert len(sample_corpus(corpus, SampleSpec(fraction=fraction, seed=0))) == kept
 
 
 def test_per_group_takes_min_of_k_and_group_size():

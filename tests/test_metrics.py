@@ -287,6 +287,18 @@ def test_ratio_sign_iff_divergence_order():
         assert (ratio.ar > 1.0) == (ratio.numerator.d_kl < ratio.denominator.d_kl)
 
 
+def test_scores_and_ratios_compare_by_their_fields_and_are_frozen():
+    score = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
+    ratio = AlignmentRatio(ar=1.0, numerator=score, denominator=score)
+    assert ratio == AlignmentRatio(1.0, AlignmentScore(0.1, 0.9, 1.0, 0.5), score)
+    assert hash(ratio) == hash(AlignmentRatio(1.0, score, score))
+    assert ratio != AlignmentRatio(1.5, score, score)
+    for value, field in ((score, "c"), (ratio, "ar")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2.0)
+    assert dist({"SELECT": 1}) == dist({"SELECT": 1}) != dist({"SELECT": 2})
+
+
 def test_ratio_requires_shared_c():
     score_a = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
     score_b = AlignmentScore(d_kl=0.2, a_kl=0.8, c=2.0, alpha=0.5)

@@ -13,6 +13,7 @@ from sqlalign.parsing import (
     MAX_NESTING,
     SCHEMA,
     STRUCTURAL,
+    Node,
     parse_sql,
     tokenize,
 )
@@ -220,6 +221,20 @@ def test_find_all_index_keeps_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_nodes_compare_by_their_fields_and_are_unhashable():
+    tree = parse_sql("SELECT a FROM t")
+    twin = parse_sql("SELECT  a FROM t")  # same tree, token positions aside
+    assert tree != twin
+    assert parse_sql("SELECT a FROM t") == tree
+    leaf = Node("tok", [], tokenize("a")[0], SCHEMA)
+    assert leaf == Node("tok", token=tokenize("a")[0], role=SCHEMA)
+    assert leaf != Node("tok", [], tokenize("a")[0], STRUCTURAL)
+    assert Node("x").children == [] and Node("x").children is not Node("x").children
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(leaf)
+    assert weakref.ref(leaf)() is leaf
 
 
 def test_subquery_nodes_only_for_nested_selects():

@@ -6,6 +6,7 @@ from sqlalign.parsing import parse_sql
 from sqlalign.patterns import (
     DEFAULT_PATTERNS,
     PatternCounts,
+    PatternSpec,
     count_patterns,
     diff_pattern_counts,
     match_attr_comma_sum,
@@ -152,3 +153,15 @@ def test_diff_rejects_mismatched_spec_sets():
     after = PatternCounts("b", {"count_attr": 1})
     with pytest.raises(SpecMismatchError):
         diff_pattern_counts(before, after)
+
+
+def test_pattern_specs_compare_and_hash_by_their_fields_and_are_frozen():
+    spec = PatternSpec("count_star", match_count_star)
+    assert spec == PatternSpec(id="count_star", match=match_count_star)
+    assert hash(spec) == hash(PatternSpec("count_star", match_count_star))
+    assert spec != PatternSpec("count_star", match_count_attr)
+    with pytest.raises(AttributeError):
+        spec.id = "other"
+    counts = PatternCounts("c", {"count_star": 1})
+    assert counts == PatternCounts("c", {"count_star": 1}, parse_failures=0)
+    assert counts != PatternCounts("c", {"count_star": 1}, parse_failures=1)

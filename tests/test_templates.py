@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import corpusgen
 from sqlalign.keywords import SQL_KEYWORDS, TEMPLATE_OPERATORS
 from sqlalign.parsing import parse_sql
-from sqlalign.templates import derive_template, templatize
+from sqlalign.templates import StructuralTemplate, derive_template, templatize
 
 # The one fully worked leaf-removal example this tool is calibrated on.
 GOLDEN_QUERY = ("SELECT meal/enrollment FROM frpm WHERE county='Alameda' "
@@ -87,6 +87,19 @@ def test_derive_template_takes_only_a_parse_sql_root():
     for node in (next(tree.find_all("subquery")), tree.children[0]):
         with pytest.raises(ValueError, match="tree returned by parse_sql"):
             derive_template(node)
+
+
+def test_templates_compare_and_hash_by_their_tokens_and_are_frozen():
+    template = templatize("SELECT a FROM t")
+    assert template == StructuralTemplate(("SELECT", "FROM"))
+    assert hash(template) == hash(StructuralTemplate(("SELECT", "FROM")))
+    assert template != StructuralTemplate(("SELECT",))
+    assert template != ("SELECT", "FROM")
+    assert repr(template) == "StructuralTemplate(tokens=('SELECT', 'FROM'))"
+    with pytest.raises(AttributeError):
+        template.tokens = ()
+    with pytest.raises(AttributeError):
+        del template.tokens
 
 
 def test_qualified_star_matches_bare_star():
