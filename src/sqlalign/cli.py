@@ -168,7 +168,7 @@ def cmd_align(args) -> int:
     memo = {}
     target_corpus = _load(args, args.target)
     target = templatize_corpus(target_corpus, l_max=args.l_max, memo=memo)
-    target_set = {t.canonical_text for t in target.templates}
+    target_set = {t.tokens for t in target.templates}
 
     rows = []
     loaded = []  # (row, corpus, result) of every source that loaded
@@ -190,7 +190,7 @@ def cmd_align(args) -> int:
             row.update({
                 "d_kl": score.d_kl,
                 "a_kl": score.a_kl,
-                "ovlp": ovlp_ratio(target_set, {t.canonical_text for t in result.templates}),
+                "ovlp": ovlp_ratio(target_set, {t.tokens for t in result.templates}),
                 "c": score.c,
                 "alpha": score.alpha,
                 "l_max": args.l_max,

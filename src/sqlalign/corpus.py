@@ -30,6 +30,8 @@ class CorpusRecord(FrozenValue):
     model prediction dumps; the SQL may not."""
 
     _fields = ("sql", "question", "group_id", "meta")
+    __slots__ = _fields
+    __hash__ = None  # meta is a dict
 
     def __init__(self, sql: str, question: str = "", group_id: str = "",
                  meta: dict | None = None):
@@ -41,8 +43,15 @@ class CorpusRecord(FrozenValue):
         object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
+# Builds a CorpusRecord of fields load_corpus has checked, without the
+# Python-level __init__; load_corpus builds one per row.
+_new_record = object.__new__
+_set_field = object.__setattr__
+
+
 class Corpus(FrozenValue):
     _fields = ("name", "records")
+    __hash__ = None  # its records are unhashable
 
     def __init__(self, name: str, records: tuple[CorpusRecord, ...]):
         if not records:
@@ -132,11 +141,11 @@ def _detect_format(path: Path) -> str:
         f"cannot infer format from {path.name!r}; pass input_format json, jsonl or csv")
 
 
-def _text_field(row: dict, name: str | None) -> str:
-    """The row's value of an optional field as text: "" when no field is
-    named or the row holds no value (absent or null); any other value,
-    0 and false included, keeps its text."""
-    value = row.get(name) if name else None
+def _text_field(row: dict, name: str) -> str:
+    """The row's value of a named optional field as text: "" when the row
+    holds no value (absent or null); any other value, 0 and false
+    included, keeps its text."""
+    value = row.get(name)
     return "" if value is None else str(value)
 
 
@@ -156,21 +165,23 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     fmt = input_format or _detect_format(path)
     records: list[CorpusRecord] = []
     skipped = 0
+    claimed = {sql_field, question_field, group_field}
     for i, row in _iter_rows(path, fmt):
-        sql = row.get(sql_field)
-        if sql is None or not str(sql).strip():
+        sql = _text_field(row, sql_field)
+        if not sql.strip():
             if skip_bad_rows:
                 skipped += 1
                 warnings.warn(f"{path} row {i}: missing or empty field {sql_field!r}, skipped",
                               stacklevel=2)
                 continue
             raise FormatError(f"missing or empty field {sql_field!r}", row=i)
-        question = _text_field(row, question_field)
-        group_id = _text_field(row, group_field)
-        claimed = {sql_field, question_field, group_field}
-        meta = {k: v for k, v in row.items() if k not in claimed}
-        records.append(CorpusRecord(sql=str(sql), question=question,
-                                    group_id=group_id, meta=meta))
+        record = _new_record(CorpusRecord)
+        _set_field(record, "sql", sql)
+        _set_field(record, "question",
+                   _text_field(row, question_field) if question_field else "")
+        _set_field(record, "group_id", _text_field(row, group_field) if group_field else "")
+        _set_field(record, "meta", {k: v for k, v in row.items() if k not in claimed})
+        records.append(record)
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=2)
     if not records:
@@ -259,15 +270,19 @@ def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
 
 def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
                       memo: dict | None = None) -> TemplatizeResult:
-    """Template every record, parsing each distinct SQL string once, and
-    build the distribution.
+    """Template every record, parsing each distinct SQL string at most
+    once and each query shape at most twice, and build the distribution.
 
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see
     map_distinct_sql): a string templated for an earlier corpus of the run
-    is not parsed again. The result is the same with or without it.
+    is not parsed again, and the shape table under ``"shapes"`` (see
+    templates.templatize) serves every corpus of the run. Without a memo
+    both serve this call only. The result is the same with or without it.
     """
-    templates, failures = map_distinct_sql(corpus, templatize, memo, "templates")
+    shapes = {} if memo is None else memo.setdefault("shapes", {})
+    templates, failures = map_distinct_sql(
+        corpus, lambda sql: templatize(sql, shapes), memo, "templates")
     if not templates:
         raise EmptyDistributionError(f"{corpus.name}: none of its {len(corpus)} records parsed")
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)

@@ -77,8 +77,9 @@ SQL_KEYWORDS: frozenset[str] = frozenset(
 )
 
 # Non-keyword tokens that may legally appear in a structural template:
-# operators, commas and parentheses. Used by tests and documentation; the
-# n-gram filter itself only consults SQL_KEYWORDS.
+# operators, commas and parentheses. They are the operator half of the
+# parser's shape vocabulary (parsing.SHAPE_VOCABULARY); the n-gram filter
+# itself only consults SQL_KEYWORDS.
 TEMPLATE_OPERATORS: frozenset[str] = frozenset(
     ("=", "==", "<", ">", "<=", ">=", "<>", "!=", "/", "*", "+", "-",
      "||", "%", "~", ",", "(", ")")

@@ -12,7 +12,7 @@ import math
 import warnings
 from collections import Counter
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from ._value import FrozenValue
 from .errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
@@ -155,9 +155,11 @@ def alignment_ratio(target: NGramDistribution, train: NGramDistribution,
     return AlignmentRatio(ar=ar, numerator=numerator, denominator=denominator)
 
 
-def ovlp_ratio(target_templates: Iterable[str], source_templates: Iterable[str]) -> float:
+def ovlp_ratio(target_templates: Iterable[Hashable],
+               source_templates: Iterable[Hashable]) -> float:
     """Fraction of distinct target templates that also occur in the source
-    set. Arguments are canonical template strings."""
+    set. Both arguments give templates in one hashable form that tells
+    templates apart: canonical strings or token tuples."""
     target_set = set(target_templates)
     if not target_set:
         raise EmptyTargetSetError("target template set is empty")

@@ -107,17 +107,21 @@ def build_distribution(
 
 
 def write_distribution(dist: NGramDistribution, path) -> None:
-    """Persist a distribution as a JSON map with lexicographically sorted
-    n-gram keys (sort_keys sorts the counts map too)."""
-    payload = {
-        "l_max": dist.l_max,
-        "source_label": dist.source_label,
-        "total": dist.total,
-        "counts": dist.counts,
-    }
+    """Persist a distribution as a JSON object with sorted keys, the n-gram
+    keys of its counts map included, indented by two spaces a level."""
+    # json.dumps(payload, indent=2, sort_keys=True) would write the same
+    # text, but indent makes it use its pure-Python encoder. The counts map
+    # goes through the C encoder instead, its items split by separators that
+    # hold the newline and indent, and is set into the fixed outer object.
+    counts = json.dumps(dist.counts, ensure_ascii=False, sort_keys=True,
+                        separators=(",\n    ", ": "))
+    if dist.counts:
+        counts = "{\n    " + counts[1:-1] + "\n  }"
+    text = (f'{{\n  "counts": {counts},\n  "l_max": {json.dumps(dist.l_max)},\n'
+            f'  "source_label": {json.dumps(dist.source_label, ensure_ascii=False)},\n'
+            f'  "total": {json.dumps(dist.total)}\n}}\n')
     # Encoded before the file is opened, so text that is not encodable (a
     # lone surrogate in source_label) leaves no truncated file behind.
-    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     data = text.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

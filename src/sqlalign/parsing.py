@@ -18,6 +18,11 @@ as ``template``. Comments and trailing semicolons are stripped before
 parsing. Anything the grammar does not cover raises ``ParseError`` rather
 than producing a partial tree.
 
+The parser's path through a query depends only on its shape (see
+``shape_key``): queries of one shape get one template, except for the
+words the parser copies into it without comparing them (see
+``template_slots``).
+
 All types here are immutable after construction; ``parse_sql`` is a pure
 function and safe to call concurrently.
 """
@@ -30,6 +35,7 @@ from typing import Iterator, NamedTuple
 
 from ._value import Value
 from .errors import ParseError
+from .keywords import TEMPLATE_OPERATORS
 
 # Token kinds.
 WORD = "word"
@@ -74,6 +80,7 @@ class Node(Value):
     Nodes compare by their four fields and are not hashable."""
 
     _fields = ("label", "children", "token", "role")
+    __slots__ = _fields + ("template", "_label_index", "__weakref__")
 
     def __init__(self, label: str, children: list[Node] | None = None,
                  token: Token | None = None, role: str | None = None):
@@ -98,7 +105,7 @@ class Node(Value):
         the index on the node, so later calls are lookups; trees are not
         changed after parsing. The node stays out of its own index, so
         the cache makes no reference cycle."""
-        index = self.__dict__.get("_label_index")
+        index = getattr(self, "_label_index", None)
         if index is None:
             # walk() inlined, without the generator: this loop runs once
             # for every node of a tree that a pattern is matched against.
@@ -137,8 +144,9 @@ _TOKEN_RE = re.compile(r"""
       | \Z )
 """, re.VERBOSE | re.DOTALL)
 
-# Token kind by the number of its group in _TOKEN_RE.
-_KIND_OF_GROUP = {index: kind for kind, index in _TOKEN_RE.groupindex.items()}
+# Token kind by the number of its group in _TOKEN_RE, whose groups are
+# all named.
+_KIND_OF_GROUP = [None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)]
 _WORD_GROUP = _TOKEN_RE.groupindex[WORD]
 _BAD_GROUP = _TOKEN_RE.groupindex["bad"]
 
@@ -218,6 +226,16 @@ _LOGICAL_LEVELS = {"OR": 0, "AND": 1}
 _ARITH_LEVELS = {"||": 0, "+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 
 _SIGNS = frozenset({"+", "-", "~"})
+
+# Every text the parser compares a token's ``upper`` with: the operators,
+# commas and parentheses of TEMPLATE_OPERATORS, the word sets above and
+# the words that parser methods name directly. A test scans this module
+# for word literals that are missing here.
+SHAPE_VOCABULARY = TEMPLATE_OPERATORS.union(
+    _NON_ALIAS_WORDS, _CONST_WORDS, _JOIN_WORDS, _JOIN_PREFIX, _SET_OPS, _INTERVAL_UNITS,
+    _PRIMARY_WORDS, _PREDICATE_STARTS, _LOGICAL_LEVELS, _ARITH_LEVELS, _SIGNS,
+    {"WITH", "RECURSIVE", "FIRST", "LAST", "PARTITION", "ROWS", "RANGE", "GROUPS",
+     "UNBOUNDED", "PRECEDING", "FOLLOWING", "CURRENT", "ROW"})
 
 # How deeply statements and expressions may nest: each one inside another
 # is one level deeper. The parser counts the levels itself, so whether a
@@ -772,9 +790,57 @@ class _Parser:
         return Node("col", ch)
 
 
-def parse_sql(text: str) -> Node:
+def query_tokens(text: str) -> list[Token]:
+    """The tokens that parse_sql parses: those of the text without its
+    trailing semicolons, then the END sentinel. Text with no tokens raises
+    ParseError."""
+    toks = tokenize(text)
+    while toks and toks[-1].kind == SEMI:
+        toks.pop()
+    if not toks:
+        raise ParseError("query contains no tokens", 0)
+    toks.append(Token(END, "", len(text), ""))
+    return toks
+
+
+def shape_key(tokens: list[Token]) -> tuple[str, ...]:
+    """The shape of a token list, a query's query_tokens: each token's
+    ``upper`` if it is in SHAPE_VOCABULARY, and its kind otherwise. The
+    parser compares tokens only by kind and with texts of that vocabulary,
+    so two queries of one shape take one path through it: both parse, with
+    the same template apart from its template_slots, or both fail."""
+    vocabulary = SHAPE_VOCABULARY
+    return tuple([upper if upper in vocabulary else kind for kind, _, _, upper in tokens])
+
+
+def template_slots(tree: Node) -> tuple[tuple[int, int], ...]:
+    """The (template index, token index) pairs of the template tokens of a
+    parse_sql tree whose text is outside SHAPE_VOCABULARY: the words the
+    parser copies into the template without comparing them (function
+    names, EXTRACT fields), which queries of one shape may spell each in
+    their own way. The tree's leaves are the query's tokens in order, so
+    a leaf's number is its token index."""
+    slots = []
+    at = 0  # structural leaves so far
+    leaves = (node for node in tree.walk() if node.token is not None)
+    for index, leaf in enumerate(leaves):
+        if leaf.role == STRUCTURAL:
+            if leaf.token.upper not in SHAPE_VOCABULARY:
+                slots.append((at, index))
+            at += 1
+    return tuple(slots)
+
+
+def shape_sketch(tokens: list[Token]) -> tuple:
+    """A cheap summary of shape_key(tokens): its length and every eighth
+    element from the second. Queries of one shape have one sketch."""
+    return (len(tokens),) + shape_key(tokens[1::8])
+
+
+def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:
     """Parse a SELECT query into a role-tagged syntax tree, whose root
-    carries the query's structural template as ``template``.
+    carries the query's structural template as ``template``. ``tokens``
+    is query_tokens(text), when the caller has made it already.
 
     Every failure is a ParseError: text outside the supported grammar, text
     with no tokens, and nesting deeper than MAX_NESTING levels ("query
@@ -782,12 +848,7 @@ def parse_sql(text: str) -> Node:
     prevent, is reported the same way. Callers that process whole corpora
     catch it and record the failure.
     """
-    toks = tokenize(text)
-    while toks and toks[-1].kind == SEMI:
-        toks.pop()
-    if not toks:
-        raise ParseError("query contains no tokens", 0)
-    toks.append(Token(END, "", len(text), ""))
+    toks = query_tokens(text) if tokens is None else tokens
     parser = _Parser(toks)
     try:
         return parser.parse()

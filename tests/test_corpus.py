@@ -54,9 +54,11 @@ def test_records_corpora_and_sample_specs_compare_by_their_fields():
     assert record == CorpusRecord("SELECT 1", "q", "", {"k": 1})
     assert record != CorpusRecord("SELECT 1", "q", "", {"k": 2})
     assert CorpusRecord("SELECT 1").meta == {}
-    # Every field is hashed, and meta is a dict.
-    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+    # meta is a dict, so records and the corpora that hold them are unhashable.
+    with pytest.raises(TypeError, match="unhashable type: 'CorpusRecord'"):
         hash(record)
+    with pytest.raises(TypeError, match="unhashable type: 'Corpus'"):
+        hash(Corpus("x", (record,)))
     assert Corpus("x", (record,)) == Corpus("x", (record,)) != Corpus("y", (record,))
     spec = SampleSpec(fraction=0.5, seed=3)
     assert spec == SampleSpec(0.5, None, 3) != SampleSpec(0.5, None, 4)
@@ -418,30 +420,37 @@ def test_views_in_one_memo_do_not_mix():
     assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
     assert _patterns_view(corpus, other_specs, memo) == _patterns_view(corpus, other_specs)
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-    assert len(memo) == 3
+    assert len(memo) == 4  # two pattern views, the templates view and its shape table
+    assert "shapes" in memo
 
 
 def test_the_memo_keeps_no_tree(monkeypatch):
     refs = []
 
     def tracked(parse):
-        def parse_and_track(sql):
-            tree = parse(sql)
+        def parse_and_track(sql, tokens=None):
+            tree = parse(sql, tokens)
             refs.append(weakref.ref(tree))
             return tree
         return parse_and_track
 
     monkeypatch.setattr(templates, "parse_sql", tracked(templates.parse_sql))
     monkeypatch.setattr(patterns, "parse_sql", tracked(patterns.parse_sql))
+    # The last two strings have the shape of the second: the fourth is
+    # parsed and stored in the shape table, the fifth is served from it.
     corpus = make_corpus(["SELECT a FROM t WHERE b IN (SELECT c FROM u)",
-                          "SELECT COUNT(*) FROM t", "SELECT broken FROM"])
+                          "SELECT COUNT(*) FROM t", "SELECT broken FROM",
+                          "SELECT MAX(*) FROM u", "SELECT SUM(*) FROM v"])
     memo = {}
     gc.disable()
     try:
         templatize_corpus(corpus, memo=memo)
         count_patterns(corpus, memo=memo)
-        assert len(refs) == 4  # the failing string leaves no tree
-        assert [ref() for ref in refs] == [None] * 4
+        assert len(refs) == 7  # the failing string leaves no tree, the last no parse
+        assert [ref() for ref in refs] == [None] * 7
     finally:
         gc.enable()
-    assert len(memo) == 2
+    assert len(memo) == 3
+    # The shape table keeps a template and its slots, and no tree.
+    entries = [entry for entry in memo["shapes"].values() if entry is not None]
+    assert entries == [(("SELECT", "MAX", "(", "*", ")", "FROM"), ((1, 1),))]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sqlalign.errors import EmptyDistributionError, FormatError
 from sqlalign.keywords import SQL_KEYWORDS
 from sqlalign.ngrams import (
+    NGramDistribution,
     build_distribution,
     read_distribution,
     write_distribution,
@@ -161,6 +162,22 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     assert loaded.source_label == "demo"
     keys = list(json.loads(path_a.read_text(encoding="utf-8"))["counts"])
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("counts, label", [
+    ({"SELECT": 3, "SELECT FROM": 2, 'x "quoted" \\ FROM': 1, "\u00e9t\u00e9 \u2603 WHERE": 4,
+      "\t\n SELECT": 5}, 'la"bel \\ \u00fc\u2603\n'),
+    ({"SELECT": 1}, ""),
+    ({}, "empty"),
+])
+def test_write_distribution_writes_what_indented_json_dumps_writes(tmp_path, counts, label):
+    dist = NGramDistribution(counts=counts, total=sum(counts.values()), l_max=4,
+                             source_label=label)
+    path = tmp_path / "dist.json"
+    write_distribution(dist, path)
+    payload = {"l_max": 4, "source_label": label, "total": dist.total, "counts": counts}
+    expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("existing", [b"old bytes\n", None], ids=["existing-file", "no-file"])

@@ -1,0 +1,199 @@
+"""The shape table: queries of one shape share one parse, and a shared
+table gives every query the template or the error that templatize alone
+gives it."""
+
+import ast
+import itertools
+import json
+import re
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlalign import parsing, templates
+from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
+from sqlalign.errors import ParseError
+from sqlalign.keywords import TEMPLATE_OPERATORS
+from sqlalign.parsing import (
+    LPAREN,
+    NUMBER,
+    OP,
+    QIDENT,
+    SHAPE_VOCABULARY,
+    STRING,
+    WORD,
+    parse_sql,
+    query_tokens,
+    shape_key,
+    shape_sketch,
+    template_slots,
+    tokenize,
+)
+from sqlalign.templates import templatize
+
+GOLDEN_PATH = Path(__file__).with_name("parser_golden.jsonl")
+with open(GOLDEN_PATH, encoding="utf-8") as _fh:
+    GOLDEN_SQL = [json.loads(line)["sql"] for line in _fh]
+
+
+def outcome(fn, sql):
+    try:
+        return fn(sql).tokens
+    except ParseError as exc:
+        return f"error: {exc}"
+
+
+# -- the vocabulary ---------------------------------------------------------
+
+def test_the_vocabulary_holds_every_word_and_operator_the_parser_names():
+    source = Path(parsing.__file__).read_text(encoding="utf-8")
+    named = {node.value for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"[A-Z_]+|[=<>!|+\-*/%~(),]+", node.value)}
+    assert {"SELECT", "ROWS", "RECURSIVE", "*", "<>"} <= named  # the scan finds them
+    assert named - SHAPE_VOCABULARY == set()
+
+
+def test_the_operator_half_is_every_operator_the_tokenizer_makes():
+    chars = "=<>!|+-*/%~"
+    made = set()
+    for n in (1, 2):
+        for text in map("".join, itertools.product(chars, repeat=n)):
+            try:
+                made |= {tok.upper for tok in tokenize(f"a {text} b") if tok.kind == OP}
+            except ParseError:
+                pass
+    assert len(made) == 15
+    assert TEMPLATE_OPERATORS == made | {",", "(", ")"}
+    assert TEMPLATE_OPERATORS <= SHAPE_VOCABULARY
+
+
+def test_a_shape_keeps_vocabulary_text_and_reduces_the_rest_to_kinds():
+    tokens = query_tokens("SELECT COUNT(*), t.a FROM t WHERE b > 'x' AND c = 1;")
+    assert shape_key(tokens) == (
+        "SELECT", "word", "(", "*", ")", ",", "word", "dot", "word", "FROM", "word",
+        "WHERE", "word", ">", "string", "AND", "word", "=", "number", "end")
+    assert shape_sketch(tokens) == (20, "word", "FROM", "=")
+
+
+def test_the_slots_are_the_template_words_outside_the_vocabulary():
+    tree = parse_sql("SELECT COUNT(*), LEFT(a, 2), EXTRACT(dow FROM d), "
+                     "EXTRACT(YEAR FROM d) FROM t")
+    # COUNT and DOW vary within a shape; LEFT and YEAR are part of it
+    assert template_slots(tree) == ((1, 1), (13, 15))
+    assert [tree.template[at] for at, _ in template_slots(tree)] == ["COUNT", "DOW"]
+
+
+# -- one table, the results of templatize -------------------------------------
+
+def test_a_shared_table_gives_every_golden_input_what_templatize_gives():
+    expected = [outcome(templatize, sql) for sql in GOLDEN_SQL]
+    shapes = {}
+    for _ in ("cold", "warm"):
+        actual = [outcome(lambda sql: templatize(sql, shapes), sql) for sql in GOLDEN_SQL]
+        assert actual == expected
+    assert any(entry is not None for entry in shapes.values())
+
+
+def _parses(sql):
+    try:
+        parse_sql(sql)
+        return True
+    except ParseError:
+        return False
+
+
+PARSING_GOLDEN = [sql for sql in GOLDEN_SQL if _parses(sql)]
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: name.upper() not in SHAPE_VOCABULARY)
+_NUMBERS = st.one_of(st.integers(0, 10**6).map(str),
+                     st.floats(0, 1e6, allow_nan=False).map(repr).filter(lambda t: "e" not in t))
+_STRINGS = st.text(st.characters(blacklist_characters="'", blacklist_categories=("Cs",)),
+                   max_size=8).map(lambda text: f"'{text}'")
+_QIDENTS = st.text(st.characters(blacklist_characters='"', blacklist_categories=("Cs",)),
+                   max_size=8).map(lambda text: f'"{text}"')
+
+
+def _renamed(data, sql, prefix):
+    """sql with its identifiers, literals, function names and EXTRACT
+    fields renamed. A word before "(" or after "EXTRACT (" becomes
+    ``prefix_k``, a name no golden query holds."""
+    tokens = query_tokens(sql)
+    parts, at = [], 0
+    for index, tok in enumerate(tokens[:-1]):
+        if tok.kind == WORD and (
+                (tok.upper not in SHAPE_VOCABULARY and tokens[index + 1].kind == LPAREN)
+                or (index > 1 and tokens[index - 2].upper == "EXTRACT"
+                    and tokens[index - 1].kind == LPAREN)):
+            text = f"{prefix}_{index}"
+        elif tok.kind == WORD and tok.upper not in SHAPE_VOCABULARY:
+            text = data.draw(_NAMES)
+        elif tok.kind in (NUMBER, STRING, QIDENT):
+            text = data.draw({NUMBER: _NUMBERS, STRING: _STRINGS, QIDENT: _QIDENTS}[tok.kind])
+        else:
+            continue
+        parts += [sql[at:tok.pos], f" {text} "]  # spaced, so it cannot join a neighbour
+        at = tok.pos + len(tok.text)
+    return "".join(parts) + sql[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_renamed_query_takes_its_own_names_from_the_table(data):
+    sql = data.draw(st.sampled_from(PARSING_GOLDEN))
+    first, second = _renamed(data, sql, "f"), _renamed(data, sql, "g")
+    assert shape_key(query_tokens(first)) == shape_key(query_tokens(second))
+
+    shapes = {}
+    templatize(first, shapes)
+    templatize(first, shapes)  # the second sight stores the shape
+    size = len(shapes)
+    template = templatize(second, shapes)
+    assert len(shapes) == size  # taken from the table
+    assert template == templatize(second)
+    # the function names and fields copied from the second query are its own
+    copied = [tok.replace("F_", "G_") for tok in templatize(first).tokens if tok.startswith("F_")]
+    assert [tok for tok in template.tokens if tok.startswith("G_")] == copied
+
+
+# -- parse counts --------------------------------------------------------------
+
+def _counting_parses(monkeypatch):
+    calls = []
+    parse = templates.parse_sql
+
+    def counted(sql, tokens=None):
+        calls.append(sql)
+        return parse(sql, tokens)
+    monkeypatch.setattr(templates, "parse_sql", counted)
+    return calls
+
+
+def _corpus(sqls):
+    return Corpus("c", tuple(CorpusRecord(sql) for sql in sqls))
+
+
+def test_one_shape_in_fifty_spellings_is_parsed_at_most_twice(monkeypatch):
+    functions = ["COUNT", "SUM", "AVG", "MIN", "MAX", "my_func", "Upper"]
+    fields = ["dow", "epoch", "doy", "isodow", "century"]
+    sqls = [f"SELECT c{i}, {functions[i % 7]}(x{i}) FROM t{i} WHERE y{i} > {i} "
+            f"AND EXTRACT({fields[i % 5]} FROM d) = 'v{i}' GROUP BY c{i}" for i in range(50)]
+    calls = _counting_parses(monkeypatch)
+    result = templatize_corpus(_corpus(sqls))
+    assert len(calls) <= 2
+    assert result.templates == [templatize(sql) for sql in sqls]
+    assert {t.tokens[2] for t in result.templates} == {f.upper() for f in functions}
+    assert {t.tokens[11] for t in result.templates} == {f.upper() for f in fields}
+
+
+def test_a_failing_shape_is_parsed_each_time_and_keeps_its_offsets(monkeypatch):
+    sqls = ["SELECT a FROM", "SELECT bb FROM", "SELECT ccc FROM", "SELECT a FROM"]
+    calls = _counting_parses(monkeypatch)
+    result = templatize_corpus(_corpus(sqls + ["SELECT a FROM t"]))
+    assert calls == sqls[:3] + ["SELECT a FROM t"]
+    assert result.failures == [(0, "expected table name (at offset 13)"),
+                               (1, "expected table name (at offset 14)"),
+                               (2, "expected table name (at offset 15)"),
+                               (3, "expected table name (at offset 13)")]
