@@ -41,7 +41,6 @@ from .ngrams import (
     NGram,
     NGramDistribution,
     build_distribution,
-    read_distribution,
     write_distribution,
 )
 from .parsing import Node, parse_sql
@@ -92,7 +91,6 @@ __all__ = [
     "load_corpus",
     "ovlp_ratio",
     "parse_sql",
-    "read_distribution",
     "sample_corpus",
     "templatize",
     "templatize_corpus",

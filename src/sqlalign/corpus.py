@@ -85,11 +85,16 @@ class SampleSpec(FrozenValue):
 
 def _iter_rows(path: Path, input_format: str):
     """Yield (row_index, dict) pairs from a corpus file. Every format is
-    read as UTF-8, with or without a byte-order mark."""
+    read as UTF-8, with or without a byte-order mark.
+
+    The JSON decoder raises ValueError for text that is not UTF-8 or not
+    JSON and for an integer over the interpreter's digit limit, and
+    RecursionError for nesting deeper than the stack; each is a
+    FormatError naming the file."""
     try:
         yield from _read_rows(path, input_format)
-    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
-        raise FormatError(f"unreadable {input_format} file: {exc}") from exc
+    except (ValueError, RecursionError, csv.Error) as exc:
+        raise FormatError(f"unreadable {input_format} file {path}: {exc}") from exc
 
 
 def _read_rows(path: Path, input_format: str):
@@ -110,8 +115,8 @@ def _read_rows(path: Path, input_format: str):
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON line: {exc}", row=i) from exc
+                except (ValueError, RecursionError) as exc:
+                    raise FormatError(f"invalid JSON line in {path}: {exc}", row=i) from exc
                 if not isinstance(row, dict):
                     raise FormatError("expected a JSON object", row=i)
                 yield i, row

@@ -15,7 +15,8 @@ from itertools import chain, repeat
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from ._value import FrozenValue
-from .errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
+from .errors import (EmptyDistributionError, EmptyTargetSetError, SpecMismatchError,
+                     SqlAlignError)
 from .ngrams import NGramDistribution
 
 DEFAULT_ALPHA = 0.5
@@ -64,7 +65,8 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
     order, and does not depend on string hashing. Exact zeros can come
     out a hair negative in floating point; values inside -1e-9..0 are
     clamped to 0. Distributions built with different l_max raise
-    SpecMismatchError.
+    SpecMismatchError. An alpha so small or so large that a smoothed
+    probability or the sum leaves the finite floats raises SqlAlignError.
     """
     if not _positive_finite(alpha):
         raise ValueError("alpha must be positive and finite")
@@ -87,11 +89,18 @@ def kl_divergence(p: NGramDistribution, q: NGramDistribution,
     denom_p = p.total + alpha * vocab
     denom_q = q.total + alpha * vocab
     terms = []
-    for count_p, count_q in pairs:
-        pp = (count_p + alpha) / denom_p
-        qq = (count_q + alpha) / denom_q
-        terms.append(pp * math.log(pp / qq))
-    total = math.fsum(chain.from_iterable(map(repeat, terms, pairs.values())))
+    try:
+        for count_p, count_q in pairs:
+            pp = (count_p + alpha) / denom_p
+            qq = (count_q + alpha) / denom_q
+            terms.append(pp * math.log(pp / qq))
+    except (ZeroDivisionError, ValueError):  # a probability that rounds to 0
+        total = math.inf
+    else:
+        total = math.fsum(chain.from_iterable(map(repeat, terms, pairs.values())))
+    if not math.isfinite(total):
+        raise SqlAlignError(f"alpha {alpha!r} is too small or too large for these "
+                            "distributions: the smoothed D_KL is not a finite number")
     if -1e-9 < total < 0.0:
         return 0.0
     return total
@@ -137,8 +146,6 @@ def batch_align(target: NGramDistribution,
         d_max = max(divergences)
         c_eff = d_max if d_max > 0 else 1.0
     else:
-        if not _positive_finite(c):
-            raise ValueError("c must be positive and finite")
         c_eff = c
     return [AlignmentScore(d_kl=d, a_kl=kl_alignment(d, c_eff), c=c_eff, alpha=alpha)
             for d in divergences]
@@ -148,10 +155,17 @@ def alignment_ratio(target: NGramDistribution, train: NGramDistribution,
                     pred: NGramDistribution, alpha: float = DEFAULT_ALPHA,
                     c: float = 1.0) -> AlignmentRatio:
     """exp(-(D(target||train) - D(target||pred)) / c) with both component
-    scores. The ar > 1 test is independent of c."""
+    scores. The ar > 1 test is independent of c. A c so small that ar
+    is not a finite float raises SqlAlignError."""
     numerator = align(target, train, alpha, c)
     denominator = align(target, pred, alpha, c)
-    ar = math.exp(-(numerator.d_kl - denominator.d_kl) / c)
+    try:
+        ar = math.exp(-(numerator.d_kl - denominator.d_kl) / c)
+    except OverflowError:
+        ar = math.inf
+    if not math.isfinite(ar):
+        raise SqlAlignError(f"c {c!r} is too small for these divergences: "
+                            "the alignment ratio is not a finite number")
     return AlignmentRatio(ar=ar, numerator=numerator, denominator=denominator)
 
 

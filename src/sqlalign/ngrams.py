@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .errors import EmptyDistributionError, FormatError
+from .errors import EmptyDistributionError
 from .keywords import SQL_KEYWORDS
 from .templates import StructuralTemplate
 
@@ -125,34 +125,3 @@ def write_distribution(dist: NGramDistribution, path) -> None:
     data = text.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
-
-
-def read_distribution(path) -> NGramDistribution:
-    """Load a file written by write_distribution. Anything else raises
-    FormatError naming the path: not JSON, not an object, no integer l_max
-    of at least 1, no counts map, a count that is not an integer of at
-    least 1, or a key that build_distribution cannot produce (an empty
-    token, more than l_max tokens, or a window its filter drops)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"distribution file {path} is not JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        payload = {}
-    counts, l_max = payload.get("counts"), payload.get("l_max")
-    if (not isinstance(counts, dict) or type(l_max) is not int or l_max < 1
-            or any(type(v) is not int or v < 1 for v in counts.values())):
-        raise FormatError(f"distribution file {path} is not an object with an "
-                          "integer l_max and integer counts of at least 1")
-    for key in counts:
-        tokens = key.split(" ")
-        if ("" in tokens or len(tokens) > l_max or tokens[0] == "," or tokens[-1] == ","
-                or tokens.count("(") != tokens.count(")") or SQL_KEYWORDS.isdisjoint(tokens)):
-            raise FormatError(f"distribution file {path} has the key {key!r}, which "
-                              f"is not a valid n-gram of at most {l_max} tokens")
-    total = sum(counts.values())
-    if total == 0:
-        raise EmptyDistributionError(f"distribution file {path} has no counts")
-    return NGramDistribution(counts=counts, total=total, l_max=l_max,
-                             source_label=payload.get("source_label", ""))

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 from sqlalign import corpus, patterns
-from sqlalign.cli import dumps_report, main
+from sqlalign.cli import build_parser, dumps_report, main
 
 TARGET_ROWS = [
     {"question": "q1", "SQL": "SELECT name FROM singer WHERE age > 30", "db_id": "concert"},
@@ -273,6 +275,29 @@ def test_ar_rejects_a_non_finite_constant(corpora, option, value):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["align", "--source", "far", "--c", "1.0", "--alpha", "1e308"],
+    ["align", "--source", "far", "--c", "1.0", "--alpha", "1e-320"],
+    ["ar", "--train", "near", "--pred", "far", "--c", "1e-320"],
+    ["templates", "big_int"],
+    ["templates", "deep"],
+], ids=["align-alpha-1e308", "align-alpha-1e-320", "ar-c-1e-320", "int-over-digit-limit",
+        "nested-too-deeply"])
+def test_extreme_input_is_one_data_error_line_and_no_report(corpora, tmp_path, capsys, argv):
+    corpora["big_int"] = tmp_path / "big.jsonl"
+    corpora["big_int"].write_text('{"SQL": "SELECT a FROM t", "x": ' + "7" * 5000 + "}\n")
+    corpora["deep"] = tmp_path / "deep.jsonl"
+    corpora["deep"].write_text('{"SQL": "SELECT a FROM t"}\n' + "[" * 200_000 + "\n")
+    out = tmp_path / "out.txt"
+    command, *rest = [str(corpora.get(arg, arg)) for arg in argv]
+    if command != "templates":
+        rest += ["--target", corpora["target"]]
+    assert main([command, *rest, "--sql-field", "SQL", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqlalign: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- one parse per distinct string per command ---------------------------------
 
 def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
@@ -413,3 +438,19 @@ def test_dumps_report_is_deterministic_and_fixed_precision():
     text = dumps_report(report)
     assert text == ('{"a": {"x": true, "y": 0.333333}, "b": 0.500000, '
                     '"list": [1, 2.000000, null, "s"]}\n')
+
+
+def _readme_cli_examples():
+    """Every `sqlalign ...` command in README's CLI section, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sqlalign ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert {argv[0] for argv in examples} == {"templates", "align", "ar", "sample", "patterns"}
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)

@@ -5,7 +5,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
@@ -19,7 +19,13 @@ from sqlalign.corpus import (
     sample_corpus,
     templatize_corpus,
 )
-from sqlalign.errors import EmptyCorpusError, EmptyDistributionError, FormatError, ParseError
+from sqlalign.errors import (
+    EmptyCorpusError,
+    EmptyDistributionError,
+    FormatError,
+    ParseError,
+    SqlAlignError,
+)
 from sqlalign.parsing import parse_sql
 from sqlalign.patterns import DEFAULT_PATTERNS, count_patterns
 from sqlalign.templates import templatize
@@ -171,16 +177,60 @@ def test_load_rejects_non_array_json(tmp_path):
         load_corpus(path)
 
 
+_BIG_INT_ROW = b'{"sql": "SELECT a FROM t", "x": ' + b"7" * 5000 + b"}"
+
+
 @pytest.mark.parametrize("name, data", [
     ("c.json", b'[{"sql": "SELECT 1"}, {"sql": "SEL'),
     ("c.jsonl", b'{"sql": "SELECT \xff"}\n'),
     ("c.csv", "sql\n".encode() + b"x" * 200_000 + b"\n"),
-], ids=["truncated-json-array", "jsonl-not-utf8", "csv-field-over-limit"])
+    ("c.jsonl", _BIG_INT_ROW + b"\n"),
+    ("c.json", b"[" + _BIG_INT_ROW + b"]"),
+    ("c.jsonl", b"[" * 200_000 + b"\n"),
+], ids=["truncated-json-array", "jsonl-not-utf8", "csv-field-over-limit",
+        "jsonl-int-over-digit-limit", "json-int-over-digit-limit", "jsonl-nested-too-deeply"])
 def test_load_unreadable_file_raises_format_error(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=name):
         load_corpus(path)
+
+
+_VALID_FILES = {
+    "c.json": b'[{"sql": "SELECT a FROM t", "q": "x"}, {"sql": "SELECT COUNT(*) FROM t", "n": 3}]',
+    "c.jsonl": b'{"sql": "SELECT a FROM t", "q": "x"}\n{"sql": "SELECT b FROM t", "n": 3}\n',
+    "c.csv": b'sql,q\nSELECT a FROM t,x\n"SELECT b, c FROM t",y\n',
+}
+_PIECES = [b"[", b"{", b"\x00", "\ufeff".encode(), b"7" * 5000, b"[" * 200_000]
+# (offset, byte to xor) flips a byte; (offset, piece) inserts one.
+_MUTATIONS = st.lists(st.tuples(st.integers(0, 200),
+                                st.integers(1, 255) | st.sampled_from(_PIECES)), max_size=4)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    data = bytearray(data)
+    for offset, change in mutations:
+        if isinstance(change, int):
+            data[offset % len(data)] ^= change
+        else:
+            offset %= len(data) + 1
+            data[offset:offset] = change
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_VALID_FILES)), _MUTATIONS)
+@example("c.jsonl", [(_VALID_FILES["c.jsonl"].index(b"3"), b"7" * 5000)])
+@example("c.json", [(_VALID_FILES["c.json"].index(b"3"), b"[" * 200_000)])
+def test_load_of_a_mutated_file_returns_a_corpus_or_raises_sqlalign_error(
+        tmp_path_factory, name, mutations):
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(_mutate(_VALID_FILES[name], mutations))
+    try:
+        corpus = load_corpus(path)
+    except SqlAlignError:
+        return
+    assert isinstance(corpus, Corpus)
 
 
 @pytest.mark.parametrize("name, text", [

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlalign
-from sqlalign.errors import EmptyDistributionError, EmptyTargetSetError, SpecMismatchError
+from sqlalign.errors import (
+    EmptyDistributionError,
+    EmptyTargetSetError,
+    SpecMismatchError,
+    SqlAlignError,
+)
 from sqlalign.metrics import (
     AlignmentScore,
     AlignmentRatio,
@@ -304,6 +309,36 @@ def test_ratio_requires_shared_c():
     score_b = AlignmentScore(d_kl=0.2, a_kl=0.8, c=2.0, alpha=0.5)
     with pytest.raises(ValueError):
         AlignmentRatio(ar=1.1, numerator=score_a, denominator=score_b)
+
+
+_EXTREMES = [5e-324, 1e-320, 1e-310, 1e-4, 1e300, 1e308]
+
+
+def _ratio_values(ratio):
+    return [ratio.ar, *ratio.numerator, *ratio.denominator]
+
+
+@pytest.mark.parametrize("c", _EXTREMES)
+@pytest.mark.parametrize("alpha", _EXTREMES)
+def test_extreme_alpha_or_c_gives_finite_results_or_sqlalign_error(alpha, c):
+    rng = random.Random(17)
+    target, train, pred = (random_dist(rng) for _ in range(3))
+    select, from_ = dist({"SELECT": 1}), dist({"FROM": 1})
+    calls = [
+        lambda: [kl_divergence(select, from_, alpha)],
+        lambda: [kl_divergence(target, train, alpha)],
+        lambda: [x for score in batch_align(target, [train, pred], alpha, c) for x in score],
+        lambda: [x for score in batch_align(target, [train, pred], alpha) for x in score],
+        lambda: _ratio_values(alignment_ratio(target, train, pred, alpha, c)),
+        lambda: _ratio_values(alignment_ratio(target, pred, train, alpha, c)),
+    ]
+    for call in calls:
+        try:
+            values = call()
+        except SqlAlignError as exc:
+            assert f"alpha {alpha!r} " in str(exc) or f"c {c!r} " in str(exc)
+            continue
+        assert all(type(v) is float and math.isfinite(v) for v in values)
 
 
 # -- ovlp_ratio --------------------------------------------------------------

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlalign.errors import EmptyDistributionError, FormatError
+from sqlalign.errors import EmptyDistributionError
 from sqlalign.keywords import SQL_KEYWORDS
 from sqlalign.ngrams import (
     NGramDistribution,
     build_distribution,
-    read_distribution,
     write_distribution,
 )
 from sqlalign.templates import StructuralTemplate, templatize
@@ -155,12 +154,12 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     write_distribution(dist, path_a)
     write_distribution(dist, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
-    loaded = read_distribution(path_a)
-    assert loaded.counts == dist.counts
-    assert loaded.total == dist.total
-    assert loaded.l_max == dist.l_max
-    assert loaded.source_label == "demo"
-    keys = list(json.loads(path_a.read_text(encoding="utf-8"))["counts"])
+    loaded = json.loads(path_a.read_text(encoding="utf-8"))
+    assert loaded["counts"] == dist.counts
+    assert loaded["total"] == dist.total
+    assert loaded["l_max"] == dist.l_max
+    assert loaded["source_label"] == "demo"
+    keys = list(loaded["counts"])
     assert keys == sorted(keys)
 
 
@@ -193,31 +192,3 @@ def test_write_distribution_of_unencodable_label_leaves_the_path_alone(tmp_path,
         assert not path.exists()
     else:
         assert path.read_bytes() == existing
-
-
-@pytest.mark.parametrize("content", [
-    "not json",                                   # not JSON
-    "[1, 2]",                                     # not an object
-    "{}",                                         # neither l_max nor counts
-    '{"counts": {"SELECT": 1}}',                  # no l_max
-    '{"l_max": 15}',                              # no counts
-    '{"l_max": 15, "counts": {"SELECT": 1.5}}',   # non-integer count
-    '{"l_max": 15, "counts": {"SELECT": "1"}}',   # count as a string
-    '{"l_max": 15, "counts": {"SELECT": -1, "FROM": 3}}',  # negative count
-    '{"l_max": 15, "counts": {"SELECT": 0, "FROM": 3}}',   # zero count
-    '{"l_max": 0, "counts": {"SELECT": 1}}',      # l_max below 1
-    '{"l_max": 15, "counts": {"": 1}}',           # empty key
-    '{"l_max": 15, "counts": {"SELECT  FROM": 1}}',  # doubled space
-    '{"l_max": 15, "counts": {" SELECT": 1}}',    # leading space
-    '{"l_max": 15, "counts": {"SELECT ": 1}}',    # trailing space
-    '{"l_max": 1, "counts": {"SELECT FROM": 1}}',  # more than l_max tokens
-    '{"l_max": 15, "counts": {", SELECT": 1}}',   # begins with a comma
-    '{"l_max": 15, "counts": {"SELECT ,": 1}}',   # ends with a comma
-    '{"l_max": 15, "counts": {"( SELECT": 1}}',   # unbalanced parentheses
-    '{"l_max": 15, "counts": {"SELECT": 3, "x": 1}}',  # no keyword
-])
-def test_read_distribution_rejects_malformed_files(tmp_path, content):
-    path = tmp_path / "dist.json"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(FormatError, match="dist.json"):
-        read_distribution(path)
