@@ -367,6 +367,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     per_group = getattr(args, "per_group", None)
     if per_group is not None and per_group < 1:
         parser.error("--per-group must be >= 1")
+    if per_group is not None and args.group_field is None:
+        parser.error("--per-group requires --group-field")
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

@@ -90,11 +90,20 @@ def _iter_rows(path: Path, input_format: str):
     The JSON decoder raises ValueError for text that is not UTF-8 or not
     JSON and for an integer over the interpreter's digit limit, and
     RecursionError for nesting deeper than the stack; each is a
-    FormatError naming the file."""
+    FormatError naming the file, as is every FormatError of a row."""
     try:
         yield from _read_rows(path, input_format)
+    except FormatError as exc:
+        raise _naming_file(exc, path)
     except (ValueError, RecursionError, csv.Error) as exc:
         raise FormatError(f"unreadable {input_format} file {path}: {exc}") from exc
+
+
+def _naming_file(error: FormatError, path: Path) -> FormatError:
+    """error, its text put after the file as the skipped-row warnings
+    put it: ``<path> row N: …``, or ``<path>: …`` when it names no row."""
+    error.args = (f"{path}{': ' if error.row is None else ' '}{error}",)
+    return error
 
 
 def _read_rows(path: Path, input_format: str):
@@ -116,7 +125,7 @@ def _read_rows(path: Path, input_format: str):
                 try:
                     row = json.loads(line)
                 except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"invalid JSON line in {path}: {exc}", row=i) from exc
+                    raise FormatError(f"invalid JSON line: {exc}", row=i) from exc
                 if not isinstance(row, dict):
                     raise FormatError("expected a JSON object", row=i)
                 yield i, row
@@ -179,7 +188,7 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 warnings.warn(f"{path} row {i}: missing or empty field {sql_field!r}, skipped",
                               stacklevel=2)
                 continue
-            raise FormatError(f"missing or empty field {sql_field!r}", row=i)
+            raise _naming_file(FormatError(f"missing or empty field {sql_field!r}", row=i), path)
         record = _new_record(CorpusRecord)
         _set_field(record, "sql", sql)
         _set_field(record, "question",
@@ -275,8 +284,9 @@ def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
 
 def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
                       memo: dict | None = None) -> TemplatizeResult:
-    """Template every record, parsing each distinct SQL string at most
-    once and each query shape at most twice, and build the distribution.
+    """Template every record and build the distribution. Each distinct
+    SQL string is parsed at most once, and each query shape that parses
+    only once.
 
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see

@@ -12,19 +12,19 @@ source order, and carries exactly one of two roles:
   the operand's leaf tokens); these are left out of it.
 
 The parser only moves forward, so it records the template as it goes:
-``_struct``, which makes every structural leaf, appends the token's
-``upper`` text, and the root that ``parse_sql`` returns carries the result
-as ``template``. Comments and trailing semicolons are stripped before
-parsing. Anything the grammar does not cover raises ``ParseError`` rather
-than producing a partial tree.
+``_struct``, which makes every structural leaf, appends the index of its
+token. The root that ``parse_sql`` returns carries these indices as
+``positions`` and the tokens' ``upper`` texts as ``template``. Comments
+and trailing semicolons are stripped before parsing. Anything the grammar
+does not cover raises ``ParseError`` rather than producing a partial tree.
 
 The parser's path through a query depends only on its shape (see
-``shape_key``): queries of one shape get one template, except for the
-words the parser copies into it without comparing them (see
-``template_slots``).
+``shape_key``): queries of one shape have their template tokens at the
+same token indices.
 
-All types here are immutable after construction; ``parse_sql`` is a pure
-function and safe to call concurrently.
+Tokens are immutable. A tree is not changed after ``parse_sql`` returns
+it, except that ``Node.find_all`` caches an index on the node it is called
+on. ``parse_sql`` is a pure function and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ class Token(NamedTuple):
 class Node(Value):
     """A parse-tree node: either an internal node (children, no token) or a
     token node (token + role, no children). The root that ``parse_sql``
-    returns also has ``template``, the tuple of its structural tokens.
+    returns also has ``positions``, the token indices of its structural
+    leaves, and ``template``, the ``upper`` texts of those tokens.
     Nodes compare by their four fields and are not hashable."""
 
     _fields = ("label", "children", "token", "role")
-    __slots__ = _fields + ("template", "_label_index", "__weakref__")
+    __slots__ = _fields + ("positions", "template", "_label_index", "__weakref__")
 
     def __init__(self, label: str, children: list[Node] | None = None,
                  token: Token | None = None, role: str | None = None):
@@ -251,7 +252,7 @@ class _Parser:
         self.i = 0
         self.tok = tokens[0]  # always toks[i]
         self.depth = 0  # open nesting levels, at most MAX_NESTING
-        self.template: list[str] = []  # the structural tokens so far
+        self.positions: list[int] = []  # token indices of the structural leaves so far
 
     # -- primitives ---------------------------------------------------
     # Keyword and operator tests look at ``self.tok.upper`` alone; see
@@ -280,12 +281,12 @@ class _Parser:
             raise ParseError("query nests too deeply", self.tok.pos)
 
     def _struct(self) -> Node:
-        """The current token as a structural leaf, added to the template;
-        moves past it. Every structural leaf is made here."""
+        """The current token as a structural leaf, its index added to the
+        positions; moves past it. Every structural leaf is made here."""
         tok = self.tok
+        self.positions.append(self.i)
         self.i += 1
         self.tok = self.toks[self.i]
-        self.template.append(tok.upper)
         return Node("tok", [], tok, STRUCTURAL)
 
     def _schema(self) -> Node:
@@ -336,7 +337,9 @@ class _Parser:
         if self.tok.kind != END:
             self._error("unexpected token after end of query")
         root = Node("query", [stmt])
-        root.template = tuple(self.template)
+        root.positions = positions = tuple(self.positions)
+        toks = self.toks
+        root.template = tuple([toks[i].upper for i in positions])
         return root
 
     def _select_stmt(self) -> Node:
@@ -808,39 +811,16 @@ def shape_key(tokens: list[Token]) -> tuple[str, ...]:
     ``upper`` if it is in SHAPE_VOCABULARY, and its kind otherwise. The
     parser compares tokens only by kind and with texts of that vocabulary,
     so two queries of one shape take one path through it: both parse, with
-    the same template apart from its template_slots, or both fail."""
+    their template tokens at the same positions, or both fail."""
     vocabulary = SHAPE_VOCABULARY
     return tuple([upper if upper in vocabulary else kind for kind, _, _, upper in tokens])
 
 
-def template_slots(tree: Node) -> tuple[tuple[int, int], ...]:
-    """The (template index, token index) pairs of the template tokens of a
-    parse_sql tree whose text is outside SHAPE_VOCABULARY: the words the
-    parser copies into the template without comparing them (function
-    names, EXTRACT fields), which queries of one shape may spell each in
-    their own way. The tree's leaves are the query's tokens in order, so
-    a leaf's number is its token index."""
-    slots = []
-    at = 0  # structural leaves so far
-    leaves = (node for node in tree.walk() if node.token is not None)
-    for index, leaf in enumerate(leaves):
-        if leaf.role == STRUCTURAL:
-            if leaf.token.upper not in SHAPE_VOCABULARY:
-                slots.append((at, index))
-            at += 1
-    return tuple(slots)
-
-
-def shape_sketch(tokens: list[Token]) -> tuple:
-    """A cheap summary of shape_key(tokens): its length and every eighth
-    element from the second. Queries of one shape have one sketch."""
-    return (len(tokens),) + shape_key(tokens[1::8])
-
-
 def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:
     """Parse a SELECT query into a role-tagged syntax tree, whose root
-    carries the query's structural template as ``template``. ``tokens``
-    is query_tokens(text), when the caller has made it already.
+    carries the query's structural template as ``template`` and the
+    indices of those tokens in query_tokens(text) as ``positions``.
+    ``tokens`` is query_tokens(text), when the caller has made it already.
 
     Every failure is a ParseError: text outside the supported grammar, text
     with no tokens, and nesting deeper than MAX_NESTING levels ("query

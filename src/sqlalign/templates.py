@@ -5,7 +5,7 @@ removed from a parse tree."""
 from __future__ import annotations
 
 from ._value import FrozenValue
-from .parsing import Node, parse_sql, query_tokens, shape_key, shape_sketch, template_slots
+from .parsing import Node, parse_sql, query_tokens, shape_key
 
 
 class StructuralTemplate(FrozenValue):
@@ -42,33 +42,19 @@ def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
     """Parse a query and derive its structural template in one step.
 
     ``shapes`` is a shape table that calls share: a dict that maps the
-    shape_sketch of every query it was given to None, and the shape_key of
-    every shape parsed at a later sight of its sketch to its template and
-    parsing.template_slots; a sketch starts with a count and a key with a
-    text, so the two never meet. A query whose key is there
-    takes its template from it, its slots filled from its own tokens,
-    without a parse. The first query of a sketch is parsed without
-    building its key, so a shape is parsed at most twice. A failure is not
-    kept: a string that fails is parsed again and keeps its own message
-    and offset.
+    shape_key of every query parsed with it to the tree's ``positions``.
+    A query whose key is there takes its template from its own tokens at
+    those positions, without a parse, so each shape is parsed once. A
+    failure is not kept: a string that fails is parsed again and keeps
+    its own message and offset.
     """
     if shapes is None:
         return derive_template(parse_sql(query))
     tokens = query_tokens(query)
-    sketch = shape_sketch(tokens)
-    if sketch not in shapes:
-        shapes[sketch] = None
-        return derive_template(parse_sql(query, tokens))
     key = shape_key(tokens)
-    entry = shapes.get(key)
-    if entry is None:
+    positions = shapes.get(key)
+    if positions is None:
         tree = parse_sql(query, tokens)
-        shapes[key] = tree.template, template_slots(tree)
+        shapes[key] = tree.positions
         return derive_template(tree)
-    template, slots = entry
-    if slots:
-        filled = list(template)
-        for at, index in slots:
-            filled[at] = tokens[index].upper
-        template = tuple(filled)
-    return StructuralTemplate(template)
+    return StructuralTemplate(tuple([tokens[i].upper for i in positions]))

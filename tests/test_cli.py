@@ -377,6 +377,13 @@ def test_sample_per_group_keeps_a_falsy_group_apart(tmp_path):
     assert sorted(groups) == ["", "0", "1"]
 
 
+def test_sample_per_group_without_group_field_is_usage_error(corpora, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", corpora["target"], "--sql-field", "SQL", "--per-group", "1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: --per-group requires --group-field\n")
+
+
 def test_sample_unencodable_text_is_data_error(tmp_path, capsys):
     path = tmp_path / "lone.jsonl"
     path.write_text('{"sql": "SELECT 1", "q": "\\ud800"}\n', encoding="utf-8")
@@ -396,7 +403,7 @@ def test_sample_csv_row_longer_than_header_is_data_error(tmp_path, capsys, field
     path.write_text("sql,question,db_id,extra\nSELECT 1,q,d,e,surplus\n", encoding="utf-8")
     out = tmp_path / "out.jsonl"
     assert main(["sample", str(path), "--fraction", "1", "-o", str(out)] + fields) == 2
-    assert capsys.readouterr().err == "sqlalign: error: row 0: more fields than the header\n"
+    assert capsys.readouterr().err == f"sqlalign: error: {path} row 0: more fields than the header\n"
     assert not out.exists()
 
 

@@ -26,7 +26,7 @@ from sqlalign.errors import (
     ParseError,
     SqlAlignError,
 )
-from sqlalign.parsing import parse_sql
+from sqlalign.parsing import parse_sql, query_tokens, shape_key
 from sqlalign.patterns import DEFAULT_PATTERNS, count_patterns
 from sqlalign.templates import templatize
 
@@ -175,6 +175,22 @@ def test_load_rejects_non_array_json(tmp_path):
     path.write_text(json.dumps({"sql": "SELECT 1"}))
     with pytest.raises(FormatError):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("c.json", '{"sql": "SELECT 1"}', ": expected a JSON array of objects"),
+    ("c.json", '[{"sql": "SELECT 1"}, 2]', " row 1: expected a JSON object"),
+    ("c.csv", "", ": CSV file has no header row"),
+    ("c.csv", "sql\nSELECT 1,2\n", " row 0: more fields than the header"),
+    ("c.jsonl", '{"sql": "SELECT 1"}\n{"sql": " "}\n', " row 1: missing or empty field 'sql'"),
+], ids=["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
+        "row-without-sql"])
+def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_text(data, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}{message}"
 
 
 _BIG_INT_ROW = b'{"sql": "SELECT a FROM t", "x": ' + b"7" * 5000 + b"}"
@@ -486,8 +502,8 @@ def test_the_memo_keeps_no_tree(monkeypatch):
 
     monkeypatch.setattr(templates, "parse_sql", tracked(templates.parse_sql))
     monkeypatch.setattr(patterns, "parse_sql", tracked(patterns.parse_sql))
-    # The last two strings have the shape of the second: the fourth is
-    # parsed and stored in the shape table, the fifth is served from it.
+    # The last two strings have the shape of the second, so the shape table
+    # serves both without a parse.
     corpus = make_corpus(["SELECT a FROM t WHERE b IN (SELECT c FROM u)",
                           "SELECT COUNT(*) FROM t", "SELECT broken FROM",
                           "SELECT MAX(*) FROM u", "SELECT SUM(*) FROM v"])
@@ -496,11 +512,12 @@ def test_the_memo_keeps_no_tree(monkeypatch):
     try:
         templatize_corpus(corpus, memo=memo)
         count_patterns(corpus, memo=memo)
-        assert len(refs) == 7  # the failing string leaves no tree, the last no parse
-        assert [ref() for ref in refs] == [None] * 7
+        assert len(refs) == 6  # the failing string leaves no tree, the last two no parse
+        assert [ref() for ref in refs] == [None] * 6
     finally:
         gc.enable()
     assert len(memo) == 3
-    # The shape table keeps a template and its slots, and no tree.
-    entries = [entry for entry in memo["shapes"].values() if entry is not None]
-    assert entries == [(("SELECT", "MAX", "(", "*", ")", "FROM"), ((1, 1),))]
+    # The shape table keeps token positions, and no tree.
+    shapes = memo["shapes"]
+    assert shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))] == (0, 1, 2, 3, 4, 5)
+    assert all(isinstance(i, int) for positions in shapes.values() for i in positions)
