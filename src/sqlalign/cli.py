@@ -99,9 +99,13 @@ def _field_options(parser: argparse.ArgumentParser) -> None:
                         help="skip and count rows without usable SQL instead of failing")
 
 
-def _metric_options(parser: argparse.ArgumentParser) -> None:
+def _l_max_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l-max", type=int, default=DEFAULT_L_MAX,
                         help=f"maximum n-gram length (default: {DEFAULT_L_MAX})")
+
+
+def _metric_options(parser: argparse.ArgumentParser) -> None:
+    _l_max_option(parser)
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help=f"additive smoothing constant (default: {DEFAULT_ALPHA})")
 
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution", default=None,
                    help="also export the n-gram distribution as JSON")
     _field_options(p)
-    _metric_options(p)
+    _l_max_option(p)
     p.set_defaults(func=cmd_templates)
 
     p = sub.add_parser("align",

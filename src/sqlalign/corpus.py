@@ -43,12 +43,6 @@ class CorpusRecord(FrozenValue):
         object.__setattr__(self, "meta", {} if meta is None else meta)
 
 
-# Builds a CorpusRecord of fields load_corpus has checked, without the
-# Python-level __init__; load_corpus builds one per row.
-_new_record = object.__new__
-_set_field = object.__setattr__
-
-
 class Corpus(FrozenValue):
     _fields = ("name", "records")
     __hash__ = None  # its records are unhashable
@@ -173,13 +167,15 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     instead, with a UserWarning naming it and a last one giving the count
     (blamed on the caller's line). Question and group fields are optional
     and default to "" when absent or null; any other value keeps its text
-    (a JSON 0 becomes "0"). All remaining row fields land in meta.
+    (a JSON 0 becomes "0"). A named one that no kept row holds (absent or
+    null in every row) raises FormatError. All remaining row fields land in meta.
     """
     path = Path(path)
     fmt = input_format or _detect_format(path)
     records: list[CorpusRecord] = []
     skipped = 0
     claimed = {sql_field, question_field, group_field}
+    unheld = [field for field in (question_field, group_field) if field]
     for i, row in _iter_rows(path, fmt):
         sql = _text_field(row, sql_field)
         if not sql.strip():
@@ -189,17 +185,18 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                               stacklevel=2)
                 continue
             raise _naming_file(FormatError(f"missing or empty field {sql_field!r}", row=i), path)
-        record = _new_record(CorpusRecord)
-        _set_field(record, "sql", sql)
-        _set_field(record, "question",
-                   _text_field(row, question_field) if question_field else "")
-        _set_field(record, "group_id", _text_field(row, group_field) if group_field else "")
-        _set_field(record, "meta", {k: v for k, v in row.items() if k not in claimed})
-        records.append(record)
+        if unheld:
+            unheld = [field for field in unheld if row.get(field) is None]
+        records.append(CorpusRecord(
+            sql, _text_field(row, question_field) if question_field else "",
+            _text_field(row, group_field) if group_field else "",
+            {k: v for k, v in row.items() if k not in claimed}))
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=2)
     if not records:
         raise EmptyCorpusError(f"{path} contains no usable records")
+    if unheld:
+        raise _naming_file(FormatError(f"no row holds field {unheld[0]!r}"), path)
     return Corpus(name=name or str(path), records=tuple(records))
 
 

@@ -15,7 +15,6 @@ hashes one string slice per window and creates no tuple.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -53,10 +52,8 @@ def build_distribution(
 
     Every window of 1..l_max tokens is a candidate. Counting is per
     occurrence: a template that occurs k times contributes each of its
-    windows k times, and it is scanned once. Only the surviving windows
-    are visited: from each start, the ends that balance its parentheses
-    are looked up by bisection. Merging is plain integer addition, so the
-    result does not depend on template order.
+    windows k times, and it is scanned once. Merging is plain integer
+    addition, so the result does not depend on template order.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -70,35 +67,35 @@ def build_distribution(
         if length and text.count(" ") != length - 1:
             # one window key would stand for two different token sequences
             raise ValueError(f"template token holds a space: {text!r}")
-        # Window start..end is balanced iff balance[start] == balance[end + 1],
-        # where balance[i] counts "(" minus ")" in tokens[:i]. So the valid
-        # ends of a start are the ends after its balance, grouped by it,
-        # from its first keyword on and short of start + l_max.
+        # Window start..end is balanced iff the balance after token end
+        # (count of "(" minus ")" up to it) equals the balance before
+        # start. after[end] is None where no window ends: at a comma.
         starts, stops = [], []  # token i is text[starts[i]:stops[i]]
-        balance = [0]
-        ends_after: dict[int, list[int]] = {}
-        pos = 0
-        for end, token in enumerate(tokens):
+        after: list[int | None] = []
+        pos = depth = 0
+        for token in tokens:
             starts.append(pos)
             pos += len(token)
             stops.append(pos)
             pos += 1
-            depth = balance[-1] + (token == "(") - (token == ")")
-            balance.append(depth)
-            if token != ",":
-                ends_after.setdefault(depth, []).append(end)
-        first_keyword = [length] * (length + 1)
-        for i in range(length - 1, -1, -1):
-            first_keyword[i] = i if tokens[i] in SQL_KEYWORDS else first_keyword[i + 1]
-        for start in range(length):
-            ends = ends_after.get(balance[start])
-            if ends is None or tokens[start] == ",":
+            depth += (token == "(") - (token == ")")
+            after.append(None if token == "," else depth)
+        # From the last start back to the first, depth steps back to the
+        # balance before start, and first_keyword is the first keyword at
+        # or after it: no valid window ends before it.
+        first_keyword = length
+        for start in range(length - 1, -1, -1):
+            token = tokens[start]
+            depth -= (token == "(") - (token == ")")
+            if token in SQL_KEYWORDS:
+                first_keyword = start
+            if token == ",":
                 continue
             begin = starts[start]
-            lo = bisect_left(ends, first_keyword[start])
-            for end in ends[lo:bisect_left(ends, start + l_max, lo)]:
-                gram = text[begin:stops[end]]
-                counts[gram] = get(gram, 0) + multiplicity
+            for end in range(first_keyword, min(length, start + l_max)):
+                if after[end] == depth:
+                    gram = text[begin:stops[end]]
+                    counts[gram] = get(gram, 0) + multiplicity
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistributionError("no n-grams survived filtering")

@@ -145,12 +145,6 @@ _TOKEN_RE = re.compile(r"""
       | \Z )
 """, re.VERBOSE | re.DOTALL)
 
-# Token kind by the number of its group in _TOKEN_RE, whose groups are
-# all named.
-_KIND_OF_GROUP = [None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)]
-_WORD_GROUP = _TOKEN_RE.groupindex[WORD]
-_BAD_GROUP = _TOKEN_RE.groupindex["bad"]
-
 # What an opening character that no other alternative matched leaves open.
 _UNTERMINATED = {"'": "string literal", '"': "quoted identifier",
                  "`": "quoted identifier", "[": "bracketed identifier",
@@ -166,19 +160,19 @@ def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     append = toks.append
     for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group is None:  # trailing whitespace and comments
+        kind = m.lastgroup
+        if kind is None:  # trailing whitespace and comments
             continue
-        tok = m[group]
-        if group == _WORD_GROUP:
-            append(_new_token(Token, (WORD, tok, m.start(group), tok.upper())))
-        elif group == _BAD_GROUP:
-            pos = m.start(group)
+        tok = m[kind]
+        if kind == WORD:
+            append(_new_token(Token, (WORD, tok, m.start(kind), tok.upper())))
+        elif kind == "bad":
+            pos = m.start(kind)
             if tok in _UNTERMINATED:
                 raise ParseError(f"unterminated {_UNTERMINATED[tok]}", pos)
             raise ParseError(f"unexpected character {tok!r}", pos)
         else:
-            append(_new_token(Token, (_KIND_OF_GROUP[group], tok, m.start(group), tok)))
+            append(_new_token(Token, (kind, tok, m.start(kind), tok)))
     return toks
 
 
@@ -781,8 +775,6 @@ class _Parser:
         return Node("frame_bound", [self._expr(), self._kw("PRECEDING", "FOLLOWING")])
 
     def _column_ref(self) -> Node:
-        if not self._at_name(_RESERVED_STOP):
-            self._error("expected column reference")
         ch = [self._schema()]
         while self.tok.kind == DOT:
             ch.append(self._schema())

@@ -73,6 +73,8 @@ CASES = (
                              "--format", "csv"], []),
     ("align_no_record_parses", ["align", "--target", "target.jsonl", "--source", "bad.jsonl",
                                 "--source", "far.jsonl"], []),
+    ("sample_group_field_no_row_holds", ["sample", "train.json", "--group-field", "nope",
+                                         "--per-group", "1"], []),
 )
 
 BROKEN = ["SELECT broken FROM", "SELECT a FROM t WHERE", "( (", "SELECT COUNT( FROM t",

@@ -384,6 +384,29 @@ def test_sample_per_group_without_group_field_is_usage_error(corpora, capsys):
     assert capsys.readouterr().err.endswith("error: --per-group requires --group-field\n")
 
 
+def test_sample_group_field_that_no_row_holds_is_data_error(tmp_path, capsys):
+    path = tmp_path / "g.jsonl"
+    path.write_text("".join(json.dumps({"sql": f"SELECT {i}", "db_id": f"db{i % 2}"}) + "\n"
+                            for i in range(3)), encoding="utf-8")
+    assert main(["sample", str(path), "--group-field", "nope", "--per-group", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"sqlalign: error: {path}: no row holds field 'nope'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["templates", "f.jsonl", "--l-max", "0"], "--l-max must be >= 1"),
+    (["sample", "f.jsonl", "--per-group", "0", "--group-field", "db_id"],
+     "--per-group must be >= 1"),
+    (["templates", "f.jsonl", "--alpha", "1"], "unrecognized arguments: --alpha 1"),
+], ids=["l-max-0", "per-group-0", "templates-alpha"])
+def test_out_of_range_or_unknown_option_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_sample_unencodable_text_is_data_error(tmp_path, capsys):
     path = tmp_path / "lone.jsonl"
     path.write_text('{"sql": "SELECT 1", "q": "\\ud800"}\n', encoding="utf-8")

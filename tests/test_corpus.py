@@ -183,8 +183,9 @@ def test_load_rejects_non_array_json(tmp_path):
     ("c.csv", "", ": CSV file has no header row"),
     ("c.csv", "sql\nSELECT 1,2\n", " row 0: more fields than the header"),
     ("c.jsonl", '{"sql": "SELECT 1"}\n{"sql": " "}\n', " row 1: missing or empty field 'sql'"),
+    ("b.jsonl", '\n{"sql": "SELECT 1"}\n\n  \n[1]\n', " row 1: expected a JSON object"),
 ], ids=["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
-        "row-without-sql"])
+        "row-without-sql", "jsonl-row-not-object-after-blank-lines"])
 def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, message):
     path = tmp_path / name
     path.write_text(data, encoding="utf-8")
@@ -272,6 +273,38 @@ def test_load_keeps_falsy_question_and_group_values(tmp_path):
     records = load_corpus(path, question_field="q", group_field="db_id").records
     assert [r.question for r in records] == ["0", "False", "", "", ""]
     assert [r.group_id for r in records] == ["0", "0.0", "", "", ""]
+
+
+@pytest.mark.parametrize("field", ["question_field", "group_field"])
+@pytest.mark.parametrize("rows", [
+    [{"sql": "SELECT 1", "db_id": "a"}, {"sql": "SELECT 2", "db_id": "b"}],
+    [{"sql": "SELECT 1", "nope": None}, {"sql": "SELECT 2", "nope": None}],
+    [{"sql": "SELECT 1"}, {"sql": "", "nope": "skipped with its row"}],
+], ids=["absent", "null", "only-in-a-skipped-row"])
+@pytest.mark.filterwarnings("ignore:.*skipped")
+def test_load_a_named_field_that_no_row_holds_is_a_format_error(tmp_path, field, rows):
+    path = tmp_path / "g.jsonl"
+    write_jsonl(path, rows)
+    with pytest.raises(FormatError) as err:
+        load_corpus(path, skip_bad_rows=True, **{field: "nope"})
+    assert str(err.value) == f"{path}: no row holds field 'nope'"
+
+
+def test_load_a_field_held_by_one_row_or_by_empty_csv_cells_is_kept(tmp_path):
+    path = tmp_path / "g.jsonl"
+    write_jsonl(path, [{"sql": "SELECT 1"}, {"sql": "SELECT 2", "db_id": "a"}])
+    assert [r.group_id for r in load_corpus(path, group_field="db_id").records] == ["", "a"]
+    path = tmp_path / "g.csv"
+    path.write_text("sql,q\nSELECT 1,\n", encoding="utf-8")
+    assert load_corpus(path, question_field="q").records[0].question == ""
+
+
+def test_load_unknown_input_format_names_the_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"sql": "SELECT 1"}])
+    with pytest.raises(FormatError) as err:
+        load_corpus(path, input_format="xml")
+    assert str(err.value) == f"{path}: unknown input format 'xml'"
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

@@ -17,6 +17,7 @@ from sqlalign.parsing import (
     parse_sql,
     tokenize,
 )
+from sqlalign.patterns import match_count_star
 
 QUERY_ZOO = [
     "SELECT 1",
@@ -157,6 +158,37 @@ def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     with pytest.raises(ParseError) as err:
         parse_sql(sql)
     assert err.value.message == message
+
+
+# Parser branches that the query zoo and the golden inputs do not reach.
+@pytest.mark.parametrize("sql, template", [
+    ("WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r", "WITH RECURSIVE AS ( SELECT ) SELECT * FROM"),
+    ("SELECT db.t.* FROM db.t", "SELECT * FROM"),
+    ("SELECT a FROM t ORDER BY a DESC NULLS FIRST", "SELECT FROM ORDER BY DESC NULLS FIRST"),
+    ("SELECT a FROM t WHERE * = 1", "SELECT FROM WHERE * ="),
+    ("SELECT d + INTERVAL '1' DAY FROM t", "SELECT + INTERVAL DAY FROM"),
+    ("SELECT SUM(a) OVER (ORDER BY b ROWS UNBOUNDED PRECEDING) FROM t",
+     "SELECT SUM ( ) OVER ( ORDER BY ROWS UNBOUNDED PRECEDING ) FROM"),
+    ("SELECT COUNT(t.*) FROM t", "SELECT COUNT ( * ) FROM"),
+])
+def test_rarely_taken_branches_give_their_template(sql, template):
+    assert " ".join(parse_sql(sql).template) == template
+
+
+def test_a_qualified_star_in_count_is_count_star():
+    assert match_count_star(parse_sql("SELECT COUNT(t.*) FROM t"))
+
+
+@pytest.mark.parametrize("sql, message", [
+    ("WITH r (a, 1) AS (SELECT 1) SELECT * FROM r",
+     "expected column name in CTE column list, found '1' (at offset 11)"),
+    ("SELECT a AS FROM t", "expected alias name, found 'FROM' (at offset 12)"),
+    ("SELECT EXTRACT(1 FROM d) FROM t", "expected date part in EXTRACT, found '1' (at offset 15)"),
+])
+def test_rarely_taken_error_branches_name_the_token(sql, message):
+    with pytest.raises(ParseError) as err:
+        parse_sql(sql)
+    assert str(err.value) == message
 
 
 # Query builders that nest one construct n levels deep.
