@@ -1,9 +1,9 @@
 """Structural alignment metrics for text-to-SQL corpora.
 
-Pipeline: parse SQL into role-tagged syntax trees, derive structural
-templates, pool filtered n-grams into per-corpus distributions, then
-compare corpora via smoothed KL divergence, the KL-alignment transform,
-alignment ratios, template-overlap ratios and traceable-pattern counts.
+Pipeline: parse SQL into syntax trees, derive structural templates, pool
+filtered n-grams into per-corpus distributions, then compare corpora via
+smoothed KL divergence, the KL-alignment transform, alignment ratios,
+template-overlap ratios and traceable-pattern counts.
 """
 
 from .corpus import (

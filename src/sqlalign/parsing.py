@@ -2,21 +2,21 @@
 text-to-SQL corpora (SQLite flavoured, plus the common PostgreSQL-isms such
 as ILIKE, EXTRACT and INTERVAL literals).
 
-The parser builds an ordered tree in which every token is one leaf, in
-source order, and carries exactly one of two roles:
+The parser builds an ordered tree in which every token of
+``query_tokens(text)`` but the END sentinel is one leaf, in source order,
+so a leaf's index among the leaves is its token's index. The root that
+``parse_sql`` returns carries, as ``positions``, the indices of the
+structural tokens - keywords, operators, commas, parentheses and ``*`` -
+which form the structural template. Every other token is a schema token:
+identifiers, aliases, literals and parameter markers (plus the ``AS type``
+annotation inside CAST, which is dropped together with the operand's leaf
+tokens), left out of the template. The END sentinel is never structural.
 
-* ``STRUCTURAL`` - keywords, operators, commas, parentheses and ``*``;
-  these form the structural template.
-* ``SCHEMA`` - identifiers, aliases, literals and parameter markers (plus
-  the ``AS type`` annotation inside CAST, which is dropped together with
-  the operand's leaf tokens); these are left out of it.
-
-The parser only moves forward, so it records the template as it goes:
-``_struct``, which makes every structural leaf, appends the index of its
-token. The root that ``parse_sql`` returns carries these indices as
-``positions`` and the tokens' ``upper`` texts as ``template``. Comments
-and trailing semicolons are stripped before parsing. Anything the grammar
-does not cover raises ``ParseError`` rather than producing a partial tree.
+The parser only moves forward, so it records the positions as it goes:
+``_struct``, which takes every structural token, appends its index.
+Comments and trailing semicolons are stripped before parsing. Anything the
+grammar does not cover raises ``ParseError`` rather than producing a
+partial tree.
 
 The parser's path through a query depends only on its shape (see
 ``shape_key``): queries of one shape have their template tokens at the
@@ -51,10 +51,6 @@ PARAM = "param"
 SEMI = "semi"
 END = "end"  # the sentinel parse_sql puts after the last source token
 
-# Token roles.
-STRUCTURAL = "structural"
-SCHEMA = "schema"
-
 
 class Token(NamedTuple):
     """One source token. ``upper`` is a word's text uppercased once, at
@@ -75,20 +71,18 @@ class Token(NamedTuple):
 
 class Node(Value):
     """A parse-tree node: either an internal node (children, no token) or a
-    token node (token + role, no children). The root that ``parse_sql``
-    returns also has ``positions``, the token indices of its structural
-    leaves, and ``template``, the ``upper`` texts of those tokens.
-    Nodes compare by their four fields and are not hashable."""
+    leaf (a token, no children). The root that ``parse_sql`` returns also
+    has ``positions``, the indices of its structural leaves. Nodes compare
+    by their three fields and are not hashable."""
 
-    _fields = ("label", "children", "token", "role")
-    __slots__ = _fields + ("positions", "template", "_label_index", "__weakref__")
+    _fields = ("label", "children", "token")
+    __slots__ = _fields + ("positions", "_label_index", "__weakref__")
 
     def __init__(self, label: str, children: list[Node] | None = None,
-                 token: Token | None = None, role: str | None = None):
+                 token: Token | None = None):
         self.label = label
         self.children = [] if children is None else children
         self.token = token
-        self.role = role
 
     def walk(self) -> Iterator["Node"]:
         """Every node in pre-order. The walk keeps its own stack, so a
@@ -234,9 +228,11 @@ SHAPE_VOCABULARY = TEMPLATE_OPERATORS.union(
 
 # How deeply statements and expressions may nest: each one inside another
 # is one level deeper. The parser counts the levels itself, so whether a
-# query parses does not depend on how deep the caller's stack already is.
-# Chains of prefix operators (NOT NOT x, - - x) are parsed by loops and do
-# not count.
+# query parses does not depend on how deep the caller's stack already is,
+# while about 270 frames of the recursion limit are free (a parse takes
+# about 8 per level). With fewer, parse_sql reports the RecursionError as
+# the same ParseError. Chains of prefix operators (NOT NOT x, - - x) are
+# parsed by loops and do not count.
 MAX_NESTING = 32
 
 
@@ -275,20 +271,18 @@ class _Parser:
             raise ParseError("query nests too deeply", self.tok.pos)
 
     def _struct(self) -> Node:
-        """The current token as a structural leaf, its index added to the
-        positions; moves past it. Every structural leaf is made here."""
-        tok = self.tok
+        """The current token as a structural leaf: its index is added to
+        the positions. Every structural token is taken here."""
         self.positions.append(self.i)
-        self.i += 1
-        self.tok = self.toks[self.i]
-        return Node("tok", [], tok, STRUCTURAL)
+        return self._schema()
 
     def _schema(self) -> Node:
-        """The current token as a schema leaf; moves past it."""
+        """The current token as a leaf; moves past it. Every leaf is made
+        here."""
         tok = self.tok
         self.i += 1
         self.tok = self.toks[self.i]
-        return Node("tok", [], tok, SCHEMA)
+        return Node("tok", [], tok)
 
     def _kw(self, *expected: str) -> Node:
         if self.tok.upper not in expected:
@@ -331,9 +325,7 @@ class _Parser:
         if self.tok.kind != END:
             self._error("unexpected token after end of query")
         root = Node("query", [stmt])
-        root.positions = positions = tuple(self.positions)
-        toks = self.toks
-        root.template = tuple([toks[i].upper for i in positions])
+        root.positions = tuple(self.positions)
         return root
 
     def _select_stmt(self) -> Node:
@@ -809,9 +801,9 @@ def shape_key(tokens: list[Token]) -> tuple[str, ...]:
 
 
 def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:
-    """Parse a SELECT query into a role-tagged syntax tree, whose root
-    carries the query's structural template as ``template`` and the
-    indices of those tokens in query_tokens(text) as ``positions``.
+    """Parse a SELECT query into a syntax tree, whose root carries the
+    indices of the query's structural tokens in query_tokens(text) as
+    ``positions``: a token is structural when its index is among them.
     ``tokens`` is query_tokens(text), when the caller has made it already.
 
     Every failure is a ParseError: text outside the supported grammar, text

@@ -18,10 +18,8 @@ from .parsing import Node, parse_sql
 
 
 def _func_name(node: Node) -> str:
-    for child in node.children:
-        if child.token is not None:
-            return child.token.upper
-    return ""
+    # a func node's first child is its name leaf, or EXTRACT's keyword
+    return node.children[0].token.upper
 
 
 def _func_args(node: Node) -> list[Node]:
@@ -103,7 +101,7 @@ def match_iif(tree: Node) -> bool:
 
 def match_union(tree: Node) -> bool:
     for op in tree.find_all("setop_op"):
-        if op.children and op.children[0].token.upper == "UNION":
+        if op.children[0].token.upper == "UNION":
             return True
     return False
 

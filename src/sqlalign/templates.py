@@ -29,13 +29,14 @@ class StructuralTemplate(FrozenValue):
 
 
 def derive_template(tree: Node) -> StructuralTemplate:
-    """The template of a tree returned by parse_sql: its structural tokens
-    in source order, word tokens uppercased, as the parser recorded them.
-    Any other node, a subtree of such a tree included, raises ValueError."""
-    template = getattr(tree, "template", None)
-    if template is None:
+    """The template of a tree returned by parse_sql: the ``upper`` texts of
+    its leaves at the root's ``positions``, in source order. Any other
+    node, a subtree of such a tree included, raises ValueError."""
+    positions = getattr(tree, "positions", None)
+    if positions is None:
         raise ValueError("derive_template takes the root of a tree returned by parse_sql")
-    return StructuralTemplate(template)
+    leaves = [n.token for n in tree.walk() if n.token is not None]
+    return StructuralTemplate(tuple([leaves[i].upper for i in positions]))
 
 
 def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
@@ -43,10 +44,10 @@ def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
 
     ``shapes`` is a shape table that calls share: a dict that maps the
     shape_key of every query parsed with it to the tree's ``positions``.
-    A query whose key is there takes its template from its own tokens at
-    those positions, without a parse, so each shape is parsed once. A
-    failure is not kept: a string that fails is parsed again and keeps
-    its own message and offset.
+    Each query takes its template from its own tokens at the positions of
+    its shape; a query whose key is there does so without a parse, so each
+    shape is parsed once. A failure is not kept: a string that fails is
+    parsed again and keeps its own message and offset.
     """
     if shapes is None:
         return derive_template(parse_sql(query))
@@ -54,7 +55,5 @@ def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
     key = shape_key(tokens)
     positions = shapes.get(key)
     if positions is None:
-        tree = parse_sql(query, tokens)
-        shapes[key] = tree.positions
-        return derive_template(tree)
+        positions = shapes[key] = parse_sql(query, tokens).positions
     return StructuralTemplate(tuple([tokens[i].upper for i in positions]))

@@ -20,6 +20,7 @@ Only run it on purpose, with the parser the new records should pin:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -60,11 +61,25 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
-def _shape(node) -> tuple:
-    token = node.token
-    return (node.label, node.role,
-            None if token is None else (token.kind, token.text, token.pos),
-            tuple(_shape(child) for child in node.children))
+def _shape(tree) -> tuple:
+    """The tree as nested tuples, each node with a role: "structural" for
+    a leaf whose index among the leaves is in the root's ``positions``,
+    "schema" for any other leaf and None for an inner node. So the digest
+    pins which leaves the positions mark."""
+    structural = set(tree.positions)
+    leaf_index = itertools.count()
+
+    def shape(node) -> tuple:
+        token = node.token
+        if token is None:
+            role = None
+        else:
+            role = "structural" if next(leaf_index) in structural else "schema"
+        return (node.label, role,
+                None if token is None else (token.kind, token.text, token.pos),
+                tuple(shape(child) for child in node.children))
+
+    return shape(tree)
 
 
 def record(sql: str) -> dict:

@@ -47,6 +47,22 @@ def test_kl_identity_is_zero():
     assert kl_divergence(p, p, alpha=0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kl_clamps_a_hair_negative_zero_to_plus_zero():
+    # Smoothed over the vocabulary {SELECT, FROM, WHERE}, p is (3.1, .1, .1)
+    # / 3.3 and q is (34.1, 1.1, 1.1) / 36.3: q's vector is p's times 11, so
+    # both divergences are exactly 0, but in floating point D(p || q) sums
+    # to -1.04e-16 and D(q || p) to +2.1e-16.
+    p = dist({"SELECT": 3})
+    q = dist({"FROM": 1, "WHERE": 1, "SELECT": 34})
+    smoothed = [((count_p + 0.1) / (3 + 0.1 * 3), (count_q + 0.1) / (36 + 0.1 * 3))
+                for count_p, count_q in ((3, 34), (0, 1), (0, 1))]
+    unclamped = math.fsum(pp * math.log(pp / qq) for pp, qq in smoothed)
+    assert -1e-9 < unclamped < 0.0
+    d = kl_divergence(p, q, alpha=0.1)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+    assert 0.0 <= kl_divergence(q, p, alpha=0.1) < 1e-12
+
+
 def test_kl_hand_computed_value():
     # alpha -> 0 limit of the two-cell pair: 0.5*ln(0.5/0.25) + 0.5*ln(0.5/0.75)
     p = dist({"a": 1, "b": 1})

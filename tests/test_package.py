@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +22,14 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_the_package_imports_only_the_standard_library():
+    imported = set()
+    for path in Path(sqlalign.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and sorted(imported - sys.stdlib_module_names) == []

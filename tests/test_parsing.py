@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import weakref
 
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.parsing import (
     MAX_NESTING,
-    SCHEMA,
-    STRUCTURAL,
     Node,
     parse_sql,
     tokenize,
 )
 from sqlalign.patterns import match_count_star
+from sqlalign.templates import derive_template, templatize
 
 QUERY_ZOO = [
     "SELECT 1",
@@ -69,13 +70,17 @@ def test_roundtrip_serialization(sql):
 
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_every_token_has_exactly_one_role(sql):
+    # a leaf is structural when its index is in the root's positions, and a
+    # schema token otherwise: the positions are strictly increasing indices
+    # of leaves
     tree = parse_sql(sql)
-    for node in _leaves(tree):
-        assert node.role in (STRUCTURAL, SCHEMA)
-        assert not node.children
-    # the template the parser records is the walk over its structural leaves
-    assert tree.template == tuple(
-        n.token.upper for n in _leaves(tree) if n.role == STRUCTURAL)
+    leaves = _leaves(tree)
+    assert all(not node.children for node in leaves)
+    positions = tree.positions
+    assert all(0 <= i < len(leaves) for i in positions)
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    # the template read from the leaves is the one read from the tokens
+    assert derive_template(tree) == templatize(sql, {})
 
 
 def test_normalize_strips_comments_and_trailing_semicolons():
@@ -172,7 +177,7 @@ def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     ("SELECT COUNT(t.*) FROM t", "SELECT COUNT ( * ) FROM"),
 ])
 def test_rarely_taken_branches_give_their_template(sql, template):
-    assert " ".join(parse_sql(sql).template) == template
+    assert derive_template(parse_sql(sql)).canonical_text == template
 
 
 def test_a_qualified_star_in_count_is_count_star():
@@ -223,6 +228,35 @@ def test_nesting_limit_does_not_depend_on_the_callers_stack(nester):
     assert shallow[-1][0] == "query nests too deeply"
 
 
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_recursion_error_is_reported_as_nesting_too_deep():
+    # A parse takes about 8 frames per nesting level: 20 levels need about
+    # 180 frames, more than the 60 left free here.
+    sql = "SELECT " + "(" * 20 + "1" + ")" * 20 + " FROM t"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        with pytest.raises(ParseError, match="^query nests too deeply"):
+            parse_sql(sql)
+        memo = {}
+        corpus = Corpus(name="c", records=(CorpusRecord(sql=sql),
+                                           CorpusRecord(sql="SELECT a FROM t")))
+        result = templatize_corpus(corpus, memo=memo)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [i for i, _ in result.failures] == [0]
+    assert result.failures[0][1].startswith("query nests too deeply")
+    stored = memo["templates"][sql]
+    assert isinstance(stored, ParseError)
+    assert stored.__traceback__ is None and stored.__context__ is None
+
+
 def test_prefix_operator_chains_do_not_count_as_nesting():
     for sql in ("SELECT " + "NOT " * 3000 + "1", "SELECT " + "- " * 3000 + "1"):
         # the walk over the 3000-deep tree needs no interpreter stack either
@@ -260,9 +294,9 @@ def test_nodes_compare_by_their_fields_and_are_unhashable():
     twin = parse_sql("SELECT  a FROM t")  # same tree, token positions aside
     assert tree != twin
     assert parse_sql("SELECT a FROM t") == tree
-    leaf = Node("tok", [], tokenize("a")[0], SCHEMA)
-    assert leaf == Node("tok", token=tokenize("a")[0], role=SCHEMA)
-    assert leaf != Node("tok", [], tokenize("a")[0], STRUCTURAL)
+    leaf = Node("tok", [], tokenize("a")[0])
+    assert leaf == Node("tok", token=tokenize("a")[0])
+    assert leaf != Node("tok", [], tokenize("b")[0])
     assert Node("x").children == [] and Node("x").children is not Node("x").children
     with pytest.raises(TypeError, match="unhashable"):
         hash(leaf)
