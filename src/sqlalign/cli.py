@@ -7,8 +7,8 @@ Commands:
   sample     deterministic sub-sampling of a corpus
   patterns   traceable-pattern count diff between two corpora
 
-Every report embeds the full run configuration, JSON output has sorted keys
-and fixed 6-decimal floats, so identical inputs and flags produce
+Every report embeds the options its command parsed. JSON output has sorted
+keys and fixed 6-decimal floats, so identical inputs and flags produce
 byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
 A command that reads several corpora keeps one run memo for them all, so
@@ -113,8 +113,8 @@ def _metric_options(parser: argparse.ArgumentParser) -> None:
 def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format (default: json)")
+    parser.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                        default="json", help="report format (default: json)")
 
 
 def _load(args, path) -> Corpus:
@@ -125,23 +125,18 @@ def _load(args, path) -> Corpus:
                        skip_bad_rows=args.skip_bad_rows)
 
 
+# The command selector and the files a command reads or writes; every
+# other argument is a setting that shaped the report.
+_NOT_ECHOED = frozenset({"command", "func", "input", "output", "report", "distribution",
+                         "target", "source", "train", "pred", "before", "after"})
+
+
 def _config(args) -> dict:
-    """Everything that influenced a run; echoed into every report."""
-    c = getattr(args, "c", None)
-    return {
-        "l_max": getattr(args, "l_max", DEFAULT_L_MAX),
-        "alpha": getattr(args, "alpha", DEFAULT_ALPHA),
-        "c_mode": "max_in_batch" if c is None else "fixed",
-        "c": c,
-        "seed": 0,
-        "sql_field": args.sql_field,
-        "question_field": args.question_field,
-        "group_field": args.group_field,
-        "input_format": args.input_format,
-        "skip_bad_rows": args.skip_bad_rows,
-        "output_format": getattr(args, "format", "json"),
-        "log_base": "e",  # divergences are in nats
-    }
+    """The options the command parsed; echoed into its report."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    if "alpha" in config:
+        config["log_base"] = "e"  # divergences are in nats
+    return config
 
 
 # -- commands ------------------------------------------------------------
@@ -205,7 +200,7 @@ def cmd_align(args) -> int:
             })
 
     n_errors = sum("error" in row for row in rows)
-    if args.format == "csv":
+    if args.output_format == "csv":
         for row in rows:
             failures = row.pop("parse_failures", {})
             row["parse_failures_target"] = failures.get("target")
@@ -268,7 +263,7 @@ def cmd_patterns(args) -> int:
     before = count_patterns(_load(args, args.before), memo=memo)
     after = count_patterns(_load(args, args.after), memo=memo)
     diff = diff_pattern_counts(before, after)
-    if args.format == "csv":
+    if args.output_format == "csv":
         rows = [{"pattern_id": pid, **entry} for pid, entry in diff.items()]
         _write_csv(args.output, ["pattern_id", "before", "after", "delta", "direction"], rows)
     else:

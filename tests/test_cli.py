@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sqlalign import corpus, patterns
-from sqlalign.cli import build_parser, dumps_report, main
+from sqlalign.cli import _NOT_ECHOED, build_parser, dumps_report, main
 
 TARGET_ROWS = [
     {"question": "q1", "SQL": "SELECT name FROM singer WHERE age > 30", "db_id": "concert"},
@@ -459,6 +459,43 @@ def test_patterns_json_reports_parse_failures(corpora, tmp_path):
     rep = read_json(out)
     assert rep["parse_failures"] == {"before": 1, "after": 0}
     assert rep["patterns"]["case_when"]["before"] == 1
+
+
+# -- report config ---------------------------------------------------------------
+
+LOAD_OPTIONS = {"group_field", "input_format", "question_field", "skip_bad_rows", "sql_field"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["templates", "{target}", "-o", "{out}.txt", "--report", "{out}"],
+     LOAD_OPTIONS | {"l_max"}),
+    (["align", "--target", "{target}", "--source", "{near}", "-o", "{out}"],
+     LOAD_OPTIONS | {"l_max", "alpha", "c", "log_base", "output_format"}),
+    (["ar", "--target", "{target}", "--train", "{near}", "--pred", "{far}", "--c", "1",
+      "-o", "{out}"],
+     LOAD_OPTIONS | {"l_max", "alpha", "c", "log_base"}),
+    (["patterns", "--before", "{far}", "--after", "{near}", "-o", "{out}"],
+     LOAD_OPTIONS | {"output_format"}),
+])
+def test_each_report_echoes_the_options_its_command_parsed(corpora, tmp_path, argv, keys):
+    out = tmp_path / "report.json"
+    argv = [a.format(out=out, **corpora) for a in argv] + ["--sql-field", "SQL"]
+    assert main(argv) == 0
+    config = read_json(out)["config"]
+    assert set(config) == keys
+    assert config["sql_field"] == "SQL"
+    assert "seed" not in config and "c_mode" not in config
+
+
+def test_every_argument_kept_out_of_the_config_is_one_a_command_parses():
+    parser = build_parser()
+    parsed = set()
+    for argv in (["templates", "f"], ["align", "--target", "t", "--source", "s"],
+                 ["ar", "--target", "t", "--train", "a", "--pred", "p", "--c", "1"],
+                 ["sample", "f", "--fraction", "0.5"],
+                 ["patterns", "--before", "b", "--after", "a"]):
+        parsed |= set(vars(parser.parse_args(argv)))
+    assert _NOT_ECHOED <= parsed
 
 
 # -- report serialization ----------------------------------------------------------

@@ -46,15 +46,18 @@ def _write_corpora(directory: Path) -> dict[str, Path]:
     return paths
 
 
-def _commands(paths: dict[str, Path]) -> dict[str, list[str]]:
+def _commands(paths: dict[str, Path]) -> dict[str, tuple[list, list[str]]]:
+    """Each command's argv and the options naming the files it writes."""
     align = ["align", "--target", paths["target"], "--source", paths["train"],
              "--source", paths["far"], "--source", paths["before"]]
     return {
-        "align_json": align,
-        "align_csv": align + ["--format", "csv"],
-        "ar": ["ar", "--target", paths["target"], "--train", paths["train"],
-               "--pred", paths["before"], "--c", "2.0"],
-        "patterns": ["patterns", "--before", paths["before"], "--after", paths["after"]],
+        "templates": (["templates", paths["target"]], ["-o", "--report", "--distribution"]),
+        "align_json": (align, ["-o"]),
+        "align_csv": (align + ["--format", "csv"], ["-o"]),
+        "ar": (["ar", "--target", paths["target"], "--train", paths["train"],
+                "--pred", paths["before"], "--c", "2.0"], ["-o"]),
+        "patterns": (["patterns", "--before", paths["before"], "--after", paths["after"]],
+                     ["-o"]),
     }
 
 
@@ -62,12 +65,12 @@ def _run_all(paths: dict[str, Path], out_dir: Path, hash_seed: str) -> dict:
     out_dir.mkdir()
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
     results = {}
-    for name, argv in _commands(paths).items():
-        report = out_dir / name
+    for name, (argv, options) in _commands(paths).items():
+        outputs = [out_dir / f"{name}{option}" for option in options]
         proc = subprocess.run([sys.executable, "-m", "sqlalign.cli", *map(str, argv),
-                               "-o", str(report)],
+                               *(str(a) for pair in zip(options, outputs) for a in pair)],
                               capture_output=True, env=env, timeout=120)
-        results[name] = (proc.returncode, proc.stderr, report.read_bytes())
+        results[name] = (proc.returncode, proc.stderr, [out.read_bytes() for out in outputs])
     return results
 
 

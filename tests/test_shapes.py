@@ -166,6 +166,39 @@ def test_a_renamed_query_takes_its_own_names_from_the_table(data):
     assert [tok for tok in template.tokens if tok.startswith("G_")] == copied
 
 
+_INSERTS = st.sampled_from(sorted(SHAPE_VOCABULARY) + ["a", "1", "'x'", "?"])
+
+
+def _mutated(data, sql):
+    """sql with one token deleted, inserted, swapped with its neighbour or
+    duplicated, its token texts joined with spaces."""
+    texts = [tok.text for tok in query_tokens(sql)[:-1]]
+    at = data.draw(st.integers(0, len(texts) - 1))
+    edit = data.draw(st.sampled_from(["delete", "insert", "swap", "duplicate"]))
+    if edit == "delete" and len(texts) > 1:
+        del texts[at]
+    elif edit == "insert":
+        texts.insert(at, data.draw(_INSERTS))
+    elif edit == "swap" and at + 1 < len(texts):
+        texts[at], texts[at + 1] = texts[at + 1], texts[at]
+    else:
+        texts.insert(at, texts[at])
+    return " ".join(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_mutated_query_gets_from_the_table_what_templatize_gives(data):
+    sql = _mutated(data, data.draw(st.sampled_from(PARSING_GOLDEN)))
+    spellings = [_renamed(data, sql, "f"), _renamed(data, sql, "g")]
+    assert shape_key(query_tokens(spellings[0])) == shape_key(query_tokens(spellings[1]))
+    for order in (spellings, spellings[::-1]):  # the one parsed first fills the table
+        shapes = {}
+        for spelling in order:
+            assert (outcome(lambda text: templatize(text, shapes), spelling)
+                    == outcome(templatize, spelling))
+
+
 # -- parse counts --------------------------------------------------------------
 
 def _counting_parses(monkeypatch):
