@@ -2,9 +2,9 @@
 text-to-SQL corpora (SQLite flavoured, plus the common PostgreSQL-isms such
 as ILIKE, EXTRACT and INTERVAL literals).
 
-The parser builds an ordered tree in which every token of
-``query_tokens(text)`` but the END sentinel is one leaf, in source order,
-so a leaf's index among the leaves is its token's index. The root that
+The parser builds an ordered tree of ``Node`` objects whose leaves are the
+``Token`` objects of ``query_tokens(text)`` but the END sentinel, in source
+order, so a leaf's index among the leaves is its token's index. The root that
 ``parse_sql`` returns carries, as ``positions``, the indices of the
 structural tokens - keywords, operators, commas, parentheses and ``*`` -
 which form the structural template. Every other token is a schema token:
@@ -70,36 +70,35 @@ class Token(NamedTuple):
 
 
 class Node(Value):
-    """A parse-tree node: either an internal node (children, no token) or a
-    leaf (a token, no children). The root that ``parse_sql`` returns also
-    has ``positions``, the indices of its structural leaves. Nodes compare
-    by their three fields and are not hashable."""
+    """An inner node of a parse tree. Its children, one or more, are inner
+    nodes and leaves: a leaf is one of the query's own Tokens. The root
+    that ``parse_sql`` returns also has ``positions``, the indices of its
+    structural leaves. Nodes compare by both fields and are unhashable."""
 
-    _fields = ("label", "children", "token")
+    _fields = ("label", "children")
     __slots__ = _fields + ("positions", "_label_index", "__weakref__")
 
-    def __init__(self, label: str, children: list[Node] | None = None,
-                 token: Token | None = None):
+    def __init__(self, label: str, children: list[Node | Token]):
         self.label = label
-        self.children = [] if children is None else children
-        self.token = token
+        self.children = children
 
-    def walk(self) -> Iterator["Node"]:
-        """Every node in pre-order. The walk keeps its own stack, so a
-        long operator chain (a deep left-nested tree) cannot exhaust the
-        interpreter's."""
+    def walk(self) -> Iterator[Node | Token]:
+        """Every inner node and leaf token in pre-order. The walk keeps its
+        own stack, so a long operator chain (a deep left-nested tree)
+        cannot exhaust the interpreter's."""
         stack = [self]
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children))
+            if isinstance(node, Node):
+                stack.extend(reversed(node.children))
 
-    def find_all(self, label: str) -> Iterator["Node"]:
-        """Every node labelled ``label``, in pre-order. The first call
-        indexes the nodes below this one by label in one walk and caches
-        the index on the node, so later calls are lookups; trees are not
-        changed after parsing. The node stays out of its own index, so
-        the cache makes no reference cycle."""
+    def find_all(self, label: str) -> Iterator[Node]:
+        """Every inner node labelled ``label``, in pre-order. The first
+        call indexes the nodes below this one by label in one walk and
+        caches the index on the node, so later calls are lookups; trees
+        are not changed after parsing. The node stays out of its own
+        index, so the cache makes no reference cycle."""
         index = getattr(self, "_label_index", None)
         if index is None:
             # walk() inlined, without the generator: this loop runs once
@@ -108,8 +107,8 @@ class Node(Value):
             stack = self.children[::-1]
             while stack:
                 node = stack.pop()
-                index.setdefault(node.label, []).append(node)
-                if node.children:
+                if isinstance(node, Node):
+                    index.setdefault(node.label, []).append(node)
                     stack.extend(node.children[::-1])
             self._label_index = index
         found = index.get(label, ())
@@ -270,36 +269,36 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError("query nests too deeply", self.tok.pos)
 
-    def _struct(self) -> Node:
+    def _struct(self) -> Token:
         """The current token as a structural leaf: its index is added to
         the positions. Every structural token is taken here."""
         self.positions.append(self.i)
         return self._schema()
 
-    def _schema(self) -> Node:
-        """The current token as a leaf; moves past it. Every leaf is made
-        here."""
+    def _schema(self) -> Token:
+        """The current token, as a leaf; moves past it. Every leaf is
+        taken here."""
         tok = self.tok
         self.i += 1
         self.tok = self.toks[self.i]
-        return Node("tok", [], tok)
+        return tok
 
-    def _kw(self, *expected: str) -> Node:
+    def _kw(self, *expected: str) -> Token:
         if self.tok.upper not in expected:
             self._error(f"expected {' or '.join(expected)}")
         return self._struct()
 
-    def _punct(self, kind: str, what: str) -> Node:
+    def _punct(self, kind: str, what: str) -> Token:
         if self.tok.kind != kind:
             self._error(f"expected {what}")
         return self._struct()
 
-    def _name(self, message: str) -> Node:
+    def _name(self, message: str) -> Token:
         if not self._at_name():
             self._error(message)
         return self._schema()
 
-    def _comma_list(self, ch: list[Node], item) -> list[Node]:
+    def _comma_list(self, ch: list, item) -> list:
         """Append ``item (, item)*`` to ch."""
         ch.append(item())
         while self.tok.kind == COMMA:
@@ -436,7 +435,7 @@ class _Parser:
             return True
         return t.kind == WORD and t.upper not in _NON_ALIAS_WORDS
 
-    def _optional_alias(self, ch: list[Node]) -> list[Node]:
+    def _optional_alias(self, ch: list) -> list:
         """Append ``[AS] alias`` to ch when present."""
         if self.tok.upper == "AS":
             ch.append(self._schema())  # alias AS drops with the alias
@@ -552,7 +551,7 @@ class _Parser:
             node = Node("binary", [node, self._struct(), self._logical(level + 1)])
 
     @staticmethod
-    def _prefixed(ops: list[Node], node: Node) -> Node:
+    def _prefixed(ops: list[Token], node: Node) -> Node:
         """Wrap node in one unary node per prefix operator, the last
         operator innermost."""
         for op in reversed(ops):

@@ -18,19 +18,19 @@ from .parsing import Node, parse_sql
 
 
 def _func_name(node: Node) -> str:
-    # a func node's first child is its name leaf, or EXTRACT's keyword
-    return node.children[0].token.upper
+    # a func node's first child is its name token, or EXTRACT's keyword
+    return node.children[0].upper
 
 
 def _func_args(node: Node) -> list[Node]:
-    return [child for child in node.children if child.token is None]
+    return [child for child in node.children if isinstance(child, Node)]
 
 
 def _select_exprs(tree: Node):
     """Yield the item expressions of the select list of every SELECT core
     in the tree."""
     for select_list in tree.find_all("select_list"):
-        yield [item.children[0] for item in select_list.children if item.label == "select_item"]
+        yield [item.children[0] for item in select_list.children if isinstance(item, Node)]
 
 
 def _is_sum(expr: Node) -> bool:
@@ -100,10 +100,7 @@ def match_iif(tree: Node) -> bool:
 
 
 def match_union(tree: Node) -> bool:
-    for op in tree.find_all("setop_op"):
-        if op.children[0].token.upper == "UNION":
-            return True
-    return False
+    return any(op.children[0].upper == "UNION" for op in tree.find_all("setop_op"))
 
 
 def match_subquery(tree: Node) -> bool:
@@ -113,6 +110,9 @@ def match_subquery(tree: Node) -> bool:
 
 
 class PatternSpec(NamedTuple):
+    """``match`` takes the root Node that parse_sql returns, whose leaves
+    are the query's Tokens. A spec reads node labels and the tokens at the
+    root's ``positions`` and never a schema leaf, as the default specs do."""
     id: str
     match: Callable[[Node], bool]
 

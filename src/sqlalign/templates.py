@@ -5,7 +5,7 @@ removed from a parse tree."""
 from __future__ import annotations
 
 from ._value import FrozenValue
-from .parsing import Node, parse_sql, query_tokens, shape_key
+from .parsing import Node, Token, parse_sql, query_tokens, shape_key
 
 
 class StructuralTemplate(FrozenValue):
@@ -35,7 +35,7 @@ def derive_template(tree: Node) -> StructuralTemplate:
     positions = getattr(tree, "positions", None)
     if positions is None:
         raise ValueError("derive_template takes the root of a tree returned by parse_sql")
-    leaves = [n.token for n in tree.walk() if n.token is not None]
+    leaves = [n for n in tree.walk() if isinstance(n, Token)]
     return StructuralTemplate(tuple([leaves[i].upper for i in positions]))
 
 

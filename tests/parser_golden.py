@@ -26,7 +26,7 @@ import random
 from pathlib import Path
 
 from sqlalign.errors import ParseError
-from sqlalign.parsing import parse_sql, tokenize
+from sqlalign.parsing import Token, parse_sql, tokenize
 from sqlalign.patterns import DEFAULT_PATTERNS
 from sqlalign.templates import derive_template
 
@@ -65,19 +65,17 @@ def _shape(tree) -> tuple:
     """The tree as nested tuples, each node with a role: "structural" for
     a leaf whose index among the leaves is in the root's ``positions``,
     "schema" for any other leaf and None for an inner node. So the digest
-    pins which leaves the positions mark."""
+    pins which leaves the positions mark. A leaf token has the tuple of
+    the "tok" leaf nodes that trees once had, so the recorded digests
+    still hold."""
     structural = set(tree.positions)
     leaf_index = itertools.count()
 
     def shape(node) -> tuple:
-        token = node.token
-        if token is None:
-            role = None
-        else:
+        if isinstance(node, Token):
             role = "structural" if next(leaf_index) in structural else "schema"
-        return (node.label, role,
-                None if token is None else (token.kind, token.text, token.pos),
-                tuple(shape(child) for child in node.children))
+            return ("tok", role, (node.kind, node.text, node.pos), ())
+        return (node.label, None, None, tuple(shape(child) for child in node.children))
 
     return shape(tree)
 

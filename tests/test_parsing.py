@@ -14,7 +14,9 @@ from sqlalign.errors import ParseError
 from sqlalign.parsing import (
     MAX_NESTING,
     Node,
+    Token,
     parse_sql,
+    query_tokens,
     tokenize,
 )
 from sqlalign.patterns import match_count_star
@@ -51,7 +53,8 @@ QUERY_ZOO = [
 
 
 def _leaves(tree):
-    return [n for n in tree.walk() if n.token is not None]
+    """What the walk yields that is not an inner node: the leaf tokens."""
+    return [n for n in tree.walk() if not isinstance(n, Node)]
 
 
 def _source_tokens(sql):
@@ -65,17 +68,43 @@ def _source_tokens(sql):
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_roundtrip_serialization(sql):
     # every token is exactly one leaf, in source order
-    assert [n.token for n in _leaves(parse_sql(sql))] == _source_tokens(sql)
+    assert _leaves(parse_sql(sql)) == _source_tokens(sql)
+
+
+def _check_leaves_are_the_tokens(sql):
+    toks = query_tokens(sql)
+    tree = parse_sql(sql, toks)
+    leaves = _leaves(tree)
+    # each leaf is the parsed list's own token, in order, END aside
+    assert len(leaves) == len(toks) - 1
+    assert all(leaf is tok for leaf, tok in zip(leaves, toks))
+    nodes = [n for n in tree.walk() if isinstance(n, Node)]
+    assert all(node.children for node in nodes)
+    # find_all by every label yields each inner node once, and no token
+    found = [n for label in {n.label for n in nodes} for n in tree.find_all(label)]
+    assert sorted(map(id, found)) == sorted(map(id, nodes))
+    assert not list(tree.find_all("tok"))
+
+
+@pytest.mark.parametrize("sql", QUERY_ZOO)
+def test_the_leaves_are_the_query_tokens_themselves(sql):
+    _check_leaves_are_the_tokens(sql)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       skeleton=st.sampled_from(corpusgen.SKELETONS + corpusgen.FAR_SKELETONS))
+def test_the_leaves_of_generated_queries_are_their_tokens(seed, skeleton):
+    _check_leaves_are_the_tokens(corpusgen.make_query(random.Random(seed), skeleton=skeleton))
 
 
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_every_token_has_exactly_one_role(sql):
-    # a leaf is structural when its index is in the root's positions, and a
-    # schema token otherwise: the positions are strictly increasing indices
-    # of leaves
+    # the positions are strictly increasing leaf indices: a leaf is
+    # structural when its index is among them, and a schema token otherwise
     tree = parse_sql(sql)
     leaves = _leaves(tree)
-    assert all(not node.children for node in leaves)
+    assert all(isinstance(leaf, Token) for leaf in leaves)
     positions = tree.positions
     assert all(0 <= i < len(leaves) for i in positions)
     assert all(a < b for a, b in zip(positions, positions[1:]))
@@ -85,7 +114,7 @@ def test_every_token_has_exactly_one_role(sql):
 
 def test_normalize_strips_comments_and_trailing_semicolons():
     sql = "SELECT a -- pick a\nFROM t /* the table */ ; ;"
-    leaves = [n.token for n in _leaves(parse_sql(sql))]
+    leaves = _leaves(parse_sql(sql))
     assert leaves == _source_tokens(sql)
     assert [tok.text for tok in leaves] == ["SELECT", "a", "FROM", "t"]
 
@@ -208,7 +237,7 @@ NESTERS = {
 
 def _outcome(sql):
     try:
-        leaves = [n.token for n in _leaves(parse_sql(sql))]
+        leaves = _leaves(parse_sql(sql))
     except ParseError as exc:
         return exc.message, exc.position
     assert leaves == _source_tokens(sql)
@@ -267,11 +296,12 @@ def test_prefix_operator_chains_do_not_count_as_nesting():
 @pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_find_all_returns_the_filtered_walk(sql):
     tree = parse_sql(sql)
-    labels = sorted({n.label for n in tree.walk()}) + ["no_such_label"]
-    for node in tree.walk():  # every subtree, the root included
+    nodes = [n for n in tree.walk() if isinstance(n, Node)]
+    labels = sorted({n.label for n in nodes}) + ["no_such_label"]
+    for node in nodes:  # every subtree, the root included
         for _ in range(2):  # the call that builds the index, then a cached one
             for label in labels:
-                expected = [n for n in node.walk() if n.label == label]
+                expected = [n for n in node.walk() if isinstance(n, Node) and n.label == label]
                 assert [id(n) for n in node.find_all(label)] == [id(n) for n in expected]
 
 
@@ -294,13 +324,13 @@ def test_nodes_compare_by_their_fields_and_are_unhashable():
     twin = parse_sql("SELECT  a FROM t")  # same tree, token positions aside
     assert tree != twin
     assert parse_sql("SELECT a FROM t") == tree
-    leaf = Node("tok", [], tokenize("a")[0])
-    assert leaf == Node("tok", token=tokenize("a")[0])
-    assert leaf != Node("tok", [], tokenize("b")[0])
-    assert Node("x").children == [] and Node("x").children is not Node("x").children
+    node = Node("col", [tokenize("a")[0]])
+    assert node == Node("col", tokenize("a"))
+    assert node != Node("col", tokenize("b"))
+    assert node != Node("lit", tokenize("a"))
     with pytest.raises(TypeError, match="unhashable"):
-        hash(leaf)
-    assert weakref.ref(leaf)() is leaf
+        hash(node)
+    assert weakref.ref(node)() is node
 
 
 def test_subquery_nodes_only_for_nested_selects():
@@ -315,4 +345,4 @@ def test_subquery_nodes_only_for_nested_selects():
        skeleton=st.sampled_from(corpusgen.SKELETONS + corpusgen.FAR_SKELETONS))
 def test_roundtrip_on_generated_queries(seed, skeleton):
     sql = corpusgen.make_query(random.Random(seed), skeleton=skeleton)
-    assert [n.token for n in _leaves(parse_sql(sql))] == _source_tokens(sql)
+    assert _leaves(parse_sql(sql)) == _source_tokens(sql)

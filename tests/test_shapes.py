@@ -20,6 +20,7 @@ from sqlalign.parsing import (
     LPAREN,
     NUMBER,
     OP,
+    PARAM,
     QIDENT,
     SHAPE_VOCABULARY,
     STRING,
@@ -29,6 +30,7 @@ from sqlalign.parsing import (
     shape_key,
     tokenize,
 )
+from sqlalign.patterns import DEFAULT_PATTERNS
 from sqlalign.templates import derive_template, templatize
 
 GOLDEN_PATH = Path(__file__).with_name("parser_golden.jsonl")
@@ -197,6 +199,43 @@ def test_a_mutated_query_gets_from_the_table_what_templatize_gives(data):
         for spelling in order:
             assert (outcome(lambda text: templatize(text, shapes), spelling)
                     == outcome(templatize, spelling))
+
+
+# -- the pattern-spec contract -----------------------------------------------
+
+# A schema word may spell a name that a default spec looks for.
+_SCHEMA_WORDS = st.one_of(_NAMES, st.sampled_from(["COUNT", "count", "Sum", "iif", "IIF", "max"]))
+_PARAMS = st.one_of(st.just("?"), _NAMES.map(":{}".format), _NAMES.map("@{}".format))
+_SCHEMA_TOKENS = {WORD: _SCHEMA_WORDS, NUMBER: _NUMBERS, STRING: _STRINGS, QIDENT: _QIDENTS,
+                  PARAM: _PARAMS}
+
+
+def _schema_renamed(data, sql):
+    """sql with every token outside its tree's positions and outside
+    SHAPE_VOCABULARY replaced by another token of its kind."""
+    tokens = query_tokens(sql)
+    structural = set(parse_sql(sql, tokens).positions)
+    parts, at = [], 0
+    for index, tok in enumerate(tokens[:-1]):
+        if index in structural or tok.upper in SHAPE_VOCABULARY or tok.kind not in _SCHEMA_TOKENS:
+            continue
+        parts += [sql[at:tok.pos], f" {data.draw(_SCHEMA_TOKENS[tok.kind])} "]
+        at = tok.pos + len(tok.text)
+    return "".join(parts) + sql[at:]
+
+
+def _pattern_ids(sql):
+    tree = parse_sql(sql)
+    return [spec.id for spec in DEFAULT_PATTERNS if spec.match(tree)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_default_patterns_read_no_schema_token(data):
+    sql = data.draw(st.sampled_from(PARSING_GOLDEN))
+    renamed = _schema_renamed(data, sql)
+    assert shape_key(query_tokens(renamed)) == shape_key(query_tokens(sql))
+    assert _pattern_ids(renamed) == _pattern_ids(sql)
 
 
 # -- parse counts --------------------------------------------------------------
