@@ -2,7 +2,9 @@
 
 Corpora arrive as JSON arrays, JSON-lines or CSV files of rows that hold at
 least a SQL string; the caller names the fields explicitly. Records keep an
-open metadata map with whatever other fields the row carried.
+open metadata map with whatever other fields the row carried. A corpus is
+named by its file's path, and every FormatError the loader raises carries
+that path and puts it first in its text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
@@ -77,76 +79,56 @@ class SampleSpec(FrozenValue):
         object.__setattr__(self, "seed", seed)
 
 
-def _iter_rows(path: Path, input_format: str):
-    """Yield (row_index, dict) pairs from a corpus file. Every format is
-    read as UTF-8, with or without a byte-order mark.
-
-    The JSON decoder raises ValueError for text that is not UTF-8 or not
-    JSON and for an integer over the interpreter's digit limit, and
-    RecursionError for nesting deeper than the stack; each is a
-    FormatError naming the file, as is every FormatError of a row."""
-    try:
-        yield from _read_rows(path, input_format)
-    except FormatError as exc:
-        raise _naming_file(exc, path)
-    except (ValueError, RecursionError, csv.Error) as exc:
-        raise FormatError(f"unreadable {input_format} file {path}: {exc}") from exc
-
-
-def _naming_file(error: FormatError, path: Path) -> FormatError:
-    """error, its text put after the file as the skipped-row warnings
-    put it: ``<path> row N: …``, or ``<path>: …`` when it names no row."""
-    error.args = (f"{path}{': ' if error.row is None else ' '}{error}",)
-    return error
+# The format each file extension implies; load_corpus needs input_format
+# for any other.
+_FORMATS = {".json": "json", ".jsonl": "jsonl", ".ndjson": "jsonl", ".csv": "csv"}
 
 
 def _read_rows(path: Path, input_format: str):
-    if input_format == "json":
-        with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise FormatError("expected a JSON array of objects")
-        for i, row in enumerate(data):
-            if not isinstance(row, dict):
-                raise FormatError("expected a JSON object", row=i)
-            yield i, row
-    elif input_format == "jsonl":
-        i = 0
-        with open(path, encoding="utf-8-sig") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"invalid JSON line: {exc}", row=i) from exc
+    """Yield (row_index, dict) pairs from a corpus file. Every format is
+    read as UTF-8, with or without a byte-order mark.
+
+    Each FormatError raised here names the file. The JSON decoder raises
+    ValueError for text that is not UTF-8 or not JSON and for an integer
+    over the interpreter's digit limit, and RecursionError for nesting
+    deeper than the stack; each is a FormatError too."""
+    try:
+        if input_format == "json":
+            with open(path, encoding="utf-8-sig") as fh:
+                data = json.load(fh)
+            if not isinstance(data, list):
+                raise FormatError("expected a JSON array of objects", path=path)
+            for i, row in enumerate(data):
                 if not isinstance(row, dict):
-                    raise FormatError("expected a JSON object", row=i)
+                    raise FormatError("expected a JSON object", row=i, path=path)
                 yield i, row
-                i += 1
-    elif input_format == "csv":
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise FormatError("CSV file has no header row")
-            for i, row in enumerate(reader):
-                if None in row:  # DictReader files surplus cells under the key None
-                    raise FormatError("more fields than the header", row=i)
-                yield i, row
-    else:
-        raise FormatError(f"unknown input format {input_format!r}")
-
-
-def _detect_format(path: Path) -> str:
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        return "json"
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise FormatError(
-        f"cannot infer format from {path.name!r}; pass input_format json, jsonl or csv")
+        elif input_format == "jsonl":
+            i = 0
+            with open(path, encoding="utf-8-sig") as fh:
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise FormatError(f"invalid JSON line: {exc}", row=i, path=path) from exc
+                    if not isinstance(row, dict):
+                        raise FormatError("expected a JSON object", row=i, path=path)
+                    yield i, row
+                    i += 1
+        elif input_format == "csv":
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None:
+                    raise FormatError("CSV file has no header row", path=path)
+                for i, row in enumerate(reader):
+                    if None in row:  # DictReader files surplus cells under the key None
+                        raise FormatError("more fields than the header", row=i, path=path)
+                    yield i, row
+        else:
+            raise FormatError(f"unknown input format {input_format!r}", path=path)
+    except (ValueError, RecursionError, csv.Error) as exc:
+        raise FormatError(f"unreadable {input_format} file: {exc}", path=path) from exc
 
 
 def _text_field(row: dict, name: str) -> str:
@@ -158,9 +140,11 @@ def _text_field(row: dict, name: str) -> str:
 
 
 def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
-                group_field: str | None = None, name: str | None = None,
-                input_format: str | None = None, skip_bad_rows: bool = False) -> Corpus:
-    """Load one corpus file into records.
+                group_field: str | None = None, input_format: str | None = None,
+                skip_bad_rows: bool = False) -> Corpus:
+    """Load one corpus file into records, in the format input_format names
+    or, without it, the one its extension implies. The corpus is named
+    str(path).
 
     A row missing the SQL field (or holding an empty one) raises
     FormatError naming the row; with skip_bad_rows the row is dropped
@@ -171,20 +155,23 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     null in every row) raises FormatError. All remaining row fields land in meta.
     """
     path = Path(path)
-    fmt = input_format or _detect_format(path)
+    fmt = input_format or _FORMATS.get(path.suffix.lower())
+    if fmt is None:
+        raise FormatError(f"cannot infer the format from the extension {path.suffix!r}; "
+                          "pass input_format json, jsonl or csv", path=path)
     records: list[CorpusRecord] = []
     skipped = 0
     claimed = {sql_field, question_field, group_field}
     unheld = [field for field in (question_field, group_field) if field]
-    for i, row in _iter_rows(path, fmt):
+    for i, row in _read_rows(path, fmt):
         sql = _text_field(row, sql_field)
         if not sql.strip():
-            if skip_bad_rows:
-                skipped += 1
-                warnings.warn(f"{path} row {i}: missing or empty field {sql_field!r}, skipped",
-                              stacklevel=2)
-                continue
-            raise _naming_file(FormatError(f"missing or empty field {sql_field!r}", row=i), path)
+            error = FormatError(f"missing or empty field {sql_field!r}", row=i, path=path)
+            if not skip_bad_rows:
+                raise error
+            skipped += 1
+            warnings.warn(f"{error}, skipped", stacklevel=2)
+            continue
         if unheld:
             unheld = [field for field in unheld if row.get(field) is None]
         records.append(CorpusRecord(
@@ -194,10 +181,10 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=2)
     if not records:
-        raise EmptyCorpusError(f"{path} contains no usable records")
+        raise EmptyCorpusError("contains no usable records", path=path)
     if unheld:
-        raise _naming_file(FormatError(f"no row holds field {unheld[0]!r}"), path)
-    return Corpus(name=name or str(path), records=tuple(records))
+        raise FormatError(f"no row holds field {unheld[0]!r}", path=path)
+    return Corpus(name=str(path), records=tuple(records))
 
 
 def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:

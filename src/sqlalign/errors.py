@@ -34,14 +34,18 @@ class EmptyTargetSetError(SqlAlignError):
 
 
 class FormatError(SqlAlignError):
-    """A corpus file or row is malformed. ``row`` is a 0-based record index
-    where one is known."""
+    """A corpus file or row is malformed. ``path`` is the file and ``row``
+    a 0-based record index, each where one is known; the text puts them
+    first: ``<path> row N: <message>``, or ``<path>: <message>``."""
 
-    def __init__(self, message: str, row: int | None = None):
-        prefix = f"row {row}: " if row is not None else ""
-        super().__init__(prefix + message)
+    def __init__(self, message: str, row: int | None = None, path=None):
+        text = message if row is None else f"row {row}: {message}"
+        if path is not None:
+            text = f"{path}{': ' if row is None else ' '}{text}"
+        super().__init__(text)
         self.message = message
         self.row = row
+        self.path = path
 
 
 class EmptyCorpusError(FormatError):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import eq
 from typing import Iterator, NamedTuple
 
 from ._value import Value
@@ -73,7 +74,9 @@ class Node(Value):
     """An inner node of a parse tree. Its children, one or more, are inner
     nodes and leaves: a leaf is one of the query's own Tokens. The root
     that ``parse_sql`` returns also has ``positions``, the indices of its
-    structural leaves. Nodes compare by both fields and are unhashable."""
+    structural leaves. Nodes compare by both fields and are unhashable.
+    Comparing and printing walk the tree with their own stack, as ``walk``
+    does, so a deep tree compares and prints like a shallow one."""
 
     _fields = ("label", "children")
     __slots__ = _fields + ("positions", "_label_index", "__weakref__")
@@ -81,6 +84,31 @@ class Node(Value):
     def __init__(self, label: str, children: list[Node | Token]):
         self.label = label
         self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # A pre-order walk that gives each node's child count fixes the
+        # tree, so two walks agree pair by pair exactly when the trees do.
+        return all(map(eq, map(_walk_key, self.walk()), map(_walk_key, other.walk())))
+
+    def __repr__(self) -> str:
+        parts = []
+        pending = []  # [children not yet printed, child count] per open node
+        for item in self.walk():
+            if pending:
+                if pending[-1][0] < pending[-1][1]:
+                    parts.append(", ")
+                pending[-1][0] -= 1
+            if isinstance(item, Node):
+                parts.append(f"{type(item).__name__}(label={item.label!r}, children=[")
+                pending.append([len(item.children)] * 2)
+            else:
+                parts.append(repr(item))
+            while pending and not pending[-1][0]:
+                pending.pop()
+                parts.append("])")
+        return "".join(parts)
 
     def walk(self) -> Iterator[Node | Token]:
         """Every inner node and leaf token in pre-order. The walk keeps its
@@ -113,6 +141,14 @@ class Node(Value):
             self._label_index = index
         found = index.get(label, ())
         return chain((self,), found) if self.label == label else iter(found)
+
+
+def _walk_key(item: Node | Token):
+    """What Node.__eq__ compares of one item of a walk: a node's class,
+    label and child count, or the leaf itself."""
+    if isinstance(item, Node):
+        return item.__class__, item.label, len(item.children)
+    return item
 
 
 # Each match is the whitespace and comments before one token, then the

@@ -165,8 +165,10 @@ def test_load_empty_file_raises_empty_corpus(tmp_path):
 def test_load_unknown_extension_needs_explicit_format(tmp_path):
     path = tmp_path / "c.dat"
     write_jsonl(path, [{"sql": "SELECT 1"}])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         load_corpus(path)
+    assert str(err.value) == (f"{path}: cannot infer the format from the extension '.dat'; "
+                              "pass input_format json, jsonl or csv")
     assert len(load_corpus(path, input_format="jsonl")) == 1
 
 
@@ -177,21 +179,31 @@ def test_load_rejects_non_array_json(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("name, data, message", [
-    ("c.json", '{"sql": "SELECT 1"}', ": expected a JSON array of objects"),
-    ("c.json", '[{"sql": "SELECT 1"}, 2]', " row 1: expected a JSON object"),
-    ("c.csv", "", ": CSV file has no header row"),
-    ("c.csv", "sql\nSELECT 1,2\n", " row 0: more fields than the header"),
-    ("c.jsonl", '{"sql": "SELECT 1"}\n{"sql": " "}\n', " row 1: missing or empty field 'sql'"),
-    ("b.jsonl", '\n{"sql": "SELECT 1"}\n\n  \n[1]\n', " row 1: expected a JSON object"),
+@pytest.mark.parametrize("name, data, fmt, row, message", [
+    ("c.json", '{"sql": "SELECT 1"}', None, None, ": expected a JSON array of objects"),
+    ("c.json", '[{"sql": "SELECT 1"}, 2]', None, 1, " row 1: expected a JSON object"),
+    ("c.csv", "", None, None, ": CSV file has no header row"),
+    ("c.csv", "sql\nSELECT 1,2\n", None, 0, " row 0: more fields than the header"),
+    ("c.jsonl", '{"sql": "SELECT 1"}\n{"sql": " "}\n', None, 1,
+     " row 1: missing or empty field 'sql'"),
+    ("b.jsonl", '\n{"sql": "SELECT 1"}\n\n  \n[1]\n', None, 1, " row 1: expected a JSON object"),
+    ("c.txt", '{"sql": "SELECT 1"}\n', None, None,
+     ": cannot infer the format from the extension '.txt'; pass input_format json, jsonl or csv"),
+    ("c.jsonl", "\n", None, None, ": contains no usable records"),
+    ("c.json", "[", None, None,
+     ": unreadable json file: Expecting value: line 1 column 2 (char 1)"),
+    ("c.jsonl", '{"sql": "SELECT 1"}\n', "xml", None, ": unknown input format 'xml'"),
 ], ids=["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
-        "row-without-sql", "jsonl-row-not-object-after-blank-lines"])
-def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, message):
+        "row-without-sql", "jsonl-row-not-object-after-blank-lines", "unknown-extension",
+        "empty-file", "undecodable-file", "unknown-input-format"])
+def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, fmt, row, message):
     path = tmp_path / name
     path.write_text(data, encoding="utf-8")
     with pytest.raises(FormatError) as err:
-        load_corpus(path)
+        load_corpus(path, input_format=fmt)
     assert str(err.value) == f"{path}{message}"
+    assert err.value.path == path
+    assert err.value.row == row
 
 
 _BIG_INT_ROW = b'{"sql": "SELECT a FROM t", "x": ' + b"7" * 5000 + b"}"

@@ -12,8 +12,8 @@ SAMPLES = {
     errors.ParseError: errors.ParseError("unexpected character", 7),
     errors.EmptyDistributionError: errors.EmptyDistributionError("no n-grams"),
     errors.EmptyTargetSetError: errors.EmptyTargetSetError("no targets"),
-    errors.FormatError: errors.FormatError("expected a JSON object", row=3),
-    errors.EmptyCorpusError: errors.EmptyCorpusError("no usable records"),
+    errors.FormatError: errors.FormatError("expected a JSON object", row=3, path="c.jsonl"),
+    errors.EmptyCorpusError: errors.EmptyCorpusError("contains no usable records", path="c.jsonl"),
     errors.SpecMismatchError: errors.SpecMismatchError("l_max differs"),
 }
 
@@ -37,7 +37,7 @@ def test_errors_survive_pickle_and_copy(error, clone):
     assert type(cloned) is type(error)
     assert str(cloned) == str(error)
     assert cloned.args == error.args
-    for attribute in ("message", "position", "row"):
+    for attribute in ("message", "position", "row", "path"):
         assert getattr(cloned, attribute, None) == getattr(error, attribute, None)
 
 

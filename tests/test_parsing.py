@@ -333,6 +333,60 @@ def test_nodes_compare_by_their_fields_and_are_unhashable():
     assert weakref.ref(node)() is node
 
 
+# Trees deeper than the interpreter's stack: a prefix chain, and the
+# left-deep chain of an ordinary sum.
+_DEEP_QUERIES = {"not-chain": ("SELECT " + "NOT " * 3000 + "1", "SELECT " + "NOT " * 3000 + "2"),
+                 "plus-chain": ("SELECT " + "a+" * 2999 + "a FROM t",
+                                "SELECT " + "a+" * 2999 + "b FROM t")}
+
+
+@pytest.mark.parametrize("sql, variant", _DEEP_QUERIES.values(), ids=_DEEP_QUERIES)
+def test_deep_trees_compare_and_print(sql, variant):
+    tree = parse_sql(sql)
+    assert tree == parse_sql(sql)
+    assert tree != parse_sql(variant)  # the one token that differs is the last leaf
+    text = repr(tree)
+    assert text.startswith("Node(label='query', children=[Node(label='select_stmt', children=[")
+    items = list(tree.walk())
+    assert text.count("Node(") == sum(isinstance(item, Node) for item in items)
+    assert text.count("Token(") == sum(isinstance(item, Token) for item in items)
+
+
+def _reference_repr(item):
+    if isinstance(item, Node):
+        children = ", ".join(map(_reference_repr, item.children))
+        return f"Node(label={item.label!r}, children=[{children}])"
+    return repr(item)
+
+
+def _reference_eq(a, b):
+    if isinstance(a, Node) or isinstance(b, Node):
+        return (type(a) is type(b) and a.label == b.label and len(a.children) == len(b.children)
+                and all(map(_reference_eq, a.children, b.children)))
+    return a == b
+
+
+def test_repr_and_equality_match_a_recursive_reference():
+    trees = [parse_sql(sql) for sql in QUERY_ZOO]
+    # the same queries with every token moved one character on
+    shifted = [parse_sql(" " + sql) for sql in QUERY_ZOO]
+    for i, tree in enumerate(trees):
+        assert repr(tree) == _reference_repr(tree)
+        subtrees = [item for item in tree.walk() if isinstance(item, Node)]
+        others = [parse_sql(QUERY_ZOO[i]), shifted[i], trees[i - 1], subtrees[-1],
+                  *[item for item in parse_sql(QUERY_ZOO[i]).walk() if isinstance(item, Node)]]
+        for node in subtrees:
+            for other in others:
+                assert (node == other) == _reference_eq(node, other)
+                assert (node != other) != _reference_eq(node, other)
+    # a walk that is a prefix of another, and the same walk grouped two ways
+    a, b = tokenize("a b")
+    for node, other in [(Node("x", [a]), Node("x", [a, b])),
+                        (Node("x", [Node("y", [a]), b]), Node("x", [Node("y", [a, b])]))]:
+        assert node != other and other != node
+        assert not _reference_eq(node, other)
+
+
 def test_subquery_nodes_only_for_nested_selects():
     assert not list(parse_sql("SELECT a FROM t").find_all("subquery"))
     assert list(parse_sql("SELECT a FROM (SELECT a FROM t) s").find_all("subquery"))
