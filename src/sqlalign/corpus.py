@@ -275,13 +275,15 @@ def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see
     map_distinct_sql): a string templated for an earlier corpus of the run
-    is not parsed again, and the shape table under ``"shapes"`` (see
-    templates.templatize) serves every corpus of the run. Without a memo
-    both serve this call only. The result is the same with or without it.
+    is not parsed again, and the shape table under ``"shapes"`` and the
+    lexicon under ``"lexicon"`` (see templates.templatize) serve every
+    corpus of the run. Without a memo each serves this call only. The
+    result is the same with or without it.
     """
     shapes = {} if memo is None else memo.setdefault("shapes", {})
+    lexicon = {} if memo is None else memo.setdefault("lexicon", {})
     templates, failures = map_distinct_sql(
-        corpus, lambda sql: templatize(sql, shapes), memo, "templates")
+        corpus, lambda sql: templatize(sql, shapes, lexicon), memo, "templates")
     if not templates:
         raise EmptyDistributionError(f"{corpus.name}: none of its {len(corpus)} records parsed")
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)

@@ -22,6 +22,11 @@ The parser's path through a query depends only on its shape (see
 ``shape_key``): queries of one shape have their template tokens at the
 same token indices.
 
+A token holds its kind and text and no offset, so one ``Token`` serves
+every occurrence of its text: ``tokenize`` takes a lexicon, a dict from
+token text to its Token, and a call given one adds the texts it meets
+first. An error finds its offset by scanning the text again.
+
 Tokens are immutable. A tree is not changed after ``parse_sql`` returns
 it, except that ``Node.find_all`` caches an index on the node it is called
 on. ``parse_sql`` is a pure function and safe to call concurrently.
@@ -30,7 +35,7 @@ on. ``parse_sql`` is a pure function and safe to call concurrently.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, islice
 from operator import eq
 from typing import Iterator, NamedTuple
 
@@ -54,9 +59,11 @@ END = "end"  # the sentinel parse_sql puts after the last source token
 
 
 class Token(NamedTuple):
-    """One source token. ``upper`` is a word's text uppercased once, at
-    construction, and any other token's text as is: keywords are matched
-    and written into templates in this form.
+    """One token text, with its kind. ``upper`` is a word's text uppercased
+    once, at construction, and any other token's text as is: keywords are
+    matched and written into templates in this form. A Token holds no
+    offset, as one Token stands for every occurrence of its text;
+    ``token_offsets`` gives the offsets of a text's tokens.
 
     A string, quoted identifier or parameter keeps its quote or sigil in
     ``upper``, and numbers and punctuation cannot spell a word, so
@@ -66,7 +73,6 @@ class Token(NamedTuple):
 
     kind: str
     text: str
-    pos: int
     upper: str
 
 
@@ -155,12 +161,13 @@ def _walk_key(item: Node | Token):
 # token: one alternative per token kind, named after it. Skipping comes
 # first and the first alternative that matches wins, so "--" starts a
 # comment before it is two minus signs. The next to last alternative,
-# ``bad``, takes any character the others do not, so a finditer scan never
-# skips text and a ``bad`` match is a tokenizing error; the last matches
-# only at the end of the text, after trailing whitespace, and holds no
-# token. A quoted literal ends at the first quote that is not doubled: the
-# (?!') and (?!") guards stop the regex from backtracking to an earlier,
-# shorter literal when no such quote exists.
+# ``bad``, takes the rest of the text from a character the others do not
+# match, so a finditer scan never skips text and a ``bad`` match is a
+# tokenizing error; the last matches only at the end of the text, after
+# trailing whitespace, and holds no token. A quoted literal ends at the
+# first quote that is not doubled: the (?!') and (?!") guards stop the
+# regex from backtracking to an earlier, shorter literal when no such
+# quote exists.
 _TOKEN_RE = re.compile(r"""
     (?: \s+ | --[^\n]* | /\*.*?\*/ )*
     (?: (?P<string> '[^']*(?:''[^']*)*'(?!') )
@@ -170,39 +177,76 @@ _TOKEN_RE = re.compile(r"""
       | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
       | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
       | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
-      | (?P<bad> . )
+      | (?P<bad> .+ )
       | \Z )
 """, re.VERBOSE | re.DOTALL)
+
+
+def _texts_only(token_re: re.Pattern) -> re.Pattern:
+    """The scan of token_re for token texts alone: its named groups become
+    non-capturing, and the alternatives before the last, ``\\Z``, one
+    capturing group. ``findall`` then returns the text of every token, and
+    after them one or two "" from the ``\\Z`` alternative."""
+    pattern = token_re.pattern
+    first, last = pattern.index("(?P<"), pattern.rindex("| \\Z")
+    kinds = re.sub(r"\(\?P<\w+>", "(?:", pattern[first:last])
+    return re.compile(f"{pattern[:first]}({kinds}){pattern[last:]}", token_re.flags)
+
+
+_TEXT_RE = _texts_only(_TOKEN_RE)
 
 # What an opening character that no other alternative matched leaves open.
 _UNTERMINATED = {"'": "string literal", '"': "quoted identifier",
                  "`": "quoted identifier", "[": "bracketed identifier",
                  "/": "block comment"}
 
-# Builds a Token from one (kind, text, pos, upper) tuple without the
-# Python-level call that Token(...) makes; tokenize builds one per token.
+# Builds a Token from one (kind, text, upper) tuple without the
+# Python-level call that Token(...) makes.
 _new_token = tuple.__new__
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split SQL text into tokens, dropping comments and whitespace."""
-    toks: list[Token] = []
-    append = toks.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # trailing whitespace and comments
-            continue
-        tok = m[kind]
-        if kind == WORD:
-            append(_new_token(Token, (WORD, tok, m.start(kind), tok.upper())))
-        elif kind == "bad":
-            pos = m.start(kind)
-            if tok in _UNTERMINATED:
-                raise ParseError(f"unterminated {_UNTERMINATED[tok]}", pos)
-            raise ParseError(f"unexpected character {tok!r}", pos)
-        else:
-            append(_new_token(Token, (kind, tok, m.start(kind), tok)))
-    return toks
+def token_offsets(text: str) -> list[int]:
+    """The source offset of each token of tokenize(text): a Token holds
+    none, so this scans the text again. Where the text does not tokenize,
+    the last offset is that of its error."""
+    return [m.start(1) for m in _TEXT_RE.finditer(text) if m.start(1) >= 0]
+
+
+def _lexeme(token_text: str, text: str) -> Token:
+    """The Token of one token text of ``text``. A token's kind depends on
+    its text alone: a ``bad`` match runs to the end of the text, so the
+    one alternative whose guard looks past its token, a "/" before "*",
+    cannot make a text ``bad`` in one place and an operator in another."""
+    kind = _TOKEN_RE.match(token_text).lastgroup
+    if kind == "bad":
+        pos = token_offsets(text)[-1]  # a bad match ends the scan
+        if text[pos] in _UNTERMINATED:
+            raise ParseError(f"unterminated {_UNTERMINATED[text[pos]]}", pos)
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    return _new_token(Token, (kind, token_text,
+                              token_text.upper() if kind == WORD else token_text))
+
+
+def tokenize(text: str, lexicon: dict[str, Token] | None = None) -> list[Token]:
+    """Split SQL text into tokens, dropping comments and whitespace.
+
+    ``lexicon`` maps token texts to their Tokens: a text found there is
+    not classified again, and a new one is added, so a lexicon that calls
+    share holds one Token per distinct text. Without one, the call uses
+    its own."""
+    texts = _TEXT_RE.findall(text)
+    texts.pop()  # the \Z alternative's match at the end of the text
+    if texts and not texts[-1]:
+        texts.pop()  # and its match after trailing whitespace and comments
+    if lexicon is None:
+        lexicon = {}
+    try:
+        return [lexicon[token_text] for token_text in texts]
+    except KeyError:
+        for token_text in texts:
+            if token_text not in lexicon:
+                lexicon[token_text] = _lexeme(token_text, text)
+        return [lexicon[token_text] for token_text in texts]
 
 
 # Words that can never begin an expression or name a table/alias.
@@ -272,8 +316,9 @@ MAX_NESTING = 32
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens  # ends with the END sentinel
+    def __init__(self, text: str, tokens: list[Token]):
+        self.text = text
+        self.toks = tokens  # query_tokens(text): ends with the END sentinel
         self.i = 0
         self.tok = tokens[0]  # always toks[i]
         self.depth = 0  # open nesting levels, at most MAX_NESTING
@@ -287,11 +332,19 @@ class _Parser:
         """The token k places after the current one."""
         return self.toks[self.i + k]
 
+    def _offset(self) -> int:
+        """The current token's offset in the text, found by scanning it
+        again up to the token: the scan's i-th match is the i-th token.
+        The END sentinel's is the text's length."""
+        if self.tok.kind == END:
+            return len(self.text)
+        return next(islice(_TEXT_RE.finditer(self.text), self.i, None)).start(1)
+
     def _error(self, message: str) -> None:
         tok = self.tok
         if tok.kind == END:
-            raise ParseError(message, tok.pos)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.pos)
+            raise ParseError(message, self._offset())
+        raise ParseError(f"{message}, found {tok.text!r}", self._offset())
 
     def _at_name(self, stop: frozenset[str] = frozenset()) -> bool:
         """At a quoted identifier or at a word outside ``stop``."""
@@ -303,7 +356,7 @@ class _Parser:
         ``depth`` once its node is built."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("query nests too deeply", self.tok.pos)
+            raise ParseError("query nests too deeply", self._offset())
 
     def _struct(self) -> Token:
         """The current token as a structural leaf: its index is added to
@@ -812,16 +865,19 @@ class _Parser:
         return Node("col", ch)
 
 
-def query_tokens(text: str) -> list[Token]:
+_END = Token(END, "", "")
+
+
+def query_tokens(text: str, lexicon: dict[str, Token] | None = None) -> list[Token]:
     """The tokens that parse_sql parses: those of the text without its
     trailing semicolons, then the END sentinel. Text with no tokens raises
-    ParseError."""
-    toks = tokenize(text)
+    ParseError. ``lexicon`` is tokenize's."""
+    toks = tokenize(text, lexicon)
     while toks and toks[-1].kind == SEMI:
         toks.pop()
     if not toks:
         raise ParseError("query contains no tokens", 0)
-    toks.append(Token(END, "", len(text), ""))
+    toks.append(_END)
     return toks
 
 
@@ -832,7 +888,7 @@ def shape_key(tokens: list[Token]) -> tuple[str, ...]:
     so two queries of one shape take one path through it: both parse, with
     their template tokens at the same positions, or both fail."""
     vocabulary = SHAPE_VOCABULARY
-    return tuple([upper if upper in vocabulary else kind for kind, _, _, upper in tokens])
+    return tuple([upper if upper in vocabulary else kind for kind, _, upper in tokens])
 
 
 def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:
@@ -848,8 +904,8 @@ def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:
     catch it and record the failure.
     """
     toks = query_tokens(text) if tokens is None else tokens
-    parser = _Parser(toks)
+    parser = _Parser(text, toks)
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("query nests too deeply", parser.tok.pos) from None
+        raise ParseError("query nests too deeply", parser._offset()) from None

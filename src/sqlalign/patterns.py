@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 from ._value import Value
 from .corpus import Corpus, map_distinct_sql
 from .errors import SpecMismatchError
-from .parsing import Node, parse_sql
+from .parsing import Node, parse_sql, query_tokens, shape_key
 
 
 def _func_name(node: Node) -> str:
@@ -111,8 +111,10 @@ def match_subquery(tree: Node) -> bool:
 
 class PatternSpec(NamedTuple):
     """``match`` takes the root Node that parse_sql returns, whose leaves
-    are the query's Tokens. A spec reads node labels and the tokens at the
-    root's ``positions`` and never a schema leaf, as the default specs do."""
+    are the query's Tokens. A spec reads node labels and the ``kind`` and
+    ``upper`` of the tokens at the root's ``positions``, never their
+    ``text`` and never a schema leaf, as the default specs do:
+    count_patterns matches one tree per query shape and template."""
     id: str
     match: Callable[[Node], bool]
 
@@ -143,22 +145,44 @@ class PatternCounts(Value):
 
 def count_patterns(corpus: Corpus, specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
                    memo: dict | None = None) -> PatternCounts:
-    """Count the records that match each spec, parsing and matching each
-    distinct SQL string once.
+    """Count the records that match each spec, matching each distinct SQL
+    string once and parsing it only when its shape or template is new.
+
+    A query's shape_key fixes its tree's labels and ``positions``, and
+    its template tokens the ``upper`` of the tokens there: all that a
+    PatternSpec reads. So the ids are kept per (shape key, template), and
+    a query takes the positions from the shape table and its ids from
+    that table without a parse. A parse fills both tables; a failure is
+    kept in neither, so a string that fails is parsed again.
 
     ``memo`` is a run memo shared with the other calls of one run (see
-    map_distinct_sql): a string matched against the same specs for an
-    earlier corpus is not parsed again. The memo keeps the matching ids,
-    never the tree, and the counts are the same with or without it.
+    map_distinct_sql and templatize_corpus): it holds the ids per string
+    and per key, the shape table and the lexicon, never a tree, and the
+    counts are the same with or without it.
     """
     specs = tuple(specs)
     ids = [spec.id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("pattern ids must be unique")
+    shapes = {} if memo is None else memo.setdefault("shapes", {})
+    lexicon = {} if memo is None else memo.setdefault("lexicon", {})
+    by_key = {} if memo is None else memo.setdefault(("pattern keys", specs), {})
 
     def matching_ids(sql: str) -> tuple[str, ...]:
-        tree = parse_sql(sql)
-        return tuple(spec.id for spec in specs if spec.match(tree))
+        tokens = query_tokens(sql, lexicon)
+        shape = shape_key(tokens)
+        positions = shapes.get(shape)
+        tree = None
+        if positions is None:
+            tree = parse_sql(sql, tokens)
+            positions = shapes[shape] = tree.positions
+        key = shape, tuple([tokens[i].upper for i in positions])
+        found = by_key.get(key)
+        if found is None:
+            if tree is None:
+                tree = parse_sql(sql, tokens)
+            found = by_key[key] = tuple(spec.id for spec in specs if spec.match(tree))
+        return found
 
     counts = {spec.id: 0 for spec in specs}
     results, failures = map_distinct_sql(corpus, matching_ids, memo, ("patterns", specs))

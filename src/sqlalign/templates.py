@@ -39,7 +39,8 @@ def derive_template(tree: Node) -> StructuralTemplate:
     return StructuralTemplate(tuple([leaves[i].upper for i in positions]))
 
 
-def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
+def templatize(query: str, shapes: dict | None = None,
+               lexicon: dict | None = None) -> StructuralTemplate:
     """Parse a query and derive its structural template in one step.
 
     ``shapes`` is a shape table that calls share: a dict that maps the
@@ -47,11 +48,12 @@ def templatize(query: str, shapes: dict | None = None) -> StructuralTemplate:
     Each query takes its template from its own tokens at the positions of
     its shape; a query whose key is there does so without a parse, so each
     shape is parsed once. A failure is not kept: a string that fails is
-    parsed again and keeps its own message and offset.
+    parsed again and keeps its own message and offset. ``lexicon`` is
+    tokenize's, used with a shape table.
     """
     if shapes is None:
         return derive_template(parse_sql(query))
-    tokens = query_tokens(query)
+    tokens = query_tokens(query, lexicon)
     key = shape_key(tokens)
     positions = shapes.get(key)
     if positions is None:

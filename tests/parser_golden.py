@@ -26,7 +26,7 @@ import random
 from pathlib import Path
 
 from sqlalign.errors import ParseError
-from sqlalign.parsing import Token, parse_sql, tokenize
+from sqlalign.parsing import Token, parse_sql, token_offsets, tokenize
 from sqlalign.patterns import DEFAULT_PATTERNS
 from sqlalign.templates import derive_template
 
@@ -61,20 +61,22 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
 
 
-def _shape(tree) -> tuple:
+def _shape(tree, offsets: list[int]) -> tuple:
     """The tree as nested tuples, each node with a role: "structural" for
     a leaf whose index among the leaves is in the root's ``positions``,
     "schema" for any other leaf and None for an inner node. So the digest
     pins which leaves the positions mark. A leaf token has the tuple of
-    the "tok" leaf nodes that trees once had, so the recorded digests
-    still hold."""
+    the "tok" leaf nodes that trees once had, with its offset from
+    ``offsets``, the text's token_offsets, so the recorded digests still
+    hold."""
     structural = set(tree.positions)
     leaf_index = itertools.count()
 
     def shape(node) -> tuple:
         if isinstance(node, Token):
-            role = "structural" if next(leaf_index) in structural else "schema"
-            return ("tok", role, (node.kind, node.text, node.pos), ())
+            index = next(leaf_index)
+            role = "structural" if index in structural else "schema"
+            return ("tok", role, (node.kind, node.text, offsets[index]), ())
         return (node.label, None, None, tuple(shape(child) for child in node.children))
 
     return shape(tree)
@@ -85,7 +87,8 @@ def record(sql: str) -> dict:
     than ParseError, which the parser should never raise."""
     out: dict = {"sql": sql}
     try:
-        out["tokens"] = _digest([(t.kind, t.text, t.pos) for t in tokenize(sql)])
+        out["tokens"] = _digest([(t.kind, t.text, pos)
+                                 for t, pos in zip(tokenize(sql), token_offsets(sql), strict=True)])
     except ParseError:
         pass
     except Exception as exc:  # recorded, not hidden
@@ -95,7 +98,7 @@ def record(sql: str) -> dict:
         tree = parse_sql(sql)
         out["template"] = derive_template(tree).canonical_text
         out["patterns"] = [spec.id for spec in DEFAULT_PATTERNS if spec.match(tree)]
-        out["tree"] = _digest(_shape(tree))
+        out["tree"] = _digest(_shape(tree, token_offsets(sql)))
     except ParseError as exc:
         out["error"] = str(exc)
     except Exception as exc:

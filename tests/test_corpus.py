@@ -531,8 +531,10 @@ def test_views_in_one_memo_do_not_mix():
     assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
     assert _patterns_view(corpus, other_specs, memo) == _patterns_view(corpus, other_specs)
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-    assert len(memo) == 4  # two pattern views, the templates view and its shape table
-    assert "shapes" in memo
+    # per spec set, a table by string and one by (shape, template); the
+    # templates view; and the shape table and the lexicon that all share
+    assert len(memo) == 7
+    assert {"templates", "shapes", "lexicon"} <= memo.keys()
 
 
 def test_the_memo_keeps_no_tree(monkeypatch):
@@ -548,20 +550,24 @@ def test_the_memo_keeps_no_tree(monkeypatch):
     monkeypatch.setattr(templates, "parse_sql", tracked(templates.parse_sql))
     monkeypatch.setattr(patterns, "parse_sql", tracked(patterns.parse_sql))
     # The last two strings have the shape of the second, so the shape table
-    # serves both without a parse.
+    # serves both without a parse in the templates view. The patterns view
+    # parses the fourth for its new template, and the fifth not at all.
     corpus = make_corpus(["SELECT a FROM t WHERE b IN (SELECT c FROM u)",
                           "SELECT COUNT(*) FROM t", "SELECT broken FROM",
-                          "SELECT MAX(*) FROM u", "SELECT SUM(*) FROM v"])
+                          "SELECT MAX(*) FROM u", "SELECT count(*) FROM v"])
     memo = {}
     gc.disable()
     try:
         templatize_corpus(corpus, memo=memo)
         count_patterns(corpus, memo=memo)
-        assert len(refs) == 6  # the failing string leaves no tree, the last two no parse
-        assert [ref() for ref in refs] == [None] * 6
+        assert len(refs) == 5  # 2 for the templates, 3 for the patterns; failures leave none
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
-    assert len(memo) == 3
+    assert len(memo) == 5
+    # The id table keeps pattern ids, and no tree.
+    assert sorted(memo[("pattern keys", DEFAULT_PATTERNS)].values()) == [
+        (), ("count_star",), ("subquery",)]
     # The shape table keeps token positions, and no tree.
     shapes = memo["shapes"]
     assert shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))] == (0, 1, 2, 3, 4, 5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from sqlalign import parsing
 from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.parsing import (
@@ -17,6 +18,7 @@ from sqlalign.parsing import (
     Token,
     parse_sql,
     query_tokens,
+    token_offsets,
     tokenize,
 )
 from sqlalign.patterns import match_count_star
@@ -121,8 +123,10 @@ def test_normalize_strips_comments_and_trailing_semicolons():
 
 def test_tokenize_positions_point_into_source():
     sql = "SELECT a FROM t"
-    for tok in tokenize(sql):
-        assert sql[tok.pos : tok.pos + len(tok.text)] == tok.text
+    offsets = token_offsets(sql)
+    assert offsets == [0, 7, 9, 14]
+    for tok, pos in zip(tokenize(sql), offsets, strict=True):
+        assert sql[pos : pos + len(tok.text)] == tok.text
 
 
 # What may lie between two tokens: whitespace and comments, nothing else.
@@ -138,12 +142,12 @@ def test_tokens_cover_the_text_apart_from_whitespace_and_comments(text):
     except ParseError:
         return
     last_pos, end = -1, 0  # the previous token's start and end
-    for tok in toks:
-        assert last_pos < tok.pos and end <= tok.pos
-        assert text[tok.pos : tok.pos + len(tok.text)] == tok.text
-        assert _GAP_RE.fullmatch(text, end, tok.pos), (text[end:tok.pos], tok)
+    for tok, pos in zip(toks, token_offsets(text), strict=True):
+        assert last_pos < pos and end <= pos
+        assert text[pos : pos + len(tok.text)] == tok.text
+        assert _GAP_RE.fullmatch(text, end, pos), (text[end:pos], tok)
         assert tok.upper == (tok.text.upper() if tok.kind == "word" else tok.text)
-        last_pos, end = tok.pos, tok.pos + len(tok.text)
+        last_pos, end = pos, pos + len(tok.text)
     assert _GAP_RE.fullmatch(text, end), text[end:]
 
 
@@ -225,6 +229,87 @@ def test_rarely_taken_error_branches_name_the_token(sql, message):
     assert str(err.value) == message
 
 
+# Each error keeps the message and offset it had when every token held
+# its own offset. A token text repeats in most of them, and "/" is an
+# operator in one query and opens an unterminated comment in another.
+_ERRORS = [
+    ("SELECT a FROM t t t", "unexpected token after end of query, found 't'", 18),
+    ("SELECT a, a FROM a a a", "unexpected token after end of query, found 'a'", 21),
+    ("SELECT a FROM ; ;", "expected table name", 17),  # END: the text's length
+    ("SELECT a FROM t WHERE", "unexpected end of query", 21),
+    ("SELECT " + "(" * 33 + "1" + ")" * 33, "query nests too deeply", 38),
+    ("SELECT 'abc FROM t", "unterminated string literal", 7),
+    ('SELECT "a FROM t', "unterminated quoted identifier", 7),
+    ("SELECT a FROM [t", "unterminated bracketed identifier", 14),
+    ("SELECT a /* x", "unterminated block comment", 9),
+    ("SELECT a /* x */ FROM t /* y", "unterminated block comment", 24),
+    ("SELECT a / b FROM t WHERE c = 1 /*", "unterminated block comment", 32),
+    ("SELECT a FROM t WHERE b = $1", "unexpected character '$'", 26),
+    ("SELECT ²  ", "unexpected character '²'", 7),
+    (";", "query contains no tokens", 0),
+]
+
+
+@pytest.mark.parametrize("sql, message, position", _ERRORS)
+def test_an_error_keeps_its_message_and_offset(sql, message, position):
+    lexicon = {}
+    for warm in ("SELECT a / b, 'x', [c] FROM t WHERE d = 1", sql, sql):
+        try:
+            parse_sql(warm, query_tokens(warm, lexicon))
+        except ParseError as exc:
+            assert warm == sql and (exc.message, exc.position) == (message, position)
+        else:
+            assert warm != sql
+    assert all(tok.kind != "bad" for tok in lexicon.values())
+
+
+def _fresh_scan(text):
+    """(kind, text, upper) per token and the token offsets, by a finditer
+    scan of _TOKEN_RE, or the (message, position) of its error."""
+    tokens, offsets = [], []
+    for m in parsing._TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            pos = m.start(kind)
+            opened = parsing._UNTERMINATED.get(text[pos])
+            return (f"unterminated {opened}" if opened
+                    else f"unexpected character {text[pos]!r}"), pos
+        if kind is not None:
+            token = m[kind]
+            tokens.append((kind, token, token.upper() if kind == "word" else token))
+            offsets.append(m.start(kind))
+    return tokens, offsets
+
+
+# Token texts and pieces of them, joined with no space between, so that
+# they also run together, open literals and comments, and close them.
+_LEXEMES = st.sampled_from([
+    "SELECT", "from", "a", "B_1$", "COUNT", "(", ")", ",", ".", ";", "*", "/", "/*", "*/",
+    "--", "\n", " ", "'", "''", "'x'", '"', '"q"', "`", "`b`", "[", "]", "1", "2.5", ".5",
+    "1e3", "e", "?", ":p", "@v", ":", "=", "<", ">", "!", "|", "||", "-", "+", "%", "~",
+    "$", "²", " ", "\t"])
+_WARM_LEXICON = {}
+for _sql in QUERY_ZOO + ["SELECT a / b, * FROM t -- x", "SELECT 'it''s' FROM t"]:
+    tokenize(_sql, _WARM_LEXICON)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LEXEMES, max_size=16).map("".join))
+def test_a_shared_lexicon_tokenizes_as_a_fresh_scan(text):
+    expected = _fresh_scan(text)
+    for lexicon in (_WARM_LEXICON, None):
+        try:
+            tokens = tokenize(text, lexicon)
+        except ParseError as exc:
+            assert (exc.message, exc.position) == expected
+            continue
+        assert [(t.kind, t.text, t.upper) for t in tokens] == expected[0]
+        assert token_offsets(text) == expected[1]
+        if lexicon is not None:
+            assert all(lexicon[t.text] is t for t in tokens)  # one Token per text
+    assert all(tok.kind != "bad" for tok in _WARM_LEXICON.values())
+
+
 # Query builders that nest one construct n levels deep.
 NESTERS = {
     "parens": lambda n: "SELECT " + "(" * n + "1" + ")" * n,
@@ -271,7 +356,7 @@ def test_a_recursion_error_is_reported_as_nesting_too_deep():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
-        with pytest.raises(ParseError, match="^query nests too deeply"):
+        with pytest.raises(ParseError, match="^query nests too deeply") as err:
             parse_sql(sql)
         memo = {}
         corpus = Corpus(name="c", records=(CorpusRecord(sql=sql),
@@ -279,6 +364,8 @@ def test_a_recursion_error_is_reported_as_nesting_too_deep():
         result = templatize_corpus(corpus, memo=memo)
     finally:
         sys.setrecursionlimit(limit)
+    # the offset is that of the token the parser had reached: a "("
+    assert err.value.position in token_offsets(sql) and sql[err.value.position] == "("
     assert [i for i, _ in result.failures] == [0]
     assert result.failures[0][1].startswith("query nests too deeply")
     stored = memo["templates"][sql]
@@ -321,9 +408,9 @@ def test_find_all_index_keeps_no_reference_cycle():
 
 def test_nodes_compare_by_their_fields_and_are_unhashable():
     tree = parse_sql("SELECT a FROM t")
-    twin = parse_sql("SELECT  a FROM t")  # same tree, token positions aside
-    assert tree != twin
-    assert parse_sql("SELECT a FROM t") == tree
+    assert parse_sql("SELECT  a  FROM t") == tree  # tokens hold no offsets
+    assert parse_sql("select a from t") != tree  # but their text
+    assert parse_sql("SELECT b FROM t") != tree
     node = Node("col", [tokenize("a")[0]])
     assert node == Node("col", tokenize("a"))
     assert node != Node("col", tokenize("b"))

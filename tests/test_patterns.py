@@ -1,8 +1,15 @@
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpusgen
+from sqlalign import patterns
 from sqlalign.corpus import Corpus, CorpusRecord
-from sqlalign.errors import SpecMismatchError
-from sqlalign.parsing import parse_sql
+from sqlalign.errors import ParseError, SpecMismatchError
+from sqlalign.parsing import parse_sql, query_tokens, shape_key
 from sqlalign.patterns import (
     DEFAULT_PATTERNS,
     PatternCounts,
@@ -165,3 +172,121 @@ def test_pattern_specs_compare_and_hash_by_their_fields_and_are_frozen():
     counts = PatternCounts("c", {"count_star": 1})
     assert counts == PatternCounts("c", {"count_star": 1}, parse_failures=0)
     assert counts != PatternCounts("c", {"count_star": 1}, parse_failures=1)
+
+
+# -- one parse per shape and template ------------------------------------------
+
+def _ids_through(memo, sql):
+    """The ids count_patterns finds for sql alone, with a shared memo, or
+    "error" for a parse failure."""
+    counted = count_patterns(Corpus("one", (CorpusRecord(sql),)), memo=memo)
+    if counted.parse_failures:
+        return "error"
+    return [pattern_id for pattern_id, n in counted.counts.items() if n]
+
+
+def _fresh_ids(sql):
+    try:
+        tree = parse_sql(sql)
+    except ParseError:
+        return "error"
+    return [spec.id for spec in DEFAULT_PATTERNS if spec.match(tree)]
+
+
+def test_every_golden_input_gets_its_pattern_ids_through_one_memo():
+    with open(Path(__file__).with_name("parser_golden.jsonl"), encoding="utf-8") as fh:
+        golden = [json.loads(line) for line in fh]
+    memo = {}
+    checked = 0
+    for record in golden:
+        if not record["sql"].strip():
+            continue
+        expected = record["patterns"] if "patterns" in record else "error"
+        assert _ids_through(memo, record["sql"]) == expected, record["sql"]
+        checked += 1
+    assert checked > 4000
+    assert len(memo[("pattern keys", DEFAULT_PATTERNS)]) < checked
+
+
+def _any_case(name):
+    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda flags: "".join(c.upper() if up else c.lower() for c, up in zip(name, flags)))
+
+
+_FUNCTIONS = st.sampled_from(["COUNT", "SUM", "IIF", "MAX"]).flatmap(_any_case)
+_ARGUMENTS = st.sampled_from(["*", "a", "t.a", "DISTINCT a", "1", "'x'", "?", "a + 1"])
+_LITERALS = st.sampled_from(["1", "2.5", "'x'", "''", "?", ":p", "NULL", "b"])
+# One shape per skeleton and choice of argument and literal kinds, and
+# the function names vary within it. Arguments of different kinds can
+# give one template: COUNT(a) and COUNT(1) both give COUNT ( ).
+_SKELETONS = st.sampled_from([
+    "SELECT {f}({x}) FROM t WHERE a = {v}",
+    "SELECT b, {f}({x}) FROM t GROUP BY b HAVING {g}({y}) > {v}",
+    "SELECT {f}({x}), {g}({y}) FROM t UNION SELECT {f}({x}), {g}({y}) FROM u",
+    "SELECT {f}(CASE WHEN a > {v} THEN {x} ELSE 0 END) FROM t",
+    "SELECT a FROM t WHERE b IN (SELECT {f}({x}) FROM u WHERE c = {v})",
+    "SELECT {f}(a > {v}, {x}, {y}) FROM t",
+    "SELECT {f}({x} FROM t",
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_queries_of_one_shape_get_the_ids_of_a_fresh_parse(data):
+    skeleton = data.draw(_SKELETONS)
+    x, y, v = data.draw(_ARGUMENTS), data.draw(_ARGUMENTS), data.draw(_LITERALS)
+    sqls = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        if data.draw(st.booleans()):  # another shape, or the same
+            x, y, v = data.draw(_ARGUMENTS), data.draw(_ARGUMENTS), data.draw(_LITERALS)
+        sqls.append(skeleton.format(f=data.draw(_FUNCTIONS), g=data.draw(_FUNCTIONS),
+                                    x=x, y=y, v=v))
+    memo = {}
+    for sql in sqls:
+        assert _ids_through(memo, sql) == _fresh_ids(sql), sql
+
+
+def test_one_template_in_two_shapes_keeps_the_ids_of_each():
+    memo = {}
+    assert _ids_through(memo, "SELECT COUNT(a) FROM t") == ["count_attr"]
+    assert _ids_through(memo, "SELECT COUNT(1) FROM t") == []
+    assert _ids_through(memo, "SELECT count(b) FROM u") == ["count_attr"]
+
+
+def _pattern_keys(sqls):
+    """The (shape key, template tokens) of every string that parses."""
+    keys = set()
+    for sql in sqls:
+        tokens = query_tokens(sql)
+        try:
+            positions = parse_sql(sql, tokens).positions
+        except ParseError:
+            continue
+        keys.add((shape_key(tokens), tuple(tokens[i].upper for i in positions)))
+    return keys
+
+
+def test_patterns_parse_once_per_shape_and_template_and_per_failing_string(monkeypatch):
+    calls = []
+    parse = patterns.parse_sql
+
+    def counted(sql, tokens=None):
+        calls.append(sql)
+        return parse(sql, tokens)
+
+    monkeypatch.setattr(patterns, "parse_sql", counted)
+    sqls = corpusgen.make_mixture_corpus(400, seed=3)
+    # strings that tokenize but do not parse, each twice
+    failing = [sql + " (" for sql in sqls[:40]] * 2
+    memo = {}
+    count_patterns(fixture_corpus(sqls + failing + sqls[:50]), memo=memo)
+    keys = _pattern_keys(sqls)
+    assert len(set(sqls)) > 300 and len(keys) < 60
+    assert len(calls) == len(keys) + len(set(failing))
+    assert set(failing) <= set(calls)
+    # new strings of known shapes and templates need no parse
+    calls.clear()
+    more = corpusgen.make_mixture_corpus(400, seed=4)
+    count_patterns(fixture_corpus(more), memo=memo)
+    assert len(set(more) - set(sqls)) > 300
+    assert len(calls) == len(_pattern_keys(more) - keys)

@@ -28,6 +28,7 @@ from sqlalign.parsing import (
     parse_sql,
     query_tokens,
     shape_key,
+    token_offsets,
     tokenize,
 )
 from sqlalign.patterns import DEFAULT_PATTERNS
@@ -134,7 +135,7 @@ def _renamed(data, sql, prefix):
     ``prefix_k``, a name no golden query holds."""
     tokens = query_tokens(sql)
     parts, at = [], 0
-    for index, tok in enumerate(tokens[:-1]):
+    for index, (tok, pos) in enumerate(zip(tokens[:-1], token_offsets(sql))):
         if tok.kind == WORD and (
                 (tok.upper not in SHAPE_VOCABULARY and tokens[index + 1].kind == LPAREN)
                 or (index > 1 and tokens[index - 2].upper == "EXTRACT"
@@ -146,8 +147,8 @@ def _renamed(data, sql, prefix):
             text = data.draw({NUMBER: _NUMBERS, STRING: _STRINGS, QIDENT: _QIDENTS}[tok.kind])
         else:
             continue
-        parts += [sql[at:tok.pos], f" {text} "]  # spaced, so it cannot join a neighbour
-        at = tok.pos + len(tok.text)
+        parts += [sql[at:pos], f" {text} "]  # spaced, so it cannot join a neighbour
+        at = pos + len(tok.text)
     return "".join(parts) + sql[at:]
 
 
@@ -216,11 +217,11 @@ def _schema_renamed(data, sql):
     tokens = query_tokens(sql)
     structural = set(parse_sql(sql, tokens).positions)
     parts, at = [], 0
-    for index, tok in enumerate(tokens[:-1]):
+    for index, (tok, pos) in enumerate(zip(tokens[:-1], token_offsets(sql))):
         if index in structural or tok.upper in SHAPE_VOCABULARY or tok.kind not in _SCHEMA_TOKENS:
             continue
-        parts += [sql[at:tok.pos], f" {data.draw(_SCHEMA_TOKENS[tok.kind])} "]
-        at = tok.pos + len(tok.text)
+        parts += [sql[at:pos], f" {data.draw(_SCHEMA_TOKENS[tok.kind])} "]
+        at = pos + len(tok.text)
     return "".join(parts) + sql[at:]
 
 
