@@ -178,7 +178,7 @@ def cmd_align(args) -> int:
             source_corpus = _load(args, source_path)
             loaded.append((row, source_corpus,
                            templatize_corpus(source_corpus, l_max=args.l_max, memo=memo)))
-        except (SqlAlignError, OSError) as exc:
+        except SqlAlignError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
 
     if loaded:

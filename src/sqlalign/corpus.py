@@ -88,7 +88,8 @@ def _read_rows(path: Path, input_format: str):
     """Yield (row_index, dict) pairs from a corpus file. Every format is
     read as UTF-8, with or without a byte-order mark.
 
-    Each FormatError raised here names the file. The JSON decoder raises
+    Each FormatError raised here names the file. A file that cannot be
+    opened or read (OSError) is a FormatError. The JSON decoder raises
     ValueError for text that is not UTF-8 or not JSON and for an integer
     over the interpreter's digit limit, and RecursionError for nesting
     deeper than the stack; each is a FormatError too."""
@@ -129,6 +130,8 @@ def _read_rows(path: Path, input_format: str):
             raise FormatError(f"unknown input format {input_format!r}", path=path)
     except (ValueError, RecursionError, csv.Error) as exc:
         raise FormatError(f"unreadable {input_format} file: {exc}", path=path) from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read: {exc.strerror or exc}", path=path) from exc
 
 
 def _text_field(row: dict, name: str) -> str:

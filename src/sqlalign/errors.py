@@ -34,9 +34,10 @@ class EmptyTargetSetError(SqlAlignError):
 
 
 class FormatError(SqlAlignError):
-    """A corpus file or row is malformed. ``path`` is the file and ``row``
-    a 0-based record index, each where one is known; the text puts them
-    first: ``<path> row N: <message>``, or ``<path>: <message>``."""
+    """A corpus file cannot be read, or a file or row is malformed.
+    ``path`` is the file and ``row`` a 0-based record index, each where one
+    is known; the text puts them first: ``<path> row N: <message>``, or
+    ``<path>: <message>``."""
 
     def __init__(self, message: str, row: int | None = None, path=None):
         text = message if row is None else f"row {row}: {message}"

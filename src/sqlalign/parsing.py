@@ -22,10 +22,13 @@ The parser's path through a query depends only on its shape (see
 ``shape_key``): queries of one shape have their template tokens at the
 same token indices.
 
-A token holds its kind and text and no offset, so one ``Token`` serves
+A token holds its kind, its text, its uppercased text and its element of
+a shape key, all fixed by the text, and no offset, so one ``Token`` serves
 every occurrence of its text: ``tokenize`` takes a lexicon, a dict from
 token text to its Token, and a call given one adds the texts it meets
-first. An error finds its offset by scanning the text again.
+first. A shape key is then the tokens' ``shape`` fields, with no
+vocabulary test per token. An error finds its offset by scanning the text
+again.
 
 Tokens are immutable. A tree is not changed after ``parse_sql`` returns
 it, except that ``Node.find_all`` caches an index on the node it is called
@@ -69,11 +72,15 @@ class Token(NamedTuple):
     ``upper``, and numbers and punctuation cannot spell a word, so
     ``upper == "AND"`` (or any keyword) holds only for a word token and
     ``upper == "*"`` only for the operator. The parser relies on this to
-    test a token with one lookup on ``upper``."""
+    test a token with one lookup on ``upper``.
+
+    ``shape`` is the token's element of a shape key: ``upper`` if it is in
+    SHAPE_VOCABULARY, and ``kind`` otherwise (``END`` for the sentinel)."""
 
     kind: str
     text: str
     upper: str
+    shape: str
 
 
 class Node(Value):
@@ -160,7 +167,11 @@ def _walk_key(item: Node | Token):
 # Each match is the whitespace and comments before one token, then the
 # token: one alternative per token kind, named after it. Skipping comes
 # first and the first alternative that matches wins, so "--" starts a
-# comment before it is two minus signs. The next to last alternative,
+# comment before it is two minus signs. Words come first, as most tokens
+# are words. The alternatives before ``bad`` start with disjoint sets of
+# characters, except that "." starts both a number and a dot, so their
+# order changes no match as long as ``number`` stays before ``dot`` (".5"
+# is a number) and ``bad`` stays last. The next to last alternative,
 # ``bad``, takes the rest of the text from a character the others do not
 # match, so a finditer scan never skips text and a ``bad`` match is a
 # tokenizing error; the last matches only at the end of the text, after
@@ -170,13 +181,13 @@ def _walk_key(item: Node | Token):
 # quote exists.
 _TOKEN_RE = re.compile(r"""
     (?: \s+ | --[^\n]* | /\*.*?\*/ )*
-    (?: (?P<string> '[^']*(?:''[^']*)*'(?!') )
-      | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+    (?: (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
       | (?P<number> (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? )
-      | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
       | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
-      | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
       | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
+      | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+      | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+      | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
       | (?P<bad> .+ )
       | \Z )
 """, re.VERBOSE | re.DOTALL)
@@ -200,7 +211,7 @@ _UNTERMINATED = {"'": "string literal", '"': "quoted identifier",
                  "`": "quoted identifier", "[": "bracketed identifier",
                  "/": "block comment"}
 
-# Builds a Token from one (kind, text, upper) tuple without the
+# Builds a Token from one (kind, text, upper, shape) tuple without the
 # Python-level call that Token(...) makes.
 _new_token = tuple.__new__
 
@@ -223,8 +234,9 @@ def _lexeme(token_text: str, text: str) -> Token:
         if text[pos] in _UNTERMINATED:
             raise ParseError(f"unterminated {_UNTERMINATED[text[pos]]}", pos)
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    return _new_token(Token, (kind, token_text,
-                              token_text.upper() if kind == WORD else token_text))
+    upper = token_text.upper() if kind == WORD else token_text
+    shape = upper if upper in SHAPE_VOCABULARY else kind
+    return _new_token(Token, (kind, token_text, upper, shape))
 
 
 def tokenize(text: str, lexicon: dict[str, Token] | None = None) -> list[Token]:
@@ -241,7 +253,7 @@ def tokenize(text: str, lexicon: dict[str, Token] | None = None) -> list[Token]:
     if lexicon is None:
         lexicon = {}
     try:
-        return [lexicon[token_text] for token_text in texts]
+        return list(map(lexicon.__getitem__, texts))
     except KeyError:
         for token_text in texts:
             if token_text not in lexicon:
@@ -865,7 +877,7 @@ class _Parser:
         return Node("col", ch)
 
 
-_END = Token(END, "", "")
+_END = Token(END, "", "", END)
 
 
 def query_tokens(text: str, lexicon: dict[str, Token] | None = None) -> list[Token]:
@@ -883,12 +895,12 @@ def query_tokens(text: str, lexicon: dict[str, Token] | None = None) -> list[Tok
 
 def shape_key(tokens: list[Token]) -> tuple[str, ...]:
     """The shape of a token list, a query's query_tokens: each token's
-    ``upper`` if it is in SHAPE_VOCABULARY, and its kind otherwise. The
-    parser compares tokens only by kind and with texts of that vocabulary,
-    so two queries of one shape take one path through it: both parse, with
-    their template tokens at the same positions, or both fail."""
-    vocabulary = SHAPE_VOCABULARY
-    return tuple([upper if upper in vocabulary else kind for kind, _, upper in tokens])
+    ``shape``, its ``upper`` if that is in SHAPE_VOCABULARY and its kind
+    otherwise, fixed once per token text. The parser compares tokens only
+    by kind and with texts of that vocabulary, so two queries of one shape
+    take one path through it: both parse, with their template tokens at the
+    same positions, or both fail."""
+    return tuple([tok.shape for tok in tokens])
 
 
 def parse_sql(text: str, tokens: list[Token] | None = None) -> Node:

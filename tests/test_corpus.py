@@ -319,9 +319,13 @@ def test_load_unknown_input_format_names_the_file(tmp_path):
     assert str(err.value) == f"{path}: unknown input format 'xml'"
 
 
-def test_load_missing_file_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
-        load_corpus(tmp_path / "missing.jsonl")
+def test_a_file_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        with pytest.raises(FormatError) as err:
+            load_corpus(path, input_format="jsonl")
+        assert err.value.path == path and err.value.row is None
+        assert str(err.value).startswith(f"{path}: cannot read: ")
+        assert isinstance(err.value.__cause__, OSError)
 
 
 # -- sampling ----------------------------------------------------------------

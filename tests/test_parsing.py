@@ -1,8 +1,10 @@
 import gc
+import json
 import random
 import re
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,14 @@ from sqlalign import parsing
 from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.parsing import (
+    END,
     MAX_NESTING,
+    SHAPE_VOCABULARY,
     Node,
     Token,
     parse_sql,
     query_tokens,
+    shape_key,
     token_offsets,
     tokenize,
 )
@@ -263,11 +268,27 @@ def test_an_error_keeps_its_message_and_offset(sql, message, position):
     assert all(tok.kind != "bad" for tok in lexicon.values())
 
 
+# _TOKEN_RE as it was before words became its first alternative, kept
+# here so that the scan is checked against an order it does not share.
+_FROZEN_TOKEN_RE = re.compile(r"""
+    (?: \s+ | --[^\n]* | /\*.*?\*/ )*
+    (?: (?P<string> '[^']*(?:''[^']*)*'(?!') )
+      | (?P<qident> "[^"]*(?:""[^"]*)*"(?!") | `[^`]*` | \[[^\]]*\] )
+      | (?P<number> (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)? )
+      | (?P<word> [A-Za-z_][A-Za-z0-9_$]* )
+      | (?P<dot> \. ) | (?P<comma> , ) | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<semi> ; )
+      | (?P<param> \? | [:@][A-Za-z_][A-Za-z0-9_$]* )
+      | (?P<op> <= | >= | <> | != | \|\| | == | [=<>+\-*%~] | /(?!\*) )
+      | (?P<bad> .+ )
+      | \Z )
+""", re.VERBOSE | re.DOTALL)
+
+
 def _fresh_scan(text):
     """(kind, text, upper) per token and the token offsets, by a finditer
-    scan of _TOKEN_RE, or the (message, position) of its error."""
+    scan of _FROZEN_TOKEN_RE, or the (message, position) of its error."""
     tokens, offsets = [], []
-    for m in parsing._TOKEN_RE.finditer(text):
+    for m in _FROZEN_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
             pos = m.start(kind)
@@ -279,6 +300,23 @@ def _fresh_scan(text):
             tokens.append((kind, token, token.upper() if kind == "word" else token))
             offsets.append(m.start(kind))
     return tokens, offsets
+
+
+def _assert_tokenizes_as_a_fresh_scan(text, shared_lexicon):
+    """tokenize gives text the tokens, offsets or error of _fresh_scan,
+    through shared_lexicon and without a lexicon."""
+    expected = _fresh_scan(text)
+    for lexicon in (shared_lexicon, None):
+        try:
+            tokens = tokenize(text, lexicon)
+        except ParseError as exc:
+            assert (exc.message, exc.position) == expected
+            continue
+        assert [(t.kind, t.text, t.upper) for t in tokens] == expected[0]
+        assert token_offsets(text) == expected[1]
+        if lexicon is not None:
+            assert all(lexicon[t.text] is t for t in tokens)  # one Token per text
+    assert all(tok.kind != "bad" for tok in shared_lexicon.values())
 
 
 # Token texts and pieces of them, joined with no space between, so that
@@ -296,18 +334,33 @@ for _sql in QUERY_ZOO + ["SELECT a / b, * FROM t -- x", "SELECT 'it''s' FROM t"]
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_LEXEMES, max_size=16).map("".join))
 def test_a_shared_lexicon_tokenizes_as_a_fresh_scan(text):
-    expected = _fresh_scan(text)
-    for lexicon in (_WARM_LEXICON, None):
+    _assert_tokenizes_as_a_fresh_scan(text, _WARM_LEXICON)
+
+
+with open(Path(__file__).with_name("parser_golden.jsonl"), encoding="utf-8") as _fh:
+    GOLDEN_SQL = [json.loads(line)["sql"] for line in _fh]
+
+
+def test_every_golden_input_tokenizes_as_a_fresh_scan():
+    lexicon = {}
+    for text in GOLDEN_SQL:
+        _assert_tokenizes_as_a_fresh_scan(text, lexicon)
+
+
+def test_each_token_carries_its_element_of_a_shape_key():
+    assert Token._fields == ("kind", "text", "upper", "shape")
+    assert parsing._END.shape == END
+    lexicon = {}
+    for sql in QUERY_ZOO + GOLDEN_SQL:
         try:
-            tokens = tokenize(text, lexicon)
-        except ParseError as exc:
-            assert (exc.message, exc.position) == expected
+            tokens = query_tokens(sql, lexicon)
+        except ParseError:
             continue
-        assert [(t.kind, t.text, t.upper) for t in tokens] == expected[0]
-        assert token_offsets(text) == expected[1]
-        if lexicon is not None:
-            assert all(lexicon[t.text] is t for t in tokens)  # one Token per text
-    assert all(tok.kind != "bad" for tok in _WARM_LEXICON.values())
+        assert shape_key(tokens) == tuple(
+            [upper if upper in SHAPE_VOCABULARY else kind for kind, _, upper, _ in tokens])
+    assert len(lexicon) > 1000
+    assert all(tok.shape == (tok.upper if tok.upper in SHAPE_VOCABULARY else tok.kind)
+               for tok in lexicon.values())
 
 
 # Query builders that nest one construct n levels deep.
