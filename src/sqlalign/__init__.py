@@ -10,8 +10,10 @@ from .corpus import (
     Corpus,
     CorpusRecord,
     SampleSpec,
+    SqlCorpus,
     TemplatizeResult,
     load_corpus,
+    load_sql,
     sample_corpus,
     templatize_corpus,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "SampleSpec",
     "SpecMismatchError",
     "SqlAlignError",
+    "SqlCorpus",
     "StructuralTemplate",
     "TemplatizeResult",
     "align",
@@ -89,6 +92,7 @@ __all__ = [
     "kl_alignment",
     "kl_divergence",
     "load_corpus",
+    "load_sql",
     "ovlp_ratio",
     "parse_sql",
     "sample_corpus",

@@ -25,7 +25,8 @@ import math
 import sys
 import warnings
 
-from .corpus import Corpus, SampleSpec, load_corpus, sample_corpus, templatize_corpus
+from .corpus import (SampleSpec, SqlCorpus, load_corpus, load_sql, sample_corpus,
+                     templatize_corpus)
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, write_distribution
@@ -117,12 +118,17 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
                         default="json", help="report format (default: json)")
 
 
-def _load(args, path) -> Corpus:
-    return load_corpus(path, sql_field=args.sql_field,
-                       question_field=args.question_field,
-                       group_field=args.group_field,
-                       input_format=args.input_format,
-                       skip_bad_rows=args.skip_bad_rows)
+def _field_settings(args) -> dict:
+    """The loader's keyword arguments, from the field options."""
+    return {"sql_field": args.sql_field, "question_field": args.question_field,
+            "group_field": args.group_field, "input_format": args.input_format,
+            "skip_bad_rows": args.skip_bad_rows}
+
+
+def _load(args, path) -> SqlCorpus:
+    """The SQL column of a corpus file: all that a view of its templates
+    or patterns reads."""
+    return load_sql(path, **_field_settings(args))
 
 
 # The command selector and the files a command reads or writes; every
@@ -243,7 +249,7 @@ def cmd_ar(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus = _load(args, args.input)
+    corpus = load_corpus(args.input, **_field_settings(args))
     spec = SampleSpec(fraction=args.fraction, per_group=args.per_group, seed=args.seed)
     sampled = sample_corpus(corpus, spec)
     lines = []

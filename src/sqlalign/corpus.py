@@ -1,10 +1,14 @@
 """Corpus loading, sampling and the templating pipeline.
 
 Corpora arrive as JSON arrays, JSON-lines or CSV files of rows that hold at
-least a SQL string; the caller names the fields explicitly. Records keep an
-open metadata map with whatever other fields the row carried. A corpus is
-named by its file's path, and every FormatError the loader raises carries
-that path and puts it first in its text.
+least a SQL string; the caller names the fields explicitly. One row loop
+reads and checks a file's rows, and two readers build on it: ``load_sql``
+keeps only the SQL column (a ``SqlCorpus``), which is all the template,
+alignment and pattern views read, and ``load_corpus`` keeps each row as a
+``CorpusRecord``, with its question, its group and an open metadata map of
+whatever other fields the row carried, for work on rows such as sampling.
+A corpus is named by its file's path, and every FormatError the loader
+raises carries that path and puts it first in its text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
@@ -46,6 +50,9 @@ class CorpusRecord(FrozenValue):
 
 
 class Corpus(FrozenValue):
+    """A corpus as records, for work that keeps rows (sampling). The views
+    read only its ``sqls``; ``load_sql`` gives them those alone."""
+
     _fields = ("name", "records")
     __hash__ = None  # its records are unhashable
 
@@ -57,6 +64,29 @@ class Corpus(FrozenValue):
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def sqls(self) -> tuple[str, ...]:
+        """The records' SQL texts, in record order."""
+        return tuple(record.sql for record in self.records)
+
+
+class SqlCorpus(FrozenValue):
+    """The SQL column of a corpus: the SQL text of each record, in record
+    order, and nothing else of its rows. ``load_sql`` stores equal texts as
+    one string object, so a repetitive corpus holds each distinct text
+    once."""
+
+    _fields = ("name", "sqls")
+
+    def __init__(self, name: str, sqls: tuple[str, ...]):
+        if not sqls:
+            raise ValueError("corpus must contain at least one record")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sqls", sqls)
+
+    def __len__(self) -> int:
+        return len(self.sqls)
 
 
 class SampleSpec(FrozenValue):
@@ -142,6 +172,41 @@ def _text_field(row: dict, name: str) -> str:
     return "" if value is None else str(value)
 
 
+def _kept_rows(path: Path, sql_field: str, question_field: str | None,
+               group_field: str | None, input_format: str | None, skip_bad_rows: bool):
+    """Yield (row, sql) for each row of the file that holds SQL, with its
+    SQL as text; both readers iterate it, and it makes every check they
+    share. See load_corpus for what it raises and warns.
+
+    Each reader drives it from a ``for`` statement in its own frame, so a
+    warning at stacklevel 3 is blamed on the reader's caller."""
+    fmt = input_format or _FORMATS.get(path.suffix.lower())
+    if fmt is None:
+        raise FormatError(f"cannot infer the format from the extension {path.suffix!r}; "
+                          "pass input_format json, jsonl or csv", path=path)
+    kept = skipped = 0
+    unheld = [field for field in (question_field, group_field) if field]
+    for i, row in _read_rows(path, fmt):
+        sql = _text_field(row, sql_field)
+        if not sql.strip():
+            error = FormatError(f"missing or empty field {sql_field!r}", row=i, path=path)
+            if not skip_bad_rows:
+                raise error
+            skipped += 1
+            warnings.warn(f"{error}, skipped", stacklevel=3)
+            continue
+        if unheld:
+            unheld = [field for field in unheld if row.get(field) is None]
+        kept += 1
+        yield row, sql
+    if skipped:
+        warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=3)
+    if not kept:
+        raise EmptyCorpusError("contains no usable records", path=path)
+    if unheld:
+        raise FormatError(f"no row holds field {unheld[0]!r}", path=path)
+
+
 def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 group_field: str | None = None, input_format: str | None = None,
                 skip_bad_rows: bool = False) -> Corpus:
@@ -158,36 +223,32 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     null in every row) raises FormatError. All remaining row fields land in meta.
     """
     path = Path(path)
-    fmt = input_format or _FORMATS.get(path.suffix.lower())
-    if fmt is None:
-        raise FormatError(f"cannot infer the format from the extension {path.suffix!r}; "
-                          "pass input_format json, jsonl or csv", path=path)
-    records: list[CorpusRecord] = []
-    skipped = 0
     claimed = {sql_field, question_field, group_field}
-    unheld = [field for field in (question_field, group_field) if field]
-    for i, row in _read_rows(path, fmt):
-        sql = _text_field(row, sql_field)
-        if not sql.strip():
-            error = FormatError(f"missing or empty field {sql_field!r}", row=i, path=path)
-            if not skip_bad_rows:
-                raise error
-            skipped += 1
-            warnings.warn(f"{error}, skipped", stacklevel=2)
-            continue
-        if unheld:
-            unheld = [field for field in unheld if row.get(field) is None]
+    records: list[CorpusRecord] = []
+    for row, sql in _kept_rows(path, sql_field, question_field, group_field,
+                               input_format, skip_bad_rows):
         records.append(CorpusRecord(
             sql, _text_field(row, question_field) if question_field else "",
             _text_field(row, group_field) if group_field else "",
             {k: v for k, v in row.items() if k not in claimed}))
-    if skipped:
-        warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=2)
-    if not records:
-        raise EmptyCorpusError("contains no usable records", path=path)
-    if unheld:
-        raise FormatError(f"no row holds field {unheld[0]!r}", path=path)
     return Corpus(name=str(path), records=tuple(records))
+
+
+def load_sql(path, sql_field: str = "sql", question_field: str | None = None,
+             group_field: str | None = None, input_format: str | None = None,
+             skip_bad_rows: bool = False) -> SqlCorpus:
+    """Load the SQL column of one corpus file: the SQL texts of the records
+    ``load_corpus`` would keep, in the same order, with the same checks,
+    errors and warnings, but no record per row. Equal texts are stored as
+    one string object. The corpus is named str(path).
+    """
+    path = Path(path)
+    distinct: dict[str, str] = {}
+    sqls: list[str] = []
+    for _, sql in _kept_rows(path, sql_field, question_field, group_field,
+                             input_format, skip_bad_rows):
+        sqls.append(distinct.setdefault(sql, sql))
+    return SqlCorpus(name=str(path), sqls=tuple(sqls))
 
 
 def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
@@ -233,13 +294,14 @@ class TemplatizeResult(Value):
         self.failures = failures
 
 
-def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
+def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None = None,
                      view=None) -> tuple[list, list[tuple[int, str]]]:
-    """Apply fn to every record's SQL, calling it once per distinct string
-    (exact text: a ParseError's offset differs between strings that differ
-    only in whitespace), and return ``(results, failures)``: fn's value for
-    every record that parses, in record order, and ``(record index,
-    message)`` for every record whose string raised ParseError.
+    """Apply fn to every record's SQL (``corpus.sqls``), calling it once
+    per distinct string (exact text: a ParseError's offset differs between
+    strings that differ only in whitespace), and return ``(results,
+    failures)``: fn's value for every record that parses, in record
+    order, and ``(record index, message)`` for every record whose string
+    raised ParseError.
 
     ``memo`` is a run memo: a plain dict shared by the calls of one run.
     Its table under ``view`` maps SQL strings to earlier values of fn, or
@@ -251,8 +313,7 @@ def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
     table = {} if memo is None else memo.setdefault(view, {})
     results: list = []
     failures: list[tuple[int, str]] = []
-    for i, record in enumerate(corpus.records):
-        sql = record.sql
+    for i, sql in enumerate(corpus.sqls):
         if sql not in table:
             try:
                 table[sql] = fn(sql)
@@ -269,7 +330,7 @@ def map_distinct_sql(corpus: Corpus, fn, memo: dict | None = None,
     return results, failures
 
 
-def templatize_corpus(corpus: Corpus, l_max: int = DEFAULT_L_MAX,
+def templatize_corpus(corpus: Corpus | SqlCorpus, l_max: int = DEFAULT_L_MAX,
                       memo: dict | None = None) -> TemplatizeResult:
     """Template every record and build the distribution. Each distinct
     SQL string is parsed at most once, and each query shape that parses

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ._value import Value
-from .corpus import Corpus, map_distinct_sql
+from .corpus import Corpus, SqlCorpus, map_distinct_sql
 from .errors import SpecMismatchError
 from .parsing import Node, parse_sql, query_tokens, shape_key
 
@@ -143,7 +143,8 @@ class PatternCounts(Value):
         self.parse_failures = parse_failures
 
 
-def count_patterns(corpus: Corpus, specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
+def count_patterns(corpus: Corpus | SqlCorpus,
+                   specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
                    memo: dict | None = None) -> PatternCounts:
     """Count the records that match each spec, matching each distinct SQL
     string once and parsing it only when its shape or template is new.

@@ -338,6 +338,39 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
         assert sorted(calls) == sorted(distinct), argv[0]
 
 
+# -- what the commands load ------------------------------------------------------
+
+def test_the_template_views_build_no_record(corpora, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    commands = [
+        ["templates", corpora["far"], "--report", str(tmp_path / "report.json")],
+        ["align", "--target", corpora["target"], "--source", corpora["near"],
+         "--source", corpora["far"]],
+        ["ar", "--target", corpora["target"], "--train", corpora["near"],
+         "--pred", corpora["far"], "--c", "1"],
+        ["patterns", "--before", corpora["near"], "--after", corpora["far"]],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in commands:
+            assert main(argv + ["--sql-field", "SQL", "-o", str(out)]) == 0, argv[0]
+            files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+            outputs.append((files, capsys.readouterr()))
+        return outputs
+
+    expected = run_all()
+
+    class NoRecord:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a record was built")
+
+    monkeypatch.setattr(corpus, "CorpusRecord", NoRecord)
+    assert run_all() == expected
+    with pytest.raises(AssertionError, match="a record was built"):
+        main(["sample", corpora["target"], "--sql-field", "SQL", "--fraction", "1"])
+
+
 # -- sample ----------------------------------------------------------------------
 
 def test_sample_fraction_roundtrips_through_loader(corpora, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import random
+import warnings
 import weakref
 
 import pytest
@@ -14,7 +15,9 @@ from sqlalign.corpus import (
     Corpus,
     CorpusRecord,
     SampleSpec,
+    SqlCorpus,
     load_corpus,
+    load_sql,
     map_distinct_sql,
     sample_corpus,
     templatize_corpus,
@@ -179,7 +182,7 @@ def test_load_rejects_non_array_json(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("name, data, fmt, row, message", [
+_MALFORMED = [
     ("c.json", '{"sql": "SELECT 1"}', None, None, ": expected a JSON array of objects"),
     ("c.json", '[{"sql": "SELECT 1"}, 2]', None, 1, " row 1: expected a JSON object"),
     ("c.csv", "", None, None, ": CSV file has no header row"),
@@ -193,9 +196,13 @@ def test_load_rejects_non_array_json(tmp_path):
     ("c.json", "[", None, None,
      ": unreadable json file: Expecting value: line 1 column 2 (char 1)"),
     ("c.jsonl", '{"sql": "SELECT 1"}\n', "xml", None, ": unknown input format 'xml'"),
-], ids=["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
-        "row-without-sql", "jsonl-row-not-object-after-blank-lines", "unknown-extension",
-        "empty-file", "undecodable-file", "unknown-input-format"])
+]
+_MALFORMED_IDS = ["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
+                  "row-without-sql", "jsonl-row-not-object-after-blank-lines",
+                  "unknown-extension", "empty-file", "undecodable-file", "unknown-input-format"]
+
+
+@pytest.mark.parametrize("name, data, fmt, row, message", _MALFORMED, ids=_MALFORMED_IDS)
 def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, fmt, row, message):
     path = tmp_path / name
     path.write_text(data, encoding="utf-8")
@@ -209,15 +216,20 @@ def test_a_malformed_file_or_row_is_named_by_its_path(tmp_path, name, data, fmt,
 _BIG_INT_ROW = b'{"sql": "SELECT a FROM t", "x": ' + b"7" * 5000 + b"}"
 
 
-@pytest.mark.parametrize("name, data", [
+_UNREADABLE = [
     ("c.json", b'[{"sql": "SELECT 1"}, {"sql": "SEL'),
     ("c.jsonl", b'{"sql": "SELECT \xff"}\n'),
     ("c.csv", "sql\n".encode() + b"x" * 200_000 + b"\n"),
     ("c.jsonl", _BIG_INT_ROW + b"\n"),
     ("c.json", b"[" + _BIG_INT_ROW + b"]"),
     ("c.jsonl", b"[" * 200_000 + b"\n"),
-], ids=["truncated-json-array", "jsonl-not-utf8", "csv-field-over-limit",
-        "jsonl-int-over-digit-limit", "json-int-over-digit-limit", "jsonl-nested-too-deeply"])
+]
+_UNREADABLE_IDS = ["truncated-json-array", "jsonl-not-utf8", "csv-field-over-limit",
+                   "jsonl-int-over-digit-limit", "json-int-over-digit-limit",
+                   "jsonl-nested-too-deeply"]
+
+
+@pytest.mark.parametrize("name, data", _UNREADABLE, ids=_UNREADABLE_IDS)
 def test_load_unreadable_file_raises_format_error(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
@@ -262,37 +274,47 @@ def test_load_of_a_mutated_file_returns_a_corpus_or_raises_sqlalign_error(
     assert isinstance(corpus, Corpus)
 
 
-@pytest.mark.parametrize("name, text", [
+_BOM_FILES = [
     ("c.csv", "sql,domain\nSELECT 1,d\n"),
     ("c.json", '[{"sql": "SELECT 1"}]'),
     ("c.jsonl", '{"sql": "SELECT 1"}\n'),
-])
+]
+
+
+@pytest.mark.parametrize("name, text", _BOM_FILES)
 def test_load_accepts_a_byte_order_mark(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8-sig")
     assert [r.sql for r in load_corpus(path).records] == ["SELECT 1"]
 
 
+_FALSY_FIELD_ROWS = [
+    {"sql": "SELECT 1", "q": 0, "db_id": 0},
+    {"sql": "SELECT 2", "q": False, "db_id": 0.0},
+    {"sql": "SELECT 3", "q": None, "db_id": None},
+    {"sql": "SELECT 4"},
+    {"sql": "SELECT 5", "q": "", "db_id": ""},
+]
+
+
 def test_load_keeps_falsy_question_and_group_values(tmp_path):
     path = tmp_path / "c.jsonl"
-    write_jsonl(path, [
-        {"sql": "SELECT 1", "q": 0, "db_id": 0},
-        {"sql": "SELECT 2", "q": False, "db_id": 0.0},
-        {"sql": "SELECT 3", "q": None, "db_id": None},
-        {"sql": "SELECT 4"},
-        {"sql": "SELECT 5", "q": "", "db_id": ""},
-    ])
+    write_jsonl(path, _FALSY_FIELD_ROWS)
     records = load_corpus(path, question_field="q", group_field="db_id").records
     assert [r.question for r in records] == ["0", "False", "", "", ""]
     assert [r.group_id for r in records] == ["0", "0.0", "", "", ""]
 
 
-@pytest.mark.parametrize("field", ["question_field", "group_field"])
-@pytest.mark.parametrize("rows", [
+_UNHELD_ROWS = [
     [{"sql": "SELECT 1", "db_id": "a"}, {"sql": "SELECT 2", "db_id": "b"}],
     [{"sql": "SELECT 1", "nope": None}, {"sql": "SELECT 2", "nope": None}],
     [{"sql": "SELECT 1"}, {"sql": "", "nope": "skipped with its row"}],
-], ids=["absent", "null", "only-in-a-skipped-row"])
+]
+_UNHELD_IDS = ["absent", "null", "only-in-a-skipped-row"]
+
+
+@pytest.mark.parametrize("field", ["question_field", "group_field"])
+@pytest.mark.parametrize("rows", _UNHELD_ROWS, ids=_UNHELD_IDS)
 @pytest.mark.filterwarnings("ignore:.*skipped")
 def test_load_a_named_field_that_no_row_holds_is_a_format_error(tmp_path, field, rows):
     path = tmp_path / "g.jsonl"
@@ -326,6 +348,124 @@ def test_a_file_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
         assert err.value.path == path and err.value.row is None
         assert str(err.value).startswith(f"{path}: cannot read: ")
         assert isinstance(err.value.__cause__, OSError)
+
+
+# -- the two readers ---------------------------------------------------------
+
+def _jsonl(rows):
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+_DIRECTORY = object()  # the case's path is a directory
+# (file name, contents or None for no file, loader options) of every case
+# the loader tests above make, and a few more.
+_READER_CASES = {
+    "jsonl-field-mapping": ("c.jsonl", _jsonl([
+        {"question": "q0", "SQL": "SELECT a FROM t", "db_id": "d1", "extra": 7},
+        {"question": "q1", "SQL": "SELECT b FROM u", "db_id": "d2"},
+        {"question": "q2", "SQL": "SELECT a FROM t", "db_id": "d1"},
+    ]), {"sql_field": "SQL", "question_field": "question", "group_field": "db_id"}),
+    "json-array": ("c.json", '[{"sql": "SELECT 1"}, {"sql": "SELECT 2"}]', {}),
+    "csv-groups": ("c.csv", "sql,domain\n" + "".join(
+        f"SELECT c{i % 7} FROM t,dom{i % 4}\n" for i in range(100)), {"group_field": "domain"}),
+    "json-number-as-sql": ("c.json", '[{"sql": 7}, {"sql": "SELECT 1"}, {"sql": 7.5}]', {}),
+    "missing-sql": ("c.jsonl", _jsonl([{"sql": "SELECT 1"}, {"nope": "x"}]), {}),
+    "skip-bad-rows": ("c.jsonl", _jsonl([{"sql": "SELECT 1"}, {"nope": "x"}, {"sql": ""},
+                                         {"sql": "SELECT 2"}, {"sql": None}]),
+                      {"skip_bad_rows": True}),
+    "skip-every-row": ("c.jsonl", _jsonl([{"sql": " "}, {"nope": "x"}]),
+                       {"skip_bad_rows": True}),
+    "unknown-extension-with-format": ("c.dat", '{"sql": "SELECT 1"}\n',
+                                      {"input_format": "jsonl"}),
+    "falsy-fields": ("c.jsonl", _jsonl(_FALSY_FIELD_ROWS),
+                     {"question_field": "q", "group_field": "db_id"}),
+    "field-held-by-one-row": ("g.jsonl", _jsonl([{"sql": "SELECT 1"},
+                                                 {"sql": "SELECT 2", "db_id": "a"}]),
+                              {"group_field": "db_id"}),
+    "field-in-empty-csv-cells": ("g.csv", "sql,q\nSELECT 1,\n", {"question_field": "q"}),
+    "missing-file": ("missing.jsonl", None, {}),
+    "directory": ("d.jsonl", _DIRECTORY, {}),
+    **{f"malformed-{case_id}": (name, data, {"input_format": fmt})
+       for case_id, (name, data, fmt, _, _) in zip(_MALFORMED_IDS, _MALFORMED)},
+    **{f"unreadable-{case_id}": (name, data, {})
+       for case_id, (name, data) in zip(_UNREADABLE_IDS, _UNREADABLE)},
+    **{f"byte-order-mark-{name}": (name, "\ufeff" + text, {}) for name, text in _BOM_FILES},
+    **{f"unheld-{case_id}-{field}": ("g.jsonl", _jsonl(rows),
+                                     {field: "nope", "skip_bad_rows": True})
+       for case_id, rows in zip(_UNHELD_IDS, _UNHELD_ROWS)
+       for field in ("question_field", "group_field")},
+}
+
+
+def _read(reader, path, options):
+    """What one reader makes of a file: its SQL texts, or the type, text,
+    path and row of the error it raised; and the text, category and blamed
+    file and line of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = reader(path, **options)
+        except FormatError as exc:
+            outcome = (type(exc), str(exc), exc.path, exc.row)
+        else:
+            outcome = (loaded.name, loaded.sqls if reader is load_sql
+                       else tuple(record.sql for record in loaded.records))
+    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _read_both(path, options):
+    by_sql, by_records = _read(load_sql, path, options), _read(load_corpus, path, options)
+    assert by_sql == by_records
+    return by_sql
+
+
+@pytest.mark.parametrize("name, data, options", _READER_CASES.values(), ids=_READER_CASES)
+def test_both_readers_keep_the_same_sql_or_fail_alike(tmp_path, name, data, options):
+    path = tmp_path / name
+    if data is _DIRECTORY:
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    _, caught = _read_both(path, options)
+    assert {filename for _, _, filename, _ in caught} <= {__file__}  # blamed on the caller
+    if caught:
+        *skipped, total = caught
+        assert all(text.endswith(", skipped") for text, *_ in skipped)
+        assert total[0] == f"{path}: skipped {len(skipped)} bad row(s)"
+
+
+def test_load_sql_keeps_the_sql_column_and_each_distinct_text_once(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"sql": "SELECT a FROM t", "q": "x"}, {"sql": "SELECT 7"},
+                       {"sql": "SELECT a FROM t", "q": "y"}, {"sql": 7}])
+    sqls = load_sql(path)
+    assert sqls == SqlCorpus(str(path), ("SELECT a FROM t", "SELECT 7", "SELECT a FROM t", "7"))
+    assert len(sqls) == 4
+    assert sqls.sqls[0] is sqls.sqls[2]
+    assert sqls.sqls == load_corpus(path).sqls
+    assert hash(sqls) == hash(SqlCorpus(str(path), sqls.sqls))
+    with pytest.raises(AttributeError):
+        sqls.sqls = ()
+    with pytest.raises(ValueError):
+        SqlCorpus("x", ())
+
+
+def test_the_views_give_a_corpus_and_its_sql_column_the_same_results(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"sql": sql, "db_id": i} for i, sql in enumerate([
+        "SELECT a, SUM(b) FROM t GROUP BY a", "SELECT COUNT(*) FROM t", "SELECT broken FROM",
+        "SELECT a FROM t WHERE b IN (SELECT c FROM u)", "SELECT COUNT(*) FROM t"])]))
+    records, column = load_corpus(path, group_field="db_id"), load_sql(path)
+    assert _templatize_view(column) == _templatize_view(records)
+    assert _patterns_view(column) == _patterns_view(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_VALID_FILES)), _MUTATIONS)
+def test_both_readers_agree_on_a_mutated_file(tmp_path_factory, name, mutations):
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(_mutate(_VALID_FILES[name], mutations))
+    _read_both(path, {"skip_bad_rows": True})
 
 
 # -- sampling ----------------------------------------------------------------
