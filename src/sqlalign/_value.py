@@ -1,11 +1,13 @@
 """Base classes of the package's value types.
 
 A value class names its fields in ``_fields``, in constructor order, and
-sets them in its own ``__init__``. Two values are equal when they are of
-the same class and their fields are equal, and they print as
+its own ``__init__`` checks its arguments and passes their values, in that
+order, to ``Value.__init__``, which sets them. Two values are equal when
+they are of the same class and their fields are equal, and they print as
 ``Name(field=value, ...)``. A ``Value`` can change, so it has no hash; a
 ``FrozenValue`` is hashed by its fields and refuses every assignment after
-``__init__``, which therefore sets its fields with ``object.__setattr__``.
+``__init__``, which is why ``Value.__init__`` sets the fields with
+``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     __hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

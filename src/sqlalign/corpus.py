@@ -12,7 +12,9 @@ raises carries that path and puts it first in its text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
-knows how a failure is kept in the run memo.
+knows how a failure is kept in the run memo. It also opens the view's own
+table of the memo and the two tables every view shares, the shape table
+and the lexicon, which it passes to the view's function.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ class CorpusRecord(FrozenValue):
                  meta: dict | None = None):
         if not sql.strip():
             raise ValueError("record sql must be non-empty")
-        object.__setattr__(self, "sql", sql)
-        object.__setattr__(self, "question", question)
-        object.__setattr__(self, "group_id", group_id)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
+        super().__init__(sql, question, group_id, {} if meta is None else meta)
 
 
 class Corpus(FrozenValue):
@@ -59,8 +58,7 @@ class Corpus(FrozenValue):
     def __init__(self, name: str, records: tuple[CorpusRecord, ...]):
         if not records:
             raise ValueError("corpus must contain at least one record")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "records", records)
+        super().__init__(name, records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -82,8 +80,7 @@ class SqlCorpus(FrozenValue):
     def __init__(self, name: str, sqls: tuple[str, ...]):
         if not sqls:
             raise ValueError("corpus must contain at least one record")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sqls", sqls)
+        super().__init__(name, sqls)
 
     def __len__(self) -> int:
         return len(self.sqls)
@@ -104,9 +101,7 @@ class SampleSpec(FrozenValue):
             raise ValueError("fraction must be in (0, 1]")
         if per_group is not None and per_group < 1:
             raise ValueError("per_group must be >= 1")
-        object.__setattr__(self, "fraction", fraction)
-        object.__setattr__(self, "per_group", per_group)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(fraction, per_group, seed)
 
 
 # The format each file extension implies; load_corpus needs input_format
@@ -289,13 +284,11 @@ class TemplatizeResult(Value):
 
     def __init__(self, templates: list[StructuralTemplate], distribution: NGramDistribution,
                  failures: list[tuple[int, str]]):
-        self.templates = templates
-        self.distribution = distribution
-        self.failures = failures
+        super().__init__(templates, distribution, failures)
 
 
-def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None = None,
-                     view=None) -> tuple[list, list[tuple[int, str]]]:
+def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None,
+                     view) -> tuple[list, list[tuple[int, str]]]:
     """Apply fn to every record's SQL (``corpus.sqls``), calling it once
     per distinct string (exact text: a ParseError's offset differs between
     strings that differ only in whitespace), and return ``(results,
@@ -303,20 +296,27 @@ def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None = None,
     order, and ``(record index, message)`` for every record whose string
     raised ParseError.
 
-    ``memo`` is a run memo: a plain dict shared by the calls of one run.
-    Its table under ``view`` maps SQL strings to earlier values of fn, or
-    to the ParseError they raised, so ``view`` must fix everything those
-    values depend on. Strings found there are not passed to fn again and
-    new ones are added, so fn runs once per string across all the corpora
-    of the run. Without a memo the table lives for this call only.
+    ``memo`` is a run memo: a plain dict shared by the calls of one run,
+    or None. This function opens its tables: the view's own table
+    ``memo[view]``, and the shape table ``memo["shapes"]`` and the lexicon
+    ``memo["lexicon"]`` that every view shares (see templates.templatize);
+    it calls ``fn(sql, shapes, lexicon)``. The view table maps SQL strings
+    to earlier values of fn, or to the ParseError they raised, so ``view``
+    must fix everything those values depend on, and each view names its
+    own. Strings found there are not passed to fn again and new ones are
+    added, so fn runs once per string across all the corpora of the run.
+    Without a memo the three tables live for this call only.
     """
-    table = {} if memo is None else memo.setdefault(view, {})
+    memo = {} if memo is None else memo
+    table = memo.setdefault(view, {})
+    shapes = memo.setdefault("shapes", {})
+    lexicon = memo.setdefault("lexicon", {})
     results: list = []
     failures: list[tuple[int, str]] = []
     for i, sql in enumerate(corpus.sqls):
         if sql not in table:
             try:
-                table[sql] = fn(sql)
+                table[sql] = fn(sql, shapes, lexicon)
             except ParseError as exc:
                 # Keep the error without its traceback (or the RecursionError
                 # it replaced), whose parser frames would stay alive with it.
@@ -339,15 +339,10 @@ def templatize_corpus(corpus: Corpus | SqlCorpus, l_max: int = DEFAULT_L_MAX,
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see
     map_distinct_sql): a string templated for an earlier corpus of the run
-    is not parsed again, and the shape table under ``"shapes"`` and the
-    lexicon under ``"lexicon"`` (see templates.templatize) serve every
-    corpus of the run. Without a memo each serves this call only. The
-    result is the same with or without it.
+    is not parsed again, and its shape table and lexicon serve every
+    corpus of the run. The result is the same with or without it.
     """
-    shapes = {} if memo is None else memo.setdefault("shapes", {})
-    lexicon = {} if memo is None else memo.setdefault("lexicon", {})
-    templates, failures = map_distinct_sql(
-        corpus, lambda sql: templatize(sql, shapes, lexicon), memo, "templates")
+    templates, failures = map_distinct_sql(corpus, templatize, memo, "templates")
     if not templates:
         raise EmptyDistributionError(f"{corpus.name}: none of its {len(corpus)} records parsed")
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)

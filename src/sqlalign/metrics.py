@@ -47,9 +47,7 @@ class AlignmentRatio(FrozenValue):
     def __init__(self, ar: float, numerator: AlignmentScore, denominator: AlignmentScore):
         if numerator.c != denominator.c:
             raise ValueError("alignment ratio requires one shared scaling constant c")
-        object.__setattr__(self, "ar", ar)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        super().__init__(ar, numerator, denominator)
 
 
 def kl_divergence(p: NGramDistribution, q: NGramDistribution,

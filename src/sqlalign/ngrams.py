@@ -37,10 +37,7 @@ class NGramDistribution(Value):
 
     def __init__(self, counts: dict[NGram, int], total: int, l_max: int,
                  source_label: str = ""):
-        self.counts = counts
-        self.total = total
-        self.l_max = l_max
-        self.source_label = source_label
+        super().__init__(counts, total, l_max, source_label)
 
 
 def build_distribution(

@@ -38,7 +38,7 @@ on. ``parse_sql`` is a pure function and safe to call concurrently.
 from __future__ import annotations
 
 import re
-from itertools import chain, islice
+from itertools import chain
 from operator import eq
 from typing import Iterator, NamedTuple
 
@@ -345,12 +345,11 @@ class _Parser:
         return self.toks[self.i + k]
 
     def _offset(self) -> int:
-        """The current token's offset in the text, found by scanning it
-        again up to the token: the scan's i-th match is the i-th token.
-        The END sentinel's is the text's length."""
+        """The current token's offset in the text, from token_offsets; the
+        END sentinel's is the text's length."""
         if self.tok.kind == END:
             return len(self.text)
-        return next(islice(_TEXT_RE.finditer(self.text), self.i, None)).start(1)
+        return token_offsets(self.text)[self.i]
 
     def _error(self, message: str) -> None:
         tok = self.tok

@@ -138,9 +138,7 @@ class PatternCounts(Value):
     _fields = ("corpus_name", "counts", "parse_failures")
 
     def __init__(self, corpus_name: str, counts: dict[str, int], parse_failures: int = 0):
-        self.corpus_name = corpus_name
-        self.counts = counts
-        self.parse_failures = parse_failures
+        super().__init__(corpus_name, counts, parse_failures)
 
 
 def count_patterns(corpus: Corpus | SqlCorpus,
@@ -165,11 +163,9 @@ def count_patterns(corpus: Corpus | SqlCorpus,
     ids = [spec.id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("pattern ids must be unique")
-    shapes = {} if memo is None else memo.setdefault("shapes", {})
-    lexicon = {} if memo is None else memo.setdefault("lexicon", {})
     by_key = {} if memo is None else memo.setdefault(("pattern keys", specs), {})
 
-    def matching_ids(sql: str) -> tuple[str, ...]:
+    def matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
         tokens = query_tokens(sql, lexicon)
         shape = shape_key(tokens)
         positions = shapes.get(shape)

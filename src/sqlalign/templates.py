@@ -15,7 +15,7 @@ class StructuralTemplate(FrozenValue):
     _fields = ("tokens",)
 
     def __init__(self, tokens: tuple[str, ...]):
-        object.__setattr__(self, "tokens", tokens)
+        super().__init__(tokens)
 
     @property
     def canonical_text(self) -> str:

@@ -1,5 +1,6 @@
 """The CLI run as separate processes, the way a user runs it: reports,
-stderr and exit codes must not depend on the process's string-hash seed."""
+stderr and exit codes must not depend on the process's string-hash seed,
+and no file may be opened in the locale's default encoding."""
 
 import csv
 import json
@@ -67,7 +68,13 @@ def _run_all(paths: dict[str, Path], out_dir: Path, hash_seed: str) -> dict:
     results = {}
     for name, (argv, options) in _commands(paths).items():
         outputs = [out_dir / f"{name}{option}" for option in options]
-        proc = subprocess.run([sys.executable, "-m", "sqlalign.cli", *map(str, argv),
+        # An open() that relies on the locale's encoding warns. The CLI
+        # prints every warning it raises as a "sqlalign: warning:" line,
+        # which the test refuses; -W turns one raised outside it into an
+        # error.
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "sqlalign.cli",
+                               *map(str, argv),
                                *(str(a) for pair in zip(options, outputs) for a in pair)],
                               capture_output=True, env=env, timeout=120)
         results[name] = (proc.returncode, proc.stderr, [out.read_bytes() for out in outputs])
@@ -80,4 +87,5 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
     second = _run_all(paths, tmp_path / "seed1", "1")
     assert first == second
     assert {name: code for name, (code, _, _) in first.items()} == dict.fromkeys(first, 0)
+    assert [name for name, (_, stderr, _) in first.items() if b"warning" in stderr] == []
     assert first["patterns"][1] == b"patterns: before_failures=3 after_failures=3\n"

@@ -555,21 +555,54 @@ def test_templatize_distribution_is_permutation_stable():
 def test_map_distinct_sql_calls_once_per_exact_string():
     calls = []
 
-    def fn(sql):
-        calls.append(sql)
+    def fn(sql, shapes, lexicon):
+        calls.append((sql, shapes, lexicon))
         return parse_sql(sql)
 
     sqls = ["SELECT a FROM t", "SELECT broken FROM", "SELECT a FROM t",
             "SELECT  a FROM t", "SELECT broken FROM"]
     memo = {}
     results, failures = map_distinct_sql(make_corpus(sqls), fn, memo, "trees")
-    assert calls == ["SELECT a FROM t", "SELECT broken FROM", "SELECT  a FROM t"]
+    assert [sql for sql, _, _ in calls] == ["SELECT a FROM t", "SELECT broken FROM",
+                                            "SELECT  a FROM t"]
+    assert sorted(memo, key=str) == ["lexicon", "shapes", "trees"]
+    assert all(shapes is memo["shapes"] and lexicon is memo["lexicon"]
+               for _, shapes, lexicon in calls)
     assert len(results) == 3
     assert results[0] is results[1] and results[0] is not results[2]
     assert [i for i, _ in failures] == [1, 4] and failures[0][1] == failures[1][1]
     stored = memo["trees"]["SELECT broken FROM"]
     assert isinstance(stored, ParseError) and stored.__traceback__ is None
     assert failures[0][1] == str(stored)
+
+
+def test_map_distinct_sql_without_a_memo_keeps_tables_for_one_call():
+    calls = []
+
+    def fn(sql, shapes, lexicon):
+        calls.append((shapes, lexicon))
+        return len(sql)
+
+    corpus = make_corpus(["SELECT a FROM t", "SELECT b FROM t", "SELECT a FROM t"])
+    assert map_distinct_sql(corpus, fn, None, "len") == ([15, 15, 15], [])
+    assert map_distinct_sql(corpus, fn, None, "len") == ([15, 15, 15], [])
+    assert len(calls) == 4  # once per distinct string in each call
+    assert calls[0][0] is calls[1][0] and calls[0][1] is calls[1][1]
+    assert calls[1][0] is not calls[2][0] and calls[1][1] is not calls[2][1]
+
+
+def test_map_distinct_sql_refuses_a_memo_without_a_view():
+    # With a default view, two functions would share the table memo[None]
+    # and the second would get the first one's values.
+    corpus = make_corpus(["SELECT a FROM t"])
+    memo = {}
+    with pytest.raises(TypeError):
+        map_distinct_sql(corpus, lambda *args: 0, memo)
+    assert memo == {}
+    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: len(sql), memo, "len") \
+        == ([15], [])
+    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: sql.upper(), memo, "upper") \
+        == (["SELECT A FROM T"], [])
 
 
 _GENERATED_SQL = st.builds(

@@ -33,3 +33,14 @@ def test_the_package_imports_only_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported and sorted(imported - sys.stdlib_module_names) == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # The package supports Python 3.10; syntax of a later version would
+    # break it there even when the tests run on a later interpreter.
+    root = Path(__file__).parents[1]
+    paths = sorted(path for folder in ("src", "tests", "bench")
+                   for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -196,6 +196,9 @@ def test_invalid_sql_raises_parse_error(sql):
     ("SELECT a FROM t FETCH FIRST 5 ROWS ONLY",
      "unexpected token after end of query, found 'FETCH'"),
     ("SELECT a FROM t WHERE b IN ()", "expected expression, found ')'"),
+    ("SELECT a FROM t WHERE b = 0x10", "unexpected token after end of query, found 'x10'"),
+    ("SELECT a FROM t WHERE b = X'ab'",
+     "unexpected token after end of query, found \"'ab'\""),
 ])
 def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     with pytest.raises(ParseError) as err:
