@@ -299,13 +299,16 @@ def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None,
     ``memo`` is a run memo: a plain dict shared by the calls of one run,
     or None. This function opens its tables: the view's own table
     ``memo[view]``, and the shape table ``memo["shapes"]`` and the lexicon
-    ``memo["lexicon"]`` that every view shares (see templates.templatize);
-    it calls ``fn(sql, shapes, lexicon)``. The view table maps SQL strings
-    to earlier values of fn, or to the ParseError they raised, so ``view``
-    must fix everything those values depend on, and each view names its
-    own. Strings found there are not passed to fn again and new ones are
-    added, so fn runs once per string across all the corpora of the run.
-    Without a memo the three tables live for this call only.
+    ``memo["lexicon"]`` that every view shares; it calls ``fn(sql, shapes,
+    lexicon)``. The shape table maps each shape key to its entry
+    ``(positions, templates)``: the token positions of its template and
+    the StructuralTemplates read at them, keyed by their tokens (see
+    templates.templatize). The view table maps SQL strings to earlier
+    values of fn, or to the ParseError they raised, so ``view`` must fix
+    everything those values depend on, and each view names its own.
+    Strings found there are not passed to fn again and new ones are added,
+    so fn runs once per string across all the corpora of the run. Without
+    a memo the three tables live for this call only.
     """
     memo = {} if memo is None else memo
     table = memo.setdefault(view, {})
@@ -334,7 +337,9 @@ def templatize_corpus(corpus: Corpus | SqlCorpus, l_max: int = DEFAULT_L_MAX,
                       memo: dict | None = None) -> TemplatizeResult:
     """Template every record and build the distribution. Each distinct
     SQL string is parsed at most once, and each query shape that parses
-    only once.
+    only once. Records of one (shape, template) share one
+    StructuralTemplate object, within a corpus and, with a memo, across
+    the corpora of the run.
 
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see

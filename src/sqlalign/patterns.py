@@ -150,9 +150,12 @@ def count_patterns(corpus: Corpus | SqlCorpus,
     A query's shape_key fixes its tree's labels and ``positions``, and
     its template tokens the ``upper`` of the tokens there: all that a
     PatternSpec reads. So the ids are kept per (shape key, template), and
-    a query takes the positions from the shape table and its ids from
-    that table without a parse. A parse fills both tables; a failure is
-    kept in neither, so a string that fails is parsed again.
+    a query takes the positions from its shape's entry in the shape table
+    (see templates.templatize) and its ids from that table without a
+    parse. A parse fills both tables, a new shape's entry with its
+    positions and an empty dict of templates, which this view leaves to
+    templatize; a failure is kept in neither, so a string that fails is
+    parsed again.
 
     ``memo`` is a run memo shared with the other calls of one run (see
     map_distinct_sql and templatize_corpus): it holds the ids per string
@@ -168,12 +171,12 @@ def count_patterns(corpus: Corpus | SqlCorpus,
     def matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
         tokens = query_tokens(sql, lexicon)
         shape = shape_key(tokens)
-        positions = shapes.get(shape)
+        entry = shapes.get(shape)
         tree = None
-        if positions is None:
+        if entry is None:
             tree = parse_sql(sql, tokens)
-            positions = shapes[shape] = tree.positions
-        key = shape, tuple([tokens[i].upper for i in positions])
+            entry = shapes[shape] = (tree.positions, {})
+        key = shape, tuple([tokens[i].upper for i in entry[0]])
         found = by_key.get(key)
         if found is None:
             if tree is None:

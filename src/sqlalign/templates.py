@@ -44,18 +44,27 @@ def templatize(query: str, shapes: dict | None = None,
     """Parse a query and derive its structural template in one step.
 
     ``shapes`` is a shape table that calls share: a dict that maps the
-    shape_key of every query parsed with it to the tree's ``positions``.
-    Each query takes its template from its own tokens at the positions of
-    its shape; a query whose key is there does so without a parse, so each
-    shape is parsed once. A failure is not kept: a string that fails is
-    parsed again and keeps its own message and offset. ``lexicon`` is
-    tokenize's, used with a shape table.
+    shape_key of every query parsed with it to an entry ``(positions,
+    templates)``, the tree's ``positions`` and a dict of the templates
+    read at them, each keyed by its tokens. Each query takes its template
+    tokens from its own tokens at the positions of its shape; a query
+    whose key is there does so without a parse, so each shape is parsed
+    once, and a query whose tokens are there too gets that same
+    StructuralTemplate object, so each (shape, template) builds one. A
+    failure is not kept: a string that fails is parsed again and keeps
+    its own message and offset. ``lexicon`` is tokenize's, used with a
+    shape table.
     """
     if shapes is None:
         return derive_template(parse_sql(query))
     tokens = query_tokens(query, lexicon)
     key = shape_key(tokens)
-    positions = shapes.get(key)
-    if positions is None:
-        positions = shapes[key] = parse_sql(query, tokens).positions
-    return StructuralTemplate(tuple([tokens[i].upper for i in positions]))
+    entry = shapes.get(key)
+    if entry is None:
+        entry = shapes[key] = (parse_sql(query, tokens).positions, {})
+    positions, templates = entry
+    words = tuple([tokens[i].upper for i in positions])
+    template = templates.get(words)
+    if template is None:
+        template = templates[words] = StructuralTemplate(words)
+    return template

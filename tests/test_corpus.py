@@ -31,7 +31,7 @@ from sqlalign.errors import (
 )
 from sqlalign.parsing import parse_sql, query_tokens, shape_key
 from sqlalign.patterns import DEFAULT_PATTERNS, count_patterns
-from sqlalign.templates import templatize
+from sqlalign.templates import StructuralTemplate, templatize
 
 
 def write_jsonl(path, rows):
@@ -745,7 +745,15 @@ def test_the_memo_keeps_no_tree(monkeypatch):
     # The id table keeps pattern ids, and no tree.
     assert sorted(memo[("pattern keys", DEFAULT_PATTERNS)].values()) == [
         (), ("count_star",), ("subquery",)]
-    # The shape table keeps token positions, and no tree.
+    # The shape table keeps per shape its token positions and the templates
+    # read at them, each keyed by its own tokens, and no tree.
     shapes = memo["shapes"]
-    assert shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))] == (0, 1, 2, 3, 4, 5)
-    assert all(isinstance(i, int) for positions in shapes.values() for i in positions)
+    assert len(shapes) == 2
+    positions, shape_templates = shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
+    assert positions == (0, 1, 2, 3, 4, 5)
+    assert list(shape_templates) == [("SELECT", "COUNT", "(", "*", ")", "FROM"),
+                                     ("SELECT", "MAX", "(", "*", ")", "FROM")]
+    for positions, shape_templates in shapes.values():
+        assert isinstance(positions, tuple) and all(isinstance(i, int) for i in positions)
+        assert all(type(template) is StructuralTemplate and template.tokens == tokens
+                   for tokens, template in shape_templates.items())

@@ -5,14 +5,17 @@ gives it."""
 import ast
 import itertools
 import json
+import random
 import re
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlalign import parsing, templates
+import corpusgen
+from sqlalign import cli, parsing, templates
 from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.keywords import TEMPLATE_OPERATORS
@@ -32,7 +35,7 @@ from sqlalign.parsing import (
     tokenize,
 )
 from sqlalign.patterns import DEFAULT_PATTERNS
-from sqlalign.templates import derive_template, templatize
+from sqlalign.templates import StructuralTemplate, derive_template, templatize
 
 GOLDEN_PATH = Path(__file__).with_name("parser_golden.jsonl")
 with open(GOLDEN_PATH, encoding="utf-8") as _fh:
@@ -95,9 +98,17 @@ def test_a_shared_table_gives_every_golden_input_what_templatize_gives():
     for _ in ("cold", "warm"):
         actual = [outcome(lambda sql: templatize(sql, shapes), sql) for sql in inputs]
         assert actual == expected
-    assert shapes and all(isinstance(positions, tuple)
-                          and all(isinstance(i, int) for i in positions)
-                          for positions in shapes.values())
+    # An entry is the shape's positions and the templates read at them,
+    # each keyed by its own tokens; the twins' one shape holds two.
+    assert shapes
+    for positions, shape_templates in shapes.values():
+        assert isinstance(positions, tuple) and all(isinstance(i, int) for i in positions)
+        assert shape_templates and all(
+            type(template) is StructuralTemplate and template.tokens == tokens
+            and len(tokens) == len(positions)
+            for tokens, template in shape_templates.items())
+    twins = shapes[shape_key(query_tokens(FUNCTION_TWINS[0]))][1]
+    assert list(twins) == [tuple(expected[-2]), tuple(expected[-1])]
 
 
 def _parses(sql):
@@ -278,3 +289,66 @@ def test_a_failing_shape_is_parsed_each_time_and_keeps_its_offsets(monkeypatch):
                                (1, "expected table name (at offset 14)"),
                                (2, "expected table name (at offset 15)"),
                                (3, "expected table name (at offset 13)")]
+
+
+# -- template objects ----------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["templates", "align", "ar"])
+def test_a_cli_run_builds_one_template_object_per_shape_and_template(
+        command, tmp_path, monkeypatch):
+    rng = random.Random(5)
+    files = {
+        "target": corpusgen.make_mixture_corpus(120, seed=3) + FUNCTION_TWINS,
+        "near": [corpusgen.make_query_pair(rng)[1] for _ in range(40)]
+        + FUNCTION_TWINS[::-1] + ["SELECT broken FROM"],
+        "far": corpusgen.make_mixture_corpus(30, seed=4, skeletons=corpusgen.FAR_SKELETONS),
+    }
+    paths = {}
+    for name, sqls in files.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps({"sql": sql}) + "\n" for sql in sqls),
+                               encoding="utf-8")
+    argv = {"templates": ["templates", str(paths["target"])],
+            "align": ["align", "--target", str(paths["target"]),
+                      "--source", str(paths["near"]), "--source", str(paths["far"])],
+            "ar": ["ar", "--target", str(paths["target"]), "--train", str(paths["near"]),
+                   "--pred", str(paths["far"]), "--c", "1"]}[command]
+
+    built = []
+    init = StructuralTemplate.__init__
+
+    def counted_init(self, tokens):
+        built.append(tokens)
+        init(self, tokens)
+    monkeypatch.setattr(StructuralTemplate, "__init__", counted_init)
+    results = []
+    run_templatize_corpus = cli.templatize_corpus
+
+    def kept(corpus, **kwargs):
+        result = run_templatize_corpus(corpus, **kwargs)
+        results.append((corpus, result))
+        return result
+    monkeypatch.setattr(cli, "templatize_corpus", kept)
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 0
+
+    # Across every corpus of the run, records of one (shape, template)
+    # hold one object, and each pair has an object of its own.
+    by_pair = {}
+    strings = set()
+    for corpus, result in results:
+        failed = {i for i, _ in result.failures}
+        parsed = [sql for i, sql in enumerate(corpus.sqls) if i not in failed]
+        assert len(parsed) == len(result.templates) > 0
+        strings.update(parsed)
+        for sql, template in zip(parsed, result.templates):
+            pair = shape_key(query_tokens(sql)), template.tokens
+            assert template is by_pair.setdefault(pair, template), sql
+    assert len({id(template) for template in by_pair.values()}) == len(by_pair)
+    assert len(built) == len(by_pair)
+    assert len(strings) > 2 * len(by_pair)  # shapes repeat across distinct strings
+    # The twins share a shape, so a template of their own each.
+    twin_shape = shape_key(query_tokens(FUNCTION_TWINS[0]))
+    twins = [template for (shape, _), template in by_pair.items() if shape == twin_shape]
+    assert [template.tokens for template in twins] == [
+        templatize(sql).tokens for sql in FUNCTION_TWINS]
+    assert twins[0] is not twins[1]
