@@ -12,9 +12,9 @@ raises carries that path and puts it first in its text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
-knows how a failure is kept in the run memo. It also opens the view's own
-table of the memo and the two tables every view shares, the shape table
-and the lexicon, which it passes to the view's function.
+knows how a failure is kept in the run memo. It also opens the view's
+cache in the memo, its strings, its shape table and its lexicon, and
+passes the last two to the view's function.
 """
 
 from __future__ import annotations
@@ -297,35 +297,32 @@ def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None,
     raised ParseError.
 
     ``memo`` is a run memo: a plain dict shared by the calls of one run,
-    or None. This function opens its tables: the view's own table
-    ``memo[view]``, and the shape table ``memo["shapes"]`` and the lexicon
-    ``memo["lexicon"]`` that every view shares; it calls ``fn(sql, shapes,
-    lexicon)``. The shape table maps each shape key to its entry
-    ``(positions, templates)``: the token positions of its template and
-    the StructuralTemplates read at them, keyed by their tokens (see
-    templates.templatize). The view table maps SQL strings to earlier
+    or None. ``memo[view]`` is the view's whole cache, the triple
+    ``(strings, shapes, lexicon)``, which this function opens; it calls
+    ``fn(sql, shapes, lexicon)``. ``strings`` maps SQL strings to earlier
     values of fn, or to the ParseError they raised, so ``view`` must fix
     everything those values depend on, and each view names its own.
     Strings found there are not passed to fn again and new ones are added,
-    so fn runs once per string across all the corpora of the run. Without
-    a memo the three tables live for this call only.
+    so fn runs once per string across all the corpora of the run.
+    ``shapes`` is the view's shape table: it maps each shape key to its
+    token positions and, per template read at them, the view's value (see
+    templates.templatize). ``lexicon`` is tokenize's. No table is shared
+    between views. Without a memo the cache lives for this call only.
     """
     memo = {} if memo is None else memo
-    table = memo.setdefault(view, {})
-    shapes = memo.setdefault("shapes", {})
-    lexicon = memo.setdefault("lexicon", {})
+    strings, shapes, lexicon = memo.setdefault(view, ({}, {}, {}))
     results: list = []
     failures: list[tuple[int, str]] = []
     for i, sql in enumerate(corpus.sqls):
-        if sql not in table:
+        if sql not in strings:
             try:
-                table[sql] = fn(sql, shapes, lexicon)
+                strings[sql] = fn(sql, shapes, lexicon)
             except ParseError as exc:
                 # Keep the error without its traceback (or the RecursionError
                 # it replaced), whose parser frames would stay alive with it.
                 exc.__traceback__ = exc.__context__ = None
-                table[sql] = exc
-        result = table[sql]
+                strings[sql] = exc
+        result = strings[sql]
         if isinstance(result, ParseError):
             failures.append((i, str(result)))
         else:
@@ -343,9 +340,11 @@ def templatize_corpus(corpus: Corpus | SqlCorpus, l_max: int = DEFAULT_L_MAX,
 
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see
-    map_distinct_sql): a string templated for an earlier corpus of the run
-    is not parsed again, and its shape table and lexicon serve every
-    corpus of the run. The result is the same with or without it.
+    map_distinct_sql): under ``memo["templates"]`` the view keeps its
+    strings, shape table and lexicon, so a string templated for an earlier
+    corpus of the run is not parsed again, and each (shape, template) of
+    the run is one StructuralTemplate. The result is the same with or
+    without it.
     """
     templates, failures = map_distinct_sql(corpus, templatize, memo, "templates")
     if not templates:

@@ -511,14 +511,7 @@ class _Parser:
             return Node("select_item", [Node("star", [self._struct()])])
         # qualified star: t.* or db.t.*
         if self._qualified_star_ahead():
-            ch = [self._schema()]
-            while self.tok.kind == DOT:
-                ch.append(self._schema())
-                if self.tok.upper == "*":
-                    ch.append(self._struct())
-                    break
-                ch.append(self._schema())
-            return Node("select_item", [Node("star", ch)])
+            return Node("select_item", [self._column_ref()])
         return Node("select_item", self._optional_alias([self._expr()]))
 
     def _qualified_star_ahead(self) -> bool:

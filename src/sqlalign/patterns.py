@@ -149,24 +149,21 @@ def count_patterns(corpus: Corpus | SqlCorpus,
 
     A query's shape_key fixes its tree's labels and ``positions``, and
     its template tokens the ``upper`` of the tokens there: all that a
-    PatternSpec reads. So the ids are kept per (shape key, template), and
-    a query takes the positions from its shape's entry in the shape table
-    (see templates.templatize) and its ids from that table without a
-    parse. A parse fills both tables, a new shape's entry with its
-    positions and an empty dict of templates, which this view leaves to
-    templatize; a failure is kept in neither, so a string that fails is
-    parsed again.
+    PatternSpec reads. So the view's shape table keeps, in the entry form
+    of templates.templatize, per shape key the positions and per template
+    the pattern ids: ``(positions, {template tokens: ids})``. A query
+    reads its template tokens at its shape's positions and its ids from
+    there without a parse. A failure is not kept in it, so a string that
+    fails is parsed again.
 
-    ``memo`` is a run memo shared with the other calls of one run (see
-    map_distinct_sql and templatize_corpus): it holds the ids per string
-    and per key, the shape table and the lexicon, never a tree, and the
-    counts are the same with or without it.
+    ``memo`` is a run memo (see map_distinct_sql): under ``("patterns",
+    specs)`` the view keeps the ids per string, its shape table and its
+    lexicon, never a tree, and the counts are the same with or without it.
     """
     specs = tuple(specs)
     ids = [spec.id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ValueError("pattern ids must be unique")
-    by_key = {} if memo is None else memo.setdefault(("pattern keys", specs), {})
 
     def matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
         tokens = query_tokens(sql, lexicon)
@@ -176,12 +173,13 @@ def count_patterns(corpus: Corpus | SqlCorpus,
         if entry is None:
             tree = parse_sql(sql, tokens)
             entry = shapes[shape] = (tree.positions, {})
-        key = shape, tuple([tokens[i].upper for i in entry[0]])
-        found = by_key.get(key)
+        positions, by_template = entry
+        words = tuple([tokens[i].upper for i in positions])
+        found = by_template.get(words)
         if found is None:
             if tree is None:
                 tree = parse_sql(sql, tokens)
-            found = by_key[key] = tuple(spec.id for spec in specs if spec.match(tree))
+            found = by_template[words] = tuple(spec.id for spec in specs if spec.match(tree))
         return found
 
     counts = {spec.id: 0 for spec in specs}

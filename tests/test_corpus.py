@@ -565,13 +565,15 @@ def test_map_distinct_sql_calls_once_per_exact_string():
     results, failures = map_distinct_sql(make_corpus(sqls), fn, memo, "trees")
     assert [sql for sql, _, _ in calls] == ["SELECT a FROM t", "SELECT broken FROM",
                                             "SELECT  a FROM t"]
-    assert sorted(memo, key=str) == ["lexicon", "shapes", "trees"]
-    assert all(shapes is memo["shapes"] and lexicon is memo["lexicon"]
+    # The view's whole cache is one entry: its strings, shape table and lexicon.
+    assert list(memo) == ["trees"]
+    strings, view_shapes, view_lexicon = memo["trees"]
+    assert all(shapes is view_shapes and lexicon is view_lexicon
                for _, shapes, lexicon in calls)
     assert len(results) == 3
     assert results[0] is results[1] and results[0] is not results[2]
     assert [i for i, _ in failures] == [1, 4] and failures[0][1] == failures[1][1]
-    stored = memo["trees"]["SELECT broken FROM"]
+    stored = strings["SELECT broken FROM"]
     assert isinstance(stored, ParseError) and stored.__traceback__ is None
     assert failures[0][1] == str(stored)
 
@@ -708,10 +710,12 @@ def test_views_in_one_memo_do_not_mix():
     assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
     assert _patterns_view(corpus, other_specs, memo) == _patterns_view(corpus, other_specs)
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-    # per spec set, a table by string and one by (shape, template); the
-    # templates view; and the shape table and the lexicon that all share
-    assert len(memo) == 7
-    assert {"templates", "shapes", "lexicon"} <= memo.keys()
+    # One cache per view, each a (strings, shapes, lexicon) triple, and no
+    # table shared between two of them.
+    assert set(memo) == {"templates", ("patterns", DEFAULT_PATTERNS), ("patterns", other_specs)}
+    tables = [table for cache in memo.values() for table in cache]
+    assert all(len(cache) == 3 for cache in memo.values())
+    assert len({id(table) for table in tables}) == len(tables) == 9
 
 
 def test_the_memo_keeps_no_tree(monkeypatch):
@@ -741,13 +745,20 @@ def test_the_memo_keeps_no_tree(monkeypatch):
         assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
-    assert len(memo) == 5
-    # The id table keeps pattern ids, and no tree.
-    assert sorted(memo[("pattern keys", DEFAULT_PATTERNS)].values()) == [
-        (), ("count_star",), ("subquery",)]
-    # The shape table keeps per shape its token positions and the templates
-    # read at them, each keyed by its own tokens, and no tree.
-    shapes = memo["shapes"]
+    assert set(memo) == {"templates", ("patterns", DEFAULT_PATTERNS)}
+    # The patterns view's shape table keeps per shape its token positions
+    # and the pattern ids of each template read at them, and no tree.
+    pattern_shapes = memo[("patterns", DEFAULT_PATTERNS)][1]
+    assert len(pattern_shapes) == 2
+    positions, shape_ids = pattern_shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
+    assert positions == (0, 1, 2, 3, 4, 5)
+    assert shape_ids == {("SELECT", "COUNT", "(", "*", ")", "FROM"): ("count_star",),
+                         ("SELECT", "MAX", "(", "*", ")", "FROM"): ()}
+    assert sorted(ids for _, shape_ids in pattern_shapes.values()
+                  for ids in shape_ids.values()) == [(), ("count_star",), ("subquery",)]
+    # The templates view's shape table keeps per shape its token positions
+    # and the templates read at them, each keyed by its own tokens, and no tree.
+    shapes = memo["templates"][1]
     assert len(shapes) == 2
     positions, shape_templates = shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
     assert positions == (0, 1, 2, 3, 4, 5)

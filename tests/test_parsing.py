@@ -216,6 +216,7 @@ def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     ("SELECT SUM(a) OVER (ORDER BY b ROWS UNBOUNDED PRECEDING) FROM t",
      "SELECT SUM ( ) OVER ( ORDER BY ROWS UNBOUNDED PRECEDING ) FROM"),
     ("SELECT COUNT(t.*) FROM t", "SELECT COUNT ( * ) FROM"),
+    ('SELECT "t".*, t.a.* FROM t', "SELECT * , * FROM"),
 ])
 def test_rarely_taken_branches_give_their_template(sql, template):
     assert derive_template(parse_sql(sql)).canonical_text == template
@@ -230,6 +231,8 @@ def test_a_qualified_star_in_count_is_count_star():
      "expected column name in CTE column list, found '1' (at offset 11)"),
     ("SELECT a AS FROM t", "expected alias name, found 'FROM' (at offset 12)"),
     ("SELECT EXTRACT(1 FROM d) FROM t", "expected date part in EXTRACT, found '1' (at offset 15)"),
+    ("SELECT t.* AS x FROM t", "unexpected token after end of query, found 'AS' (at offset 11)"),
+    ("SELECT t.* + 1 FROM t", "unexpected token after end of query, found '+' (at offset 11)"),
 ])
 def test_rarely_taken_error_branches_name_the_token(sql, message):
     with pytest.raises(ParseError) as err:
@@ -424,7 +427,7 @@ def test_a_recursion_error_is_reported_as_nesting_too_deep():
     assert err.value.position in token_offsets(sql) and sql[err.value.position] == "("
     assert [i for i, _ in result.failures] == [0]
     assert result.failures[0][1].startswith("query nests too deeply")
-    stored = memo["templates"][sql]
+    stored = memo["templates"][0][sql]  # the view's strings
     assert isinstance(stored, ParseError)
     assert stored.__traceback__ is None and stored.__context__ is None
 

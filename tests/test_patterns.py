@@ -205,7 +205,10 @@ def test_every_golden_input_gets_its_pattern_ids_through_one_memo():
         assert _ids_through(memo, record["sql"]) == expected, record["sql"]
         checked += 1
     assert checked > 4000
-    assert len(memo[("pattern keys", DEFAULT_PATTERNS)]) < checked
+    # the view's shape table holds ids per (shape, template), fewer than strings
+    _, shapes, _ = memo[("patterns", DEFAULT_PATTERNS)]
+    assert list(memo) == [("patterns", DEFAULT_PATTERNS)]
+    assert sum(len(by_template) for _, by_template in shapes.values()) < checked
 
 
 def _any_case(name):
