@@ -49,8 +49,8 @@ class CorpusRecord(FrozenValue):
 
 
 class Corpus(FrozenValue):
-    """A corpus as records, for work that keeps rows (sampling). The views
-    read only its ``sqls``; ``load_sql`` gives them those alone."""
+    """A corpus as records, for work that keeps rows: ``sample`` alone. The
+    views take the SQL column instead (a ``SqlCorpus``, from ``load_sql``)."""
 
     _fields = ("name", "records")
     __hash__ = None  # its records are unhashable
@@ -62,11 +62,6 @@ class Corpus(FrozenValue):
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def sqls(self) -> tuple[str, ...]:
-        """The records' SQL texts, in record order."""
-        return tuple(record.sql for record in self.records)
 
 
 class SqlCorpus(FrozenValue):
@@ -287,9 +282,9 @@ class TemplatizeResult(Value):
         super().__init__(templates, distribution, failures)
 
 
-def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None,
+def map_distinct_sql(corpus: SqlCorpus, fn, memo: dict | None,
                      view) -> tuple[list, list[tuple[int, str]]]:
-    """Apply fn to every record's SQL (``corpus.sqls``), calling it once
+    """Apply fn to every SQL text of the corpus's column, calling it once
     per distinct string (exact text: a ParseError's offset differs between
     strings that differ only in whitespace), and return ``(results,
     failures)``: fn's value for every record that parses, in record
@@ -330,11 +325,11 @@ def map_distinct_sql(corpus: Corpus | SqlCorpus, fn, memo: dict | None,
     return results, failures
 
 
-def templatize_corpus(corpus: Corpus | SqlCorpus, l_max: int = DEFAULT_L_MAX,
+def templatize_corpus(corpus: SqlCorpus, l_max: int = DEFAULT_L_MAX,
                       memo: dict | None = None) -> TemplatizeResult:
-    """Template every record and build the distribution. Each distinct
-    SQL string is parsed at most once, and each query shape that parses
-    only once. Records of one (shape, template) share one
+    """Template every SQL text of the column and build the distribution.
+    Each distinct SQL string is parsed at most once, and each query shape
+    that parses only once. Records of one (shape, template) share one
     StructuralTemplate object, within a corpus and, with a memo, across
     the corpora of the run.
 

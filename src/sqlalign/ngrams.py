@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._value import Value
 from .errors import EmptyDistributionError
@@ -40,12 +40,11 @@ class NGramDistribution(Value):
         super().__init__(counts, total, l_max, source_label)
 
 
-def build_distribution(
-    templates: Iterable[StructuralTemplate | Sequence[str]],
-    l_max: int = DEFAULT_L_MAX,
-    source_label: str = "",
-) -> NGramDistribution:
-    """Pool the valid n-grams of all templates into one frequency distribution.
+def build_distribution(templates: Iterable[StructuralTemplate], l_max: int = DEFAULT_L_MAX,
+                       source_label: str = "") -> NGramDistribution:
+    """Pool the valid n-grams of all templates into one frequency
+    distribution. Each template is a StructuralTemplate; a bare token
+    sequence is wrapped first, as ``StructuralTemplate(tuple(tokens))``.
 
     Every window of 1..l_max tokens is a candidate. Counting is per
     occurrence: a template that occurs k times contributes each of its
@@ -54,8 +53,7 @@ def build_distribution(
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    distinct = Counter(t.tokens if isinstance(t, StructuralTemplate) else tuple(t)
-                       for t in templates)
+    distinct = Counter(t.tokens for t in templates)
     counts: dict[NGram, int] = {}
     get = counts.get
     for tokens, multiplicity in distinct.items():

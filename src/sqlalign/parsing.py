@@ -450,13 +450,13 @@ class _Parser:
         if not self._at_name(_RESERVED_STOP):
             self._error("expected common-table-expression name")
         ch = [self._schema()]
-        if self.tok.kind == LPAREN:  # optional column list: drop with the names
+        if self.tok.kind == LPAREN:  # optional ( name (, name)* ): drop with the names
             ch.append(self._schema())
-            while self.tok.kind != RPAREN:
-                if self._at_name() or self.tok.kind == COMMA:
-                    ch.append(self._schema())
-                else:
-                    self._error("expected column name in CTE column list")
+            ch.append(self._name("expected column name in CTE column list"))
+            while self.tok.kind == COMMA:
+                ch += [self._schema(), self._name("expected column name in CTE column list")]
+            if self.tok.kind != RPAREN:
+                self._error("expected ')' after CTE column list")
             ch.append(self._schema())
         ch.append(self._kw("AS"))
         if self.tok.kind != LPAREN:
@@ -750,8 +750,6 @@ class _Parser:
             return self._column_ref()
         if kind == END:
             self._error("unexpected end of query")
-        if t.upper == "*":
-            return Node("star", [self._struct()])
         self._error("expected expression")
 
     def _case_expr(self) -> Node:
@@ -782,9 +780,16 @@ class _Parser:
         ch = [self._schema()]
         while self.tok.kind == WORD:  # multi-word types: DOUBLE PRECISION, UNSIGNED BIG INT
             ch.append(self._schema())
-        if self.tok.kind == LPAREN:  # type parameters: VARCHAR(20), DECIMAL(10, 2)
+        if self.tok.kind == LPAREN:  # ( p (, p)* ): VARCHAR(20), DECIMAL(10, 2), VARCHAR(MAX)
             ch.append(self._schema())
-            while self.tok.kind in (NUMBER, COMMA, WORD):
+            while True:  # at "(" or after a comma, where a parameter comes next
+                if self.tok.kind in (RPAREN, COMMA):
+                    self._error("expected type parameter")
+                if self.tok.kind not in (NUMBER, WORD):
+                    break
+                ch.append(self._schema())
+                if self.tok.kind != COMMA:
+                    break
                 ch.append(self._schema())
             if self.tok.kind != RPAREN:
                 self._error("expected ')' after type parameters")
@@ -809,13 +814,12 @@ class _Parser:
 
     def _func_call(self) -> Node:
         ch = [self._struct(), self._punct(LPAREN, "'('")]
-        if self.tok.kind != RPAREN:
+        if self.tok.upper == "*":  # COUNT(*), but not COUNT(DISTINCT *)
+            ch.append(Node("star", [self._struct()]))
+        elif self.tok.kind != RPAREN:
             if self.tok.upper in ("DISTINCT", "ALL"):
                 ch.append(self._struct())
-            if self.tok.upper == "*":
-                ch.append(Node("star", [self._struct()]))
-            else:
-                self._comma_list(ch, self._expr)
+            self._comma_list(ch, self._expr)
         ch.append(self._punct(RPAREN, "')'"))
         node = Node("func", ch)
         if self.tok.upper == "FILTER":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ._value import Value
-from .corpus import Corpus, SqlCorpus, map_distinct_sql
+from .corpus import SqlCorpus, map_distinct_sql
 from .errors import SpecMismatchError
 from .parsing import Node, parse_sql, query_tokens, shape_key
 
@@ -141,11 +141,12 @@ class PatternCounts(Value):
         super().__init__(corpus_name, counts, parse_failures)
 
 
-def count_patterns(corpus: Corpus | SqlCorpus,
+def count_patterns(corpus: SqlCorpus,
                    specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
                    memo: dict | None = None) -> PatternCounts:
-    """Count the records that match each spec, matching each distinct SQL
-    string once and parsing it only when its shape or template is new.
+    """Count the records of the SQL column that match each spec, matching
+    each distinct SQL string once and parsing it only when its shape or
+    template is new.
 
     A query's shape_key fixes its tree's labels and ``positions``, and
     its template tokens the ``upper`` of the tokens there: all that a

@@ -18,6 +18,8 @@ from sqlalign import (
     Corpus,
     CorpusRecord,
     SampleSpec,
+    SqlCorpus,
+    StructuralTemplate,
     build_distribution,
     kl_alignment,
     kl_divergence,
@@ -139,7 +141,7 @@ def test_criterion_07_ngram_oracle_equivalence():
     templates = [[rng.choice(pool) for _ in range(rng.randint(1, 20))]
                  for _ in range(100)]
     naive = naive_valid_counts(templates, l_max=15)
-    dist = build_distribution(templates, l_max=15)
+    dist = build_distribution([StructuralTemplate(tuple(t)) for t in templates], l_max=15)
     assert dist.counts == naive
     assert dist.total == sum(naive.values())
     _report("criterion 7: pooled counts equal the naive enumerator", started, 10.0)
@@ -164,7 +166,7 @@ def test_criterion_08_small_sample_stability():
     full_sql = corpusgen.make_mixture_corpus(10_000, seed=123, weights=weights_corpus)
     corpus = Corpus(name="synthetic",
                     records=tuple(CorpusRecord(sql=s) for s in full_sql))
-    full = templatize_corpus(corpus, l_max=15)
+    full = templatize_corpus(SqlCorpus("synthetic", tuple(full_sql)), l_max=15)
     assert len({t.canonical_text for t in full.templates}) >= 20
 
     near_ref = build_distribution(
@@ -184,7 +186,8 @@ def test_criterion_08_small_sample_stability():
     for seed in range(10):
         sampled = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=seed))
         assert len(sampled) == 100
-        sample_result = templatize_corpus(sampled, l_max=15)
+        sample_result = templatize_corpus(
+            SqlCorpus(sampled.name, tuple(r.sql for r in sampled.records)), l_max=15)
         d_sample = kl_divergence(sample_result.distribution, near_ref, alpha)
         worst = max(worst, abs(kl_alignment(d_sample, c) - a_full))
     assert worst <= 0.05, f"max |delta a_kl| = {worst:.4f}"
@@ -249,8 +252,7 @@ def test_criterion_11_optional_benchmark_ordering_diagnostic():
         for split in ("train", "eval"):
             path = root / f"{name}_{split}.jsonl"
             rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-            corpus = Corpus(name=f"{name}_{split}", records=tuple(
-                CorpusRecord(sql=r["sql"]) for r in rows))
+            corpus = SqlCorpus(f"{name}_{split}", tuple(r["sql"] for r in rows))
             dists[(name, split)] = templatize_corpus(corpus, l_max=15).distribution
     for train_name in names:
         divergences = {eval_name: kl_divergence(dists[(eval_name, "eval")],

@@ -38,7 +38,13 @@ def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
 
-def make_corpus(sqls, name="c", groups=None):
+def make_corpus(sqls, name="c"):
+    """The SQL column the views take."""
+    return SqlCorpus(name=name, sqls=tuple(sqls))
+
+
+def make_records(sqls, name="c", groups=None):
+    """A corpus as records, which sampling takes."""
     groups = groups or [""] * len(sqls)
     return Corpus(name=name, records=tuple(
         CorpusRecord(sql=s, group_id=g) for s, g in zip(sqls, groups)))
@@ -442,22 +448,12 @@ def test_load_sql_keeps_the_sql_column_and_each_distinct_text_once(tmp_path):
     assert sqls == SqlCorpus(str(path), ("SELECT a FROM t", "SELECT 7", "SELECT a FROM t", "7"))
     assert len(sqls) == 4
     assert sqls.sqls[0] is sqls.sqls[2]
-    assert sqls.sqls == load_corpus(path).sqls
+    assert sqls.sqls == tuple(r.sql for r in load_corpus(path).records)
     assert hash(sqls) == hash(SqlCorpus(str(path), sqls.sqls))
     with pytest.raises(AttributeError):
         sqls.sqls = ()
     with pytest.raises(ValueError):
         SqlCorpus("x", ())
-
-
-def test_the_views_give_a_corpus_and_its_sql_column_the_same_results(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps([{"sql": sql, "db_id": i} for i, sql in enumerate([
-        "SELECT a, SUM(b) FROM t GROUP BY a", "SELECT COUNT(*) FROM t", "SELECT broken FROM",
-        "SELECT a FROM t WHERE b IN (SELECT c FROM u)", "SELECT COUNT(*) FROM t"])]))
-    records, column = load_corpus(path, group_field="db_id"), load_sql(path)
-    assert _templatize_view(column) == _templatize_view(records)
-    assert _patterns_view(column) == _patterns_view(records)
 
 
 @settings(max_examples=100, deadline=None)
@@ -471,13 +467,13 @@ def test_both_readers_agree_on_a_mutated_file(tmp_path_factory, name, mutations)
 # -- sampling ----------------------------------------------------------------
 
 def test_fraction_one_keeps_everything_in_order():
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(20)])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(20)])
     sampled = sample_corpus(corpus, SampleSpec(fraction=1.0, seed=9))
     assert sampled.records == corpus.records
 
 
 def test_fraction_rounds_up():
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(10)])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(10)])
     sampled = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=0))
     assert len(sampled) == 1
 
@@ -490,13 +486,13 @@ def test_fraction_rounds_up():
     (1e-12, 5, 1),
 ])
 def test_fraction_counts_a_product_near_an_integer_as_that_integer(fraction, n, kept):
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(n)])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(n)])
     assert len(sample_corpus(corpus, SampleSpec(fraction=fraction, seed=0))) == kept
 
 
 def test_per_group_takes_min_of_k_and_group_size():
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(6)],
-                         groups=["db1"] * 5 + ["db2"])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(6)],
+                          groups=["db1"] * 5 + ["db2"])
     sampled = sample_corpus(corpus, SampleSpec(per_group=2, seed=4))
     assert len(sampled) == 3
     by_group = {}
@@ -506,7 +502,7 @@ def test_per_group_takes_min_of_k_and_group_size():
 
 
 def test_sampling_is_deterministic_per_seed():
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(100)])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(100)])
     spec = SampleSpec(fraction=0.2, seed=42)
     assert sample_corpus(corpus, spec).records == sample_corpus(corpus, spec).records
     other = sample_corpus(corpus, SampleSpec(fraction=0.2, seed=43))
@@ -514,7 +510,7 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_sampling_preserves_original_order():
-    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(50)])
+    corpus = make_records([f"SELECT c{i} FROM t" for i in range(50)])
     sampled = sample_corpus(corpus, SampleSpec(fraction=0.3, seed=1))
     positions = [corpus.records.index(r) for r in sampled.records]
     assert positions == sorted(positions)

@@ -45,15 +45,20 @@ TOKEN_POOL = ["SELECT", "FROM", "WHERE", "GROUP", "BY", "COUNT", "SUM", "ON",
               "JOIN", "(", ")", ",", "=", "*", "/", "+", "||", "<", "xx", "yy"]
 
 
+def as_templates(token_lists):
+    """Token lists as the StructuralTemplates build_distribution takes."""
+    return [StructuralTemplate(tuple(tokens)) for tokens in token_lists]
+
+
 def test_build_rejects_bad_l_max():
     with pytest.raises(ValueError):
-        build_distribution([["SELECT"]], l_max=0)
+        build_distribution(as_templates([["SELECT"]]), l_max=0)
 
 
 def test_build_rejects_a_token_holding_a_space():
     # "SELECT a b" would key both ("SELECT", "a b") and ("SELECT a", "b")
     with pytest.raises(ValueError, match="space"):
-        build_distribution([["SELECT", "a b"]], l_max=2)
+        build_distribution(as_templates([["SELECT", "a b"]]), l_max=2)
 
 
 @pytest.mark.parametrize("gram,expected", [
@@ -71,7 +76,7 @@ def test_build_rejects_a_token_holding_a_space():
 def test_validity_filter(gram, expected):
     # With l_max == len(gram) the whole gram is the only window of its length.
     try:
-        dist = build_distribution([gram], l_max=len(gram))
+        dist = build_distribution(as_templates([gram]), l_max=len(gram))
     except EmptyDistributionError:
         assert not expected  # nothing in the gram survives
         return
@@ -86,7 +91,7 @@ def test_build_pools_duplicate_templates():
 
 
 def test_build_select_star_from_example():
-    dist = build_distribution([["SELECT", "*", "FROM"]], l_max=3)
+    dist = build_distribution(as_templates([["SELECT", "*", "FROM"]]), l_max=3)
     assert set(dist.counts) == {"SELECT", "FROM", "SELECT *", "* FROM", "SELECT * FROM"}
     assert dist.total == 5
 
@@ -98,7 +103,7 @@ def test_build_empty_input_raises():
 
 def test_build_nothing_survives_filter_raises():
     with pytest.raises(EmptyDistributionError):
-        build_distribution([["(", ")", "*"]], l_max=3)
+        build_distribution(as_templates([["(", ")", "*"]]), l_max=3)
 
 
 def test_every_stored_ngram_passes_the_filter():
@@ -121,7 +126,7 @@ def test_matches_naive_enumerator(token_lists, l_max):
     # Templates repeat, so the count-per-distinct-template path is exercised.
     naive = naive_valid_counts(token_lists, l_max)
     try:
-        dist = build_distribution(token_lists, l_max=l_max)
+        dist = build_distribution(as_templates(token_lists), l_max=l_max)
     except EmptyDistributionError:
         assert naive == {}
         return
@@ -135,12 +140,12 @@ def test_matches_naive_enumerator(token_lists, l_max):
        st.randoms(use_true_random=False))
 def test_build_is_order_independent(token_lists, rng):
     try:
-        before = build_distribution(token_lists, l_max=5)
+        before = build_distribution(as_templates(token_lists), l_max=5)
     except EmptyDistributionError:
         return
     shuffled = list(token_lists)
     rng.shuffle(shuffled)
-    after = build_distribution(shuffled, l_max=5)
+    after = build_distribution(as_templates(shuffled), l_max=5)
     assert before.counts == after.counts
     assert before.total == after.total
 

@@ -1,10 +1,14 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sqlalign
+import sqlalign.cli
 
 SRC = str(Path(sqlalign.__file__).parents[1])
 
@@ -44,3 +48,18 @@ def test_every_python_file_parses_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_pyproject_names_the_cli_and_the_package_version():
+    # The tests run the package from src without installing it, so check
+    # what an install reads: the version, the console script and the
+    # supported Pythons.
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == sqlalign.__version__
+    assert project["scripts"]["sqlalign"] == "sqlalign.cli:main"
+    module, name = project["scripts"]["sqlalign"].split(":")
+    assert getattr(importlib.import_module(module), name) is sqlalign.cli.main
+    # The feature_version that test_every_python_file_parses_as_python_3_10 checks.
+    assert project["requires-python"] == ">=3.10"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 from sqlalign import parsing
-from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
+from sqlalign.corpus import SqlCorpus, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.parsing import (
     END,
@@ -211,12 +211,16 @@ def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     ("WITH RECURSIVE r AS (SELECT 1) SELECT * FROM r", "WITH RECURSIVE AS ( SELECT ) SELECT * FROM"),
     ("SELECT db.t.* FROM db.t", "SELECT * FROM"),
     ("SELECT a FROM t ORDER BY a DESC NULLS FIRST", "SELECT FROM ORDER BY DESC NULLS FIRST"),
-    ("SELECT a FROM t WHERE * = 1", "SELECT FROM WHERE * ="),
     ("SELECT d + INTERVAL '1' DAY FROM t", "SELECT + INTERVAL DAY FROM"),
     ("SELECT SUM(a) OVER (ORDER BY b ROWS UNBOUNDED PRECEDING) FROM t",
      "SELECT SUM ( ) OVER ( ORDER BY ROWS UNBOUNDED PRECEDING ) FROM"),
     ("SELECT COUNT(t.*) FROM t", "SELECT COUNT ( * ) FROM"),
     ('SELECT "t".*, t.a.* FROM t', "SELECT * , * FROM"),
+    ("WITH w(x, y) AS (SELECT a, b FROM t) SELECT x FROM w",
+     "WITH AS ( SELECT , FROM ) SELECT FROM"),
+    ("SELECT CAST(a AS VARCHAR(20)) FROM t", "SELECT CAST ( ) FROM"),
+    ("SELECT CAST(a AS DECIMAL(10, 2)) FROM t", "SELECT CAST ( ) FROM"),
+    ("SELECT CAST(a AS VARCHAR(MAX)) FROM t", "SELECT CAST ( ) FROM"),
 ])
 def test_rarely_taken_branches_give_their_template(sql, template):
     assert derive_template(parse_sql(sql)).canonical_text == template
@@ -233,6 +237,27 @@ def test_a_qualified_star_in_count_is_count_star():
     ("SELECT EXTRACT(1 FROM d) FROM t", "expected date part in EXTRACT, found '1' (at offset 15)"),
     ("SELECT t.* AS x FROM t", "unexpected token after end of query, found 'AS' (at offset 11)"),
     ("SELECT t.* + 1 FROM t", "unexpected token after end of query, found '+' (at offset 11)"),
+    # A bare "*" is a select item or COUNT's argument, never an expression.
+    ("SELECT a FROM t WHERE * = 1", "expected expression, found '*' (at offset 22)"),
+    ("SELECT 1 + * FROM t", "expected expression, found '*' (at offset 11)"),
+    ("SELECT f(a, *) FROM t", "expected expression, found '*' (at offset 12)"),
+    ("SELECT (*) FROM t", "expected expression, found '*' (at offset 8)"),
+    ("SELECT a FROM t ORDER BY *", "expected expression, found '*' (at offset 25)"),
+    ("SELECT -* FROM t", "expected expression, found '*' (at offset 8)"),
+    ("SELECT COUNT(DISTINCT *) FROM t", "expected expression, found '*' (at offset 22)"),
+    # A CTE column list is ( name (, name)* ).
+    ("WITH t(a b) AS (SELECT 1) SELECT a FROM t",
+     "expected ')' after CTE column list, found 'b' (at offset 9)"),
+    ("WITH t() AS (SELECT 1) SELECT a FROM t",
+     "expected column name in CTE column list, found ')' (at offset 7)"),
+    ("WITH t(,) AS (SELECT 1) SELECT a FROM t",
+     "expected column name in CTE column list, found ',' (at offset 7)"),
+    # CAST type parameters are ( p (, p)* ), each a number or a word.
+    ("SELECT CAST(a AS INT()) FROM t", "expected type parameter, found ')' (at offset 21)"),
+    ("SELECT CAST(a AS VARCHAR(10 20)) FROM t",
+     "expected ')' after type parameters, found '20' (at offset 28)"),
+    ("SELECT CAST(a AS VARCHAR(10,)) FROM t", "expected type parameter, found ')' (at offset 28)"),
+    ("SELECT CAST(a AS VARCHAR(", "expected ')' after type parameters (at offset 25)"),
 ])
 def test_rarely_taken_error_branches_name_the_token(sql, message):
     with pytest.raises(ParseError) as err:
@@ -418,8 +443,7 @@ def test_a_recursion_error_is_reported_as_nesting_too_deep():
         with pytest.raises(ParseError, match="^query nests too deeply") as err:
             parse_sql(sql)
         memo = {}
-        corpus = Corpus(name="c", records=(CorpusRecord(sql=sql),
-                                           CorpusRecord(sql="SELECT a FROM t")))
+        corpus = SqlCorpus(name="c", sqls=(sql, "SELECT a FROM t"))
         result = templatize_corpus(corpus, memo=memo)
     finally:
         sys.setrecursionlimit(limit)

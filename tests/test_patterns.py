@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 from sqlalign import patterns
-from sqlalign.corpus import Corpus, CorpusRecord
+from sqlalign.corpus import SqlCorpus
 from sqlalign.errors import ParseError, SpecMismatchError
 from sqlalign.parsing import parse_sql, query_tokens, shape_key
 from sqlalign.patterns import (
@@ -74,8 +74,7 @@ MANUAL_TALLY = {
 
 def fixture_corpus(sqls=None, name="fixture"):
     sqls = sqls if sqls is not None else [sql for sql, _ in FIXTURE]
-    return Corpus(name=name,
-                  records=tuple(CorpusRecord(sql=s) for s in sqls))
+    return SqlCorpus(name=name, sqls=tuple(sqls))
 
 
 def test_fixture_tally_is_internally_consistent():
@@ -179,7 +178,7 @@ def test_pattern_specs_compare_and_hash_by_their_fields_and_are_frozen():
 def _ids_through(memo, sql):
     """The ids count_patterns finds for sql alone, with a shared memo, or
     "error" for a parse failure."""
-    counted = count_patterns(Corpus("one", (CorpusRecord(sql),)), memo=memo)
+    counted = count_patterns(SqlCorpus("one", (sql,)), memo=memo)
     if counted.parse_failures:
         return "error"
     return [pattern_id for pattern_id, n in counted.counts.items() if n]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 from sqlalign import cli, parsing, templates
-from sqlalign.corpus import Corpus, CorpusRecord, templatize_corpus
+from sqlalign.corpus import SqlCorpus, templatize_corpus
 from sqlalign.errors import ParseError
 from sqlalign.keywords import TEMPLATE_OPERATORS
 from sqlalign.parsing import (
@@ -264,7 +264,7 @@ def _counting_parses(monkeypatch):
 
 
 def _corpus(sqls):
-    return Corpus("c", tuple(CorpusRecord(sql) for sql in sqls))
+    return SqlCorpus("c", tuple(sqls))
 
 
 def test_one_shape_in_fifty_spellings_is_parsed_once(monkeypatch):
