@@ -7,13 +7,11 @@ template-overlap ratios and traceable-pattern counts.
 """
 
 from .corpus import (
-    Corpus,
-    CorpusRecord,
     SampleSpec,
     SqlCorpus,
     TemplatizeResult,
     load_corpus,
-    load_sql,
+    read_rows,
     sample_corpus,
     templatize_corpus,
 )
@@ -60,8 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentRatio",
     "AlignmentScore",
-    "Corpus",
-    "CorpusRecord",
     "DEFAULT_ALPHA",
     "DEFAULT_L_MAX",
     "DEFAULT_PATTERNS",
@@ -92,9 +88,9 @@ __all__ = [
     "kl_alignment",
     "kl_divergence",
     "load_corpus",
-    "load_sql",
     "ovlp_ratio",
     "parse_sql",
+    "read_rows",
     "sample_corpus",
     "templatize",
     "templatize_corpus",

@@ -25,7 +25,7 @@ import math
 import sys
 import warnings
 
-from .corpus import (SampleSpec, SqlCorpus, load_corpus, load_sql, sample_corpus,
+from .corpus import (SampleSpec, SqlCorpus, load_corpus, read_rows, sample_corpus,
                      templatize_corpus)
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
@@ -126,9 +126,10 @@ def _field_settings(args) -> dict:
 
 
 def _load(args, path) -> SqlCorpus:
-    """The SQL column of a corpus file: all that a view of its templates
-    or patterns reads."""
-    return load_sql(path, **_field_settings(args))
+    """A corpus file's SQL column, and its group column under
+    --group-field: all that a view or the sampler reads. Every command
+    loads each of its files here once."""
+    return load_corpus(path, **_field_settings(args))
 
 
 # The command selector and the files a command reads or writes; every
@@ -249,18 +250,13 @@ def cmd_ar(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus = load_corpus(args.input, **_field_settings(args))
+    corpus = _load(args, args.input)
     spec = SampleSpec(fraction=args.fraction, per_group=args.per_group, seed=args.seed)
-    sampled = sample_corpus(corpus, spec)
-    lines = []
-    for record in sampled.records:
-        lines.append(json.dumps(
-            {"sql": record.sql, "question": record.question,
-             "group_id": record.group_id, "meta": record.meta},
-            ensure_ascii=False, sort_keys=True))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    print(f"sampled {len(sampled)} of {len(corpus)} records (seed={args.seed})",
-          file=sys.stderr)
+    chosen = sample_corpus(corpus, spec)
+    rows = read_rows(corpus, chosen, **_field_settings(args))
+    _write_text(args.output, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                                     for row in rows))
+    print(f"sampled {len(rows)} of {len(corpus)} records (seed={args.seed})", file=sys.stderr)
     return 0
 
 

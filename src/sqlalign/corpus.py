@@ -2,13 +2,14 @@
 
 Corpora arrive as JSON arrays, JSON-lines or CSV files of rows that hold at
 least a SQL string; the caller names the fields explicitly. One row loop
-reads and checks a file's rows, and two readers build on it: ``load_sql``
-keeps only the SQL column (a ``SqlCorpus``), which is all the template,
-alignment and pattern views read, and ``load_corpus`` keeps each row as a
-``CorpusRecord``, with its question, its group and an open metadata map of
-whatever other fields the row carried, for work on rows such as sampling.
-A corpus is named by its file's path, and every FormatError the loader
-raises carries that path and puts it first in its text.
+reads and checks a file's rows, and everything that reads a file goes
+through it. ``load_corpus`` keeps the SQL column, and the group column when
+a group field is named (a ``SqlCorpus``): all that the template, alignment
+and pattern views and the sampler read. A command that writes records out
+picks their indices and fetches those rows with ``read_rows``, which reads
+the file again. A corpus is named by its file's path, and every
+FormatError the loader raises carries that path and puts it first in its
+text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
@@ -33,49 +34,22 @@ from .parsing import ParseError
 from .templates import StructuralTemplate, templatize
 
 
-class CorpusRecord(FrozenValue):
-    """One (question, SQL, group) row. The question may be empty, e.g. in
-    model prediction dumps; the SQL may not."""
-
-    _fields = ("sql", "question", "group_id", "meta")
-    __slots__ = _fields
-    __hash__ = None  # meta is a dict
-
-    def __init__(self, sql: str, question: str = "", group_id: str = "",
-                 meta: dict | None = None):
-        if not sql.strip():
-            raise ValueError("record sql must be non-empty")
-        super().__init__(sql, question, group_id, {} if meta is None else meta)
-
-
-class Corpus(FrozenValue):
-    """A corpus as records, for work that keeps rows: ``sample`` alone. The
-    views take the SQL column instead (a ``SqlCorpus``, from ``load_sql``)."""
-
-    _fields = ("name", "records")
-    __hash__ = None  # its records are unhashable
-
-    def __init__(self, name: str, records: tuple[CorpusRecord, ...]):
-        if not records:
-            raise ValueError("corpus must contain at least one record")
-        super().__init__(name, records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 class SqlCorpus(FrozenValue):
-    """The SQL column of a corpus: the SQL text of each record, in record
-    order, and nothing else of its rows. ``load_sql`` stores equal texts as
-    one string object, so a repetitive corpus holds each distinct text
-    once."""
+    """A corpus as columns: the SQL text of each record, in record order,
+    and, when it was loaded with a group field, the group text of each
+    record (otherwise ``groups`` is None). ``load_corpus`` stores equal
+    texts as one string object, so a repetitive corpus holds each distinct
+    text once. The rest of a row stays in the file; ``read_rows`` reads it
+    back for the records a command writes out."""
 
-    _fields = ("name", "sqls")
+    _fields = ("name", "sqls", "groups")
 
-    def __init__(self, name: str, sqls: tuple[str, ...]):
+    def __init__(self, name: str, sqls: tuple[str, ...], groups: tuple[str, ...] | None = None):
         if not sqls:
             raise ValueError("corpus must contain at least one record")
-        super().__init__(name, sqls)
+        if groups is not None and len(groups) != len(sqls):
+            raise ValueError("groups must hold one group per record")
+        super().__init__(name, sqls, groups)
 
     def __len__(self) -> int:
         return len(self.sqls)
@@ -99,8 +73,8 @@ class SampleSpec(FrozenValue):
         super().__init__(fraction, per_group, seed)
 
 
-# The format each file extension implies; load_corpus needs input_format
-# for any other.
+# The format each file extension implies; a file with any other needs
+# input_format.
 _FORMATS = {".json": "json", ".jsonl": "jsonl", ".ndjson": "jsonl", ".csv": "csv"}
 
 
@@ -164,12 +138,13 @@ def _text_field(row: dict, name: str) -> str:
 
 def _kept_rows(path: Path, sql_field: str, question_field: str | None,
                group_field: str | None, input_format: str | None, skip_bad_rows: bool):
-    """Yield (row, sql) for each row of the file that holds SQL, with its
-    SQL as text; both readers iterate it, and it makes every check they
-    share. See load_corpus for what it raises and warns.
+    """Yield (row index, row, sql) for each row of the file that holds SQL,
+    with its SQL as text. ``load_corpus`` and ``read_rows`` read a file
+    through it alone, and it makes every check of its rows: load_corpus
+    lists what it raises and warns.
 
-    Each reader drives it from a ``for`` statement in its own frame, so a
-    warning at stacklevel 3 is blamed on the reader's caller."""
+    Each caller drives it from a ``for`` statement in its own frame, so a
+    warning at stacklevel 3 is blamed on the caller's caller."""
     fmt = input_format or _FORMATS.get(path.suffix.lower())
     if fmt is None:
         raise FormatError(f"cannot infer the format from the extension {path.suffix!r}; "
@@ -188,7 +163,7 @@ def _kept_rows(path: Path, sql_field: str, question_field: str | None,
         if unheld:
             unheld = [field for field in unheld if row.get(field) is None]
         kept += 1
-        yield row, sql
+        yield i, row, sql
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} bad row(s)", stacklevel=3)
     if not kept:
@@ -199,10 +174,11 @@ def _kept_rows(path: Path, sql_field: str, question_field: str | None,
 
 def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
                 group_field: str | None = None, input_format: str | None = None,
-                skip_bad_rows: bool = False) -> Corpus:
-    """Load one corpus file into records, in the format input_format names
-    or, without it, the one its extension implies. The corpus is named
-    str(path).
+                skip_bad_rows: bool = False) -> SqlCorpus:
+    """Load the SQL column of one corpus file, and its group column when
+    group_field is named, from the file in the format input_format names
+    or, without it, the one its extension implies. Equal texts are stored
+    as one string object. The corpus is named str(path).
 
     A row missing the SQL field (or holding an empty one) raises
     FormatError naming the row; with skip_bad_rows the row is dropped
@@ -210,64 +186,87 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     (blamed on the caller's line). Question and group fields are optional
     and default to "" when absent or null; any other value keeps its text
     (a JSON 0 becomes "0"). A named one that no kept row holds (absent or
-    null in every row) raises FormatError. All remaining row fields land in meta.
-    """
-    path = Path(path)
-    claimed = {sql_field, question_field, group_field}
-    records: list[CorpusRecord] = []
-    for row, sql in _kept_rows(path, sql_field, question_field, group_field,
-                               input_format, skip_bad_rows):
-        records.append(CorpusRecord(
-            sql, _text_field(row, question_field) if question_field else "",
-            _text_field(row, group_field) if group_field else "",
-            {k: v for k, v in row.items() if k not in claimed}))
-    return Corpus(name=str(path), records=tuple(records))
-
-
-def load_sql(path, sql_field: str = "sql", question_field: str | None = None,
-             group_field: str | None = None, input_format: str | None = None,
-             skip_bad_rows: bool = False) -> SqlCorpus:
-    """Load the SQL column of one corpus file: the SQL texts of the records
-    ``load_corpus`` would keep, in the same order, with the same checks,
-    errors and warnings, but no record per row. Equal texts are stored as
-    one string object. The corpus is named str(path).
+    null in every row) raises FormatError.
     """
     path = Path(path)
     distinct: dict[str, str] = {}
     sqls: list[str] = []
-    for _, sql in _kept_rows(path, sql_field, question_field, group_field,
-                             input_format, skip_bad_rows):
+    groups: list[str] = []
+    for _, row, sql in _kept_rows(path, sql_field, question_field, group_field,
+                                  input_format, skip_bad_rows):
         sqls.append(distinct.setdefault(sql, sql))
-    return SqlCorpus(name=str(path), sqls=tuple(sqls))
+        if group_field:
+            group = _text_field(row, group_field)
+            groups.append(distinct.setdefault(group, group))
+    return SqlCorpus(str(path), tuple(sqls), tuple(groups) if group_field else None)
 
 
-def sample_corpus(corpus: Corpus, spec: SampleSpec) -> Corpus:
-    """Draw a deterministic sample without replacement.
+def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
+              question_field: str | None = None, group_field: str | None = None,
+              input_format: str | None = None, skip_bad_rows: bool = False) -> list[dict]:
+    """The records at the given indices of a corpus that load_corpus loaded
+    with these options, in record order, each as the dict of its ``sql``,
+    ``question`` and ``group_id`` texts and ``meta``, a map of all the
+    row's other fields.
+
+    The file is read again, through the same checks; the warnings the
+    load gave are not given again. A file that no longer holds the loaded
+    records raises FormatError naming it: at the row, when a chosen row's
+    SQL is no longer the corpus's text, and otherwise when the number of
+    records differs. An index that is not one of the corpus's records
+    raises IndexError.
+    """
+    path = Path(corpus.name)
+    claimed = {sql_field, question_field, group_field}
+    chosen = set(indices)
+    if chosen and not (min(chosen) >= 0 and max(chosen) < len(corpus)):
+        raise IndexError("record index out of range")
+    rows: list[dict] = []
+    k = -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the load gave them
+        for k, (i, row, sql) in enumerate(_kept_rows(path, sql_field, question_field,
+                                                     group_field, input_format, skip_bad_rows)):
+            if k not in chosen:
+                continue
+            if sql != corpus.sqls[k]:
+                raise FormatError("SQL changed since the file was loaded", row=i, path=path)
+            rows.append({"sql": sql,
+                         "question": _text_field(row, question_field) if question_field else "",
+                         "group_id": _text_field(row, group_field) if group_field else "",
+                         "meta": {key: v for key, v in row.items() if key not in claimed}})
+    if k + 1 != len(corpus):
+        raise FormatError(f"changed since it was loaded: {k + 1} records, not {len(corpus)}",
+                          path=path)
+    return rows
+
+
+def sample_corpus(corpus: SqlCorpus, spec: SampleSpec) -> list[int]:
+    """Draw a deterministic sample without replacement: the indices of the
+    chosen records, in ascending order.
 
     fraction mode keeps ceil(fraction * n) records chosen uniformly, and at
     least one; a product within 1e-9 of an integer counts as that integer,
     so floating-point error (0.28 * 25 is 7.000000000000001) does not add
     a record. per_group mode keeps min(per_group, group size) records from
-    each distinct group_id. Identical (seed, corpus) inputs reproduce
-    identical samples; selected records stay in their original order.
+    each distinct text of the groups column; a corpus without one is one
+    group. Identical (seed, corpus) inputs reproduce identical samples.
     """
     rng = random.Random(spec.seed)
-    n = len(corpus.records)
+    n = len(corpus)
     if spec.fraction is not None:
         product = spec.fraction * n
         k = round(product)
         if abs(product - k) > 1e-9:
             k = math.ceil(product)
-        chosen = sorted(rng.sample(range(n), max(k, 1)))
-    else:
-        groups: dict[str, list[int]] = {}
-        for i, record in enumerate(corpus.records):
-            groups.setdefault(record.group_id, []).append(i)
-        picked: list[int] = []
-        for indices in groups.values():
-            picked.extend(rng.sample(indices, min(spec.per_group, len(indices))))
-        chosen = sorted(picked)
-    return Corpus(name=corpus.name, records=tuple(corpus.records[i] for i in chosen))
+        return sorted(rng.sample(range(n), max(k, 1)))
+    groups: dict[str, list[int]] = {}
+    for i, group in enumerate(corpus.groups or ("",) * n):
+        groups.setdefault(group, []).append(i)
+    picked: list[int] = []
+    for indices in groups.values():
+        picked.extend(rng.sample(indices, min(spec.per_group, len(indices))))
+    return sorted(picked)
 
 
 class TemplatizeResult(Value):

@@ -15,8 +15,6 @@ import pytest
 
 import corpusgen
 from sqlalign import (
-    Corpus,
-    CorpusRecord,
     SampleSpec,
     SqlCorpus,
     StructuralTemplate,
@@ -164,9 +162,8 @@ def test_criterion_08_small_sample_stability():
                     for k, w in enumerate(weights_corpus)]
 
     full_sql = corpusgen.make_mixture_corpus(10_000, seed=123, weights=weights_corpus)
-    corpus = Corpus(name="synthetic",
-                    records=tuple(CorpusRecord(sql=s) for s in full_sql))
-    full = templatize_corpus(SqlCorpus("synthetic", tuple(full_sql)), l_max=15)
+    corpus = SqlCorpus("synthetic", tuple(full_sql))
+    full = templatize_corpus(corpus, l_max=15)
     assert len({t.canonical_text for t in full.templates}) >= 20
 
     near_ref = build_distribution(
@@ -184,10 +181,10 @@ def test_criterion_08_small_sample_stability():
 
     worst = 0.0
     for seed in range(10):
-        sampled = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=seed))
-        assert len(sampled) == 100
+        chosen = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=seed))
+        assert len(chosen) == 100
         sample_result = templatize_corpus(
-            SqlCorpus(sampled.name, tuple(r.sql for r in sampled.records)), l_max=15)
+            SqlCorpus(corpus.name, tuple(corpus.sqls[i] for i in chosen)), l_max=15)
         d_sample = kl_divergence(sample_result.distribution, near_ref, alpha)
         worst = max(worst, abs(kl_alignment(d_sample, c) - a_full))
     assert worst <= 0.05, f"max |delta a_kl| = {worst:.4f}"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlalign import corpus, patterns
+from sqlalign import cli, corpus, patterns
 from sqlalign.cli import _NOT_ECHOED, build_parser, dumps_report, main
 
 TARGET_ROWS = [
@@ -340,35 +340,34 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
 
 # -- what the commands load ------------------------------------------------------
 
-def test_the_template_views_build_no_record(corpora, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out"
+def test_every_command_loads_each_input_once_through_load_corpus(corpora, tmp_path,
+                                                                  monkeypatch):
+    # The benchmark's loader span wraps cli.load_corpus by name, so a
+    # command that read a file some other way would go untimed.
+    loaded = []
+    load = cli.load_corpus
+
+    def count_load(path, **options):
+        loaded.append(str(path))
+        return load(path, **options)
+
+    monkeypatch.setattr(cli, "load_corpus", count_load)
+    out = str(tmp_path / "out")
     commands = [
-        ["templates", corpora["far"], "--report", str(tmp_path / "report.json")],
-        ["align", "--target", corpora["target"], "--source", corpora["near"],
-         "--source", corpora["far"]],
-        ["ar", "--target", corpora["target"], "--train", corpora["near"],
-         "--pred", corpora["far"], "--c", "1"],
-        ["patterns", "--before", corpora["near"], "--after", corpora["far"]],
+        (["templates", corpora["far"], "--report", str(tmp_path / "report.json")], ["far"]),
+        (["align", "--target", corpora["target"], "--source", corpora["near"],
+          "--source", corpora["far"]], ["target", "near", "far"]),
+        (["ar", "--target", corpora["target"], "--train", corpora["near"],
+          "--pred", corpora["far"], "--c", "1"], ["target", "near", "far"]),
+        (["patterns", "--before", corpora["near"], "--after", corpora["far"]], ["near", "far"]),
+        (["sample", corpora["target"], "--fraction", "1"], ["target"]),
+        (["sample", corpora["target"], "--group-field", "db_id", "--per-group", "1"],
+         ["target"]),
     ]
-
-    def run_all():
-        outputs = []
-        for argv in commands:
-            assert main(argv + ["--sql-field", "SQL", "-o", str(out)]) == 0, argv[0]
-            files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
-            outputs.append((files, capsys.readouterr()))
-        return outputs
-
-    expected = run_all()
-
-    class NoRecord:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a record was built")
-
-    monkeypatch.setattr(corpus, "CorpusRecord", NoRecord)
-    assert run_all() == expected
-    with pytest.raises(AssertionError, match="a record was built"):
-        main(["sample", corpora["target"], "--sql-field", "SQL", "--fraction", "1"])
+    for argv, read in commands:
+        loaded.clear()
+        assert main(argv + ["--sql-field", "SQL", "-o", out]) == 0, argv[0]
+        assert loaded == [corpora[name] for name in read], argv[0]
 
 
 # -- sample ----------------------------------------------------------------------
@@ -396,6 +395,41 @@ def test_sample_per_group_determinism(corpora, tmp_path):
     main(argv + ["-o", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(out_a.read_text().splitlines()) == 3  # one per group
+
+
+def test_sample_skip_bad_rows_prints_each_warning_once(tmp_path, capsys):
+    path = tmp_path / "gaps.jsonl"
+    rows = [{"sql": "SELECT 1", "db_id": "a"}, {"db_id": "a"}, {"sql": "SELECT 2"},
+            {"sql": " "}, {"sql": "SELECT 3", "db_id": "b"}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--skip-bad-rows", "--group-field", "db_id",
+                 "--per-group", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"sqlalign: warning: {path} row 1: missing or empty field 'sql', skipped\n"
+        f"sqlalign: warning: {path} row 3: missing or empty field 'sql', skipped\n"
+        f"sqlalign: warning: {path}: skipped 2 bad row(s)\n"
+        "sampled 3 of 3 records (seed=0)\n")
+    assert [json.loads(line)["sql"] for line in out.read_text().splitlines()] == [
+        "SELECT 1", "SELECT 2", "SELECT 3"]
+
+
+def test_sample_of_a_file_changed_after_its_load_is_data_error(tmp_path, capsys,
+                                                              monkeypatch):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"sql": "SELECT 1"}\n{"sql": "SELECT 2"}\n', encoding="utf-8")
+    sample = cli.sample_corpus
+
+    def sample_then_edit(corpus, spec):
+        path.write_text('{"sql": "SELECT 1"}\n{"sql": "SELECT 7"}\n', encoding="utf-8")
+        return sample(corpus, spec)
+
+    monkeypatch.setattr(cli, "sample_corpus", sample_then_edit)
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--fraction", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"sqlalign: error: {path} row 1: SQL changed since the file was loaded\n")
+    assert not out.exists()
 
 
 def test_sample_per_group_keeps_a_falsy_group_apart(tmp_path):

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 import corpusgen
 from sqlalign import patterns, templates
 from sqlalign.corpus import (
-    Corpus,
-    CorpusRecord,
     SampleSpec,
     SqlCorpus,
     load_corpus,
-    load_sql,
     map_distinct_sql,
+    read_rows,
     sample_corpus,
     templatize_corpus,
 )
@@ -38,43 +36,44 @@ def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
 
 
-def make_corpus(sqls, name="c"):
-    """The SQL column the views take."""
-    return SqlCorpus(name=name, sqls=tuple(sqls))
+def make_corpus(sqls, name="c", groups=None):
+    """The columns the views and the sampler take."""
+    return SqlCorpus(name=name, sqls=tuple(sqls), groups=groups and tuple(groups))
 
 
-def make_records(sqls, name="c", groups=None):
-    """A corpus as records, which sampling takes."""
-    groups = groups or [""] * len(sqls)
-    return Corpus(name=name, records=tuple(
-        CorpusRecord(sql=s, group_id=g) for s, g in zip(sqls, groups)))
+# -- corpus invariants --------------------------------------------------------
 
-
-# -- records / corpus invariants --------------------------------------------
-
-def test_record_requires_sql():
-    with pytest.raises(ValueError):
-        CorpusRecord(sql="   ")
+def test_record_requires_sql(tmp_path):
+    # A row without SQL is neither loaded nor read back as a record.
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"sql": "   ", "q": "a"}, {"sql": "SELECT 1", "q": "b"}, {"q": "c"}])
+    with pytest.warns(UserWarning):
+        corpus = load_corpus(path, question_field="q", skip_bad_rows=True)
+    assert corpus.sqls == ("SELECT 1",)
+    rows = read_rows(corpus, range(len(corpus)), question_field="q", skip_bad_rows=True)
+    assert rows == [{"sql": "SELECT 1", "question": "b", "group_id": "", "meta": {}}]
 
 
 def test_corpus_requires_records():
-    record = CorpusRecord(sql="SELECT 1")
-    with pytest.raises(ValueError):
-        Corpus(name="x", records=())
-    assert len(Corpus(name="x", records=(record,))) == 1
+    with pytest.raises(ValueError, match="at least one record"):
+        SqlCorpus(name="x", sqls=())
+    assert len(SqlCorpus(name="x", sqls=("SELECT 1",))) == 1
+
+
+def test_a_groups_column_holds_one_group_per_record():
+    for groups in ((), ("a",), ("a", "b", "c")):
+        with pytest.raises(ValueError, match="one group per record"):
+            SqlCorpus("x", ("SELECT 1", "SELECT 2"), groups)
+    assert SqlCorpus("x", ("SELECT 1", "SELECT 2"), ("a", "a")).groups == ("a", "a")
+    assert SqlCorpus("x", ("SELECT 1",)).groups is None
 
 
 def test_records_corpora_and_sample_specs_compare_by_their_fields():
-    record = CorpusRecord(sql="SELECT 1", question="q", meta={"k": 1})
-    assert record == CorpusRecord("SELECT 1", "q", "", {"k": 1})
-    assert record != CorpusRecord("SELECT 1", "q", "", {"k": 2})
-    assert CorpusRecord("SELECT 1").meta == {}
-    # meta is a dict, so records and the corpora that hold them are unhashable.
-    with pytest.raises(TypeError, match="unhashable type: 'CorpusRecord'"):
-        hash(record)
-    with pytest.raises(TypeError, match="unhashable type: 'Corpus'"):
-        hash(Corpus("x", (record,)))
-    assert Corpus("x", (record,)) == Corpus("x", (record,)) != Corpus("y", (record,))
+    corpus = SqlCorpus("x", ("SELECT 1",), ("g",))
+    assert corpus == SqlCorpus("x", ("SELECT 1",), ("g",))
+    assert corpus != SqlCorpus("x", ("SELECT 1",)) != SqlCorpus("y", ("SELECT 1",))
+    assert hash(corpus) == hash(SqlCorpus("x", ("SELECT 1",), ("g",)))
+    assert repr(corpus) == "SqlCorpus(name='x', sqls=('SELECT 1',), groups=('g',))"
     spec = SampleSpec(fraction=0.5, seed=3)
     assert spec == SampleSpec(0.5, None, 3) != SampleSpec(0.5, None, 4)
     assert hash(spec) == hash(SampleSpec(0.5, None, 3))
@@ -82,8 +81,8 @@ def test_records_corpora_and_sample_specs_compare_by_their_fields():
 
 
 @pytest.mark.parametrize("value, field", [
-    (CorpusRecord("SELECT 1"), "sql"),
-    (Corpus("x", (CorpusRecord("SELECT 1"),)), "records"),
+    (SqlCorpus("x", ("SELECT 1",)), "sqls"),
+    (SqlCorpus("x", ("SELECT 1",), ("g",)), "groups"),
     (SampleSpec(per_group=2), "seed"),
 ])
 def test_records_corpora_and_sample_specs_are_frozen(value, field):
@@ -115,12 +114,14 @@ def test_load_jsonl_with_field_mapping(tmp_path):
         {"question": "q1", "SQL": "SELECT b FROM u", "db_id": "d2"},
         {"question": "q2", "SQL": "SELECT c FROM v", "db_id": "d1"},
     ])
-    corpus = load_corpus(path, sql_field="SQL", question_field="question",
-                         group_field="db_id")
+    options = {"sql_field": "SQL", "question_field": "question", "group_field": "db_id"}
+    corpus = load_corpus(path, **options)
     assert len(corpus) == 3
-    assert corpus.records[0].question == "q0"
-    assert corpus.records[0].group_id == "d1"
-    assert corpus.records[0].meta == {"extra": 7}
+    assert corpus.sqls == ("SELECT a FROM t", "SELECT b FROM u", "SELECT c FROM v")
+    assert corpus.groups == ("d1", "d2", "d1")
+    assert read_rows(corpus, [0, 2], **options) == [
+        {"sql": "SELECT a FROM t", "question": "q0", "group_id": "d1", "meta": {"extra": 7}},
+        {"sql": "SELECT c FROM v", "question": "q2", "group_id": "d1", "meta": {}}]
 
 
 def test_load_json_array(tmp_path):
@@ -138,7 +139,7 @@ def test_load_csv_with_groups(tmp_path):
             writer.writerow([f"SELECT c{i} FROM t{i}", f"dom{i % 4}"])
     corpus = load_corpus(path, sql_field="sql", group_field="domain")
     assert len(corpus) == 100
-    assert {r.group_id for r in corpus.records} == {"dom0", "dom1", "dom2", "dom3"}
+    assert set(corpus.groups) == {"dom0", "dom1", "dom2", "dom3"}
 
 
 def test_load_missing_sql_field_names_the_row(tmp_path):
@@ -155,7 +156,7 @@ def test_load_skip_bad_rows(tmp_path):
                        {"sql": "SELECT 2"}])
     with pytest.warns(UserWarning) as caught:
         corpus = load_corpus(path, skip_bad_rows=True)
-    assert [r.sql for r in corpus.records] == ["SELECT 1", "SELECT 2"]
+    assert corpus.sqls == ("SELECT 1", "SELECT 2")
     assert [str(w.message) for w in caught] == [
         f"{path} row 1: missing or empty field 'sql', skipped",
         f"{path} row 2: missing or empty field 'sql', skipped",
@@ -277,7 +278,7 @@ def test_load_of_a_mutated_file_returns_a_corpus_or_raises_sqlalign_error(
         corpus = load_corpus(path)
     except SqlAlignError:
         return
-    assert isinstance(corpus, Corpus)
+    assert isinstance(corpus, SqlCorpus)
 
 
 _BOM_FILES = [
@@ -291,7 +292,7 @@ _BOM_FILES = [
 def test_load_accepts_a_byte_order_mark(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8-sig")
-    assert [r.sql for r in load_corpus(path).records] == ["SELECT 1"]
+    assert load_corpus(path).sqls == ("SELECT 1",)
 
 
 _FALSY_FIELD_ROWS = [
@@ -306,9 +307,11 @@ _FALSY_FIELD_ROWS = [
 def test_load_keeps_falsy_question_and_group_values(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, _FALSY_FIELD_ROWS)
-    records = load_corpus(path, question_field="q", group_field="db_id").records
-    assert [r.question for r in records] == ["0", "False", "", "", ""]
-    assert [r.group_id for r in records] == ["0", "0.0", "", "", ""]
+    options = {"question_field": "q", "group_field": "db_id"}
+    corpus = load_corpus(path, **options)
+    rows = read_rows(corpus, range(len(corpus)), **options)
+    assert [row["question"] for row in rows] == ["0", "False", "", "", ""]
+    assert [row["group_id"] for row in rows] == list(corpus.groups) == ["0", "0.0", "", "", ""]
 
 
 _UNHELD_ROWS = [
@@ -333,10 +336,11 @@ def test_load_a_named_field_that_no_row_holds_is_a_format_error(tmp_path, field,
 def test_load_a_field_held_by_one_row_or_by_empty_csv_cells_is_kept(tmp_path):
     path = tmp_path / "g.jsonl"
     write_jsonl(path, [{"sql": "SELECT 1"}, {"sql": "SELECT 2", "db_id": "a"}])
-    assert [r.group_id for r in load_corpus(path, group_field="db_id").records] == ["", "a"]
+    assert load_corpus(path, group_field="db_id").groups == ("", "a")
     path = tmp_path / "g.csv"
     path.write_text("sql,q\nSELECT 1,\n", encoding="utf-8")
-    assert load_corpus(path, question_field="q").records[0].question == ""
+    corpus = load_corpus(path, question_field="q")
+    assert read_rows(corpus, [0], question_field="q")[0]["question"] == ""
 
 
 def test_load_unknown_input_format_names_the_file(tmp_path):
@@ -356,7 +360,7 @@ def test_a_file_that_cannot_be_read_is_a_format_error_naming_it(tmp_path):
         assert isinstance(err.value.__cause__, OSError)
 
 
-# -- the two readers ---------------------------------------------------------
+# -- the reader and the writer's re-read ----------------------------------------
 
 def _jsonl(rows):
     return "".join(json.dumps(row) + "\n" for row in rows)
@@ -403,26 +407,38 @@ _READER_CASES = {
 }
 
 
-def _read(reader, path, options):
-    """What one reader makes of a file: its SQL texts, or the type, text,
-    path and row of the error it raised; and the text, category and blamed
-    file and line of every warning it gave."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            loaded = reader(path, **options)
-        except FormatError as exc:
-            outcome = (type(exc), str(exc), exc.path, exc.row)
-        else:
-            outcome = (loaded.name, loaded.sqls if reader is load_sql
-                       else tuple(record.sql for record in loaded.records))
-    return outcome, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+def _caught(caught):
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def _read_both(path, options):
-    by_sql, by_records = _read(load_sql, path, options), _read(load_corpus, path, options)
-    assert by_sql == by_records
-    return by_sql
+    """What the reader makes of a file, and the writer's re-read of every
+    record of it: the SQL texts, or the type, text, path and row of the
+    error raised. Both must agree, and the re-read gives no warning. The
+    text, category and blamed file and line of every warning the reader
+    gave are returned with its outcome."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = load_corpus(path, **options)
+        except FormatError as exc:
+            loaded = None
+            outcome = (type(exc), str(exc), exc.path, exc.row)
+        else:
+            outcome = (loaded.name, loaded.sqls)
+        loaded_warnings = _caught(caught)
+        # A file the reader rejects has no records to choose; the re-read
+        # of none of them must still fail as the reader did.
+        corpus = loaded or SqlCorpus(str(path), ("SELECT 1",))
+        try:
+            rows = read_rows(corpus, range(len(corpus)) if loaded else (), **options)
+        except FormatError as exc:
+            reread = (type(exc), str(exc), exc.path, exc.row)
+        else:
+            reread = (corpus.name, tuple(row["sql"] for row in rows))
+        assert _caught(caught) == loaded_warnings
+    assert reread == outcome
+    return outcome, loaded_warnings
 
 
 @pytest.mark.parametrize("name, data, options", _READER_CASES.values(), ids=_READER_CASES)
@@ -444,16 +460,70 @@ def test_load_sql_keeps_the_sql_column_and_each_distinct_text_once(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"sql": "SELECT a FROM t", "q": "x"}, {"sql": "SELECT 7"},
                        {"sql": "SELECT a FROM t", "q": "y"}, {"sql": 7}])
-    sqls = load_sql(path)
+    sqls = load_corpus(path)
     assert sqls == SqlCorpus(str(path), ("SELECT a FROM t", "SELECT 7", "SELECT a FROM t", "7"))
     assert len(sqls) == 4
     assert sqls.sqls[0] is sqls.sqls[2]
-    assert sqls.sqls == tuple(r.sql for r in load_corpus(path).records)
+    assert sqls.sqls == tuple(row["sql"] for row in read_rows(sqls, range(4)))
     assert hash(sqls) == hash(SqlCorpus(str(path), sqls.sqls))
     with pytest.raises(AttributeError):
         sqls.sqls = ()
     with pytest.raises(ValueError):
         SqlCorpus("x", ())
+
+
+def test_the_groups_column_keeps_each_distinct_text_once(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"sql": "SELECT 1", "db": "a" * 40}, {"sql": "SELECT 2", "db": 7},
+                       {"sql": "SELECT 3", "db": "a" * 40}, {"sql": "SELECT 4"},
+                       {"sql": "SELECT 5", "db": 7}, {"sql": "SELECT 6", "db": None}])
+    corpus = load_corpus(path, group_field="db")
+    assert corpus.groups == ("a" * 40, "7", "a" * 40, "", "7", "")
+    groups = corpus.groups
+    assert groups[0] is groups[2] and groups[1] is groups[4] and groups[3] is groups[5]
+    assert load_corpus(path).groups is None
+
+
+def test_read_rows_names_the_file_and_row_that_changed_since_the_load(tmp_path):
+    path = tmp_path / "c.jsonl"
+    rows = [{"sql": "SELECT 1", "q": "a"}, {"nope": 1}, {"sql": "SELECT 2", "q": "b"},
+            {"sql": "SELECT 3"}]
+    write_jsonl(path, rows)
+    with pytest.warns(UserWarning):
+        corpus = load_corpus(path, skip_bad_rows=True)
+    write_jsonl(path, rows[:2] + [{"sql": "SELECT 9", "q": "b"}] + rows[3:])
+    # The rows before the changed one still read back.
+    assert read_rows(corpus, [0], skip_bad_rows=True)[0]["sql"] == "SELECT 1"
+    with pytest.raises(FormatError) as err:
+        read_rows(corpus, [0, 1], skip_bad_rows=True)
+    assert str(err.value) == f"{path} row 2: SQL changed since the file was loaded"
+    assert (err.value.path, err.value.row) == (path, 2)
+    for changed in (rows[:3], rows + [{"sql": "SELECT 4"}]):
+        write_jsonl(path, changed)
+        with pytest.raises(FormatError) as err:
+            read_rows(corpus, [0], skip_bad_rows=True)
+        assert str(err.value) == (f"{path}: changed since it was loaded: "
+                                  f"{len(changed) - 1} records, not 3")
+    path.unlink()
+    with pytest.raises(FormatError, match="cannot read"):
+        read_rows(corpus, [0], skip_bad_rows=True)
+
+
+def test_read_rows_gives_no_warning_and_keeps_record_order(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"sql": "SELECT 1", "x": 1}, {"sql": ""}, {"sql": "SELECT 2", "y": None},
+                       {"sql": "SELECT 3"}])
+    with pytest.warns(UserWarning):
+        corpus = load_corpus(path, skip_bad_rows=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = read_rows(corpus, [2, 0, 2], skip_bad_rows=True)
+    assert rows == [{"sql": "SELECT 1", "question": "", "group_id": "", "meta": {"x": 1}},
+                    {"sql": "SELECT 3", "question": "", "group_id": "", "meta": {}}]
+    assert read_rows(corpus, [], skip_bad_rows=True) == []
+    for indices in ([0, 3], [-1], [1, 7, 5]):
+        with pytest.raises(IndexError, match="record index out of range"):
+            read_rows(corpus, indices, skip_bad_rows=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -467,15 +537,13 @@ def test_both_readers_agree_on_a_mutated_file(tmp_path_factory, name, mutations)
 # -- sampling ----------------------------------------------------------------
 
 def test_fraction_one_keeps_everything_in_order():
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(20)])
-    sampled = sample_corpus(corpus, SampleSpec(fraction=1.0, seed=9))
-    assert sampled.records == corpus.records
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(20)])
+    assert sample_corpus(corpus, SampleSpec(fraction=1.0, seed=9)) == list(range(20))
 
 
 def test_fraction_rounds_up():
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(10)])
-    sampled = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=0))
-    assert len(sampled) == 1
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(10)])
+    assert len(sample_corpus(corpus, SampleSpec(fraction=0.01, seed=0))) == 1
 
 
 @pytest.mark.parametrize("fraction, n, kept", [
@@ -486,34 +554,47 @@ def test_fraction_rounds_up():
     (1e-12, 5, 1),
 ])
 def test_fraction_counts_a_product_near_an_integer_as_that_integer(fraction, n, kept):
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(n)])
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(n)])
     assert len(sample_corpus(corpus, SampleSpec(fraction=fraction, seed=0))) == kept
 
 
 def test_per_group_takes_min_of_k_and_group_size():
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(6)],
-                          groups=["db1"] * 5 + ["db2"])
-    sampled = sample_corpus(corpus, SampleSpec(per_group=2, seed=4))
-    assert len(sampled) == 3
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(6)],
+                         groups=["db1"] * 5 + ["db2"])
+    chosen = sample_corpus(corpus, SampleSpec(per_group=2, seed=4))
+    assert len(chosen) == 3
     by_group = {}
-    for record in sampled.records:
-        by_group[record.group_id] = by_group.get(record.group_id, 0) + 1
+    for i in chosen:
+        by_group[corpus.groups[i]] = by_group.get(corpus.groups[i], 0) + 1
     assert by_group == {"db1": 2, "db2": 1}
 
 
+def test_per_group_picks_from_the_groups_column():
+    sqls = [f"SELECT c{i} FROM t" for i in range(12)]
+    groups = ["a", "b", "c"] * 4
+    spec = SampleSpec(per_group=1, seed=5)
+    chosen = sample_corpus(make_corpus(sqls, groups=groups), spec)
+    assert sorted(groups[i] for i in chosen) == ["a", "b", "c"]
+    # The same SQL column with other groups draws from those; without a
+    # groups column the corpus is one group.
+    first, second = sample_corpus(make_corpus(sqls, groups=["a"] * 6 + ["b"] * 6), spec)
+    assert first < 6 <= second
+    assert len(sample_corpus(make_corpus(sqls), spec)) == 1
+    assert sample_corpus(make_corpus(sqls), spec) == sample_corpus(
+        make_corpus(sqls, groups=[""] * 12), spec)
+
+
 def test_sampling_is_deterministic_per_seed():
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(100)])
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(100)])
     spec = SampleSpec(fraction=0.2, seed=42)
-    assert sample_corpus(corpus, spec).records == sample_corpus(corpus, spec).records
-    other = sample_corpus(corpus, SampleSpec(fraction=0.2, seed=43))
-    assert other.records != sample_corpus(corpus, spec).records
+    assert sample_corpus(corpus, spec) == sample_corpus(corpus, spec)
+    assert sample_corpus(corpus, SampleSpec(fraction=0.2, seed=43)) != sample_corpus(corpus, spec)
 
 
 def test_sampling_preserves_original_order():
-    corpus = make_records([f"SELECT c{i} FROM t" for i in range(50)])
-    sampled = sample_corpus(corpus, SampleSpec(fraction=0.3, seed=1))
-    positions = [corpus.records.index(r) for r in sampled.records]
-    assert positions == sorted(positions)
+    corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(50)])
+    chosen = sample_corpus(corpus, SampleSpec(fraction=0.3, seed=1))
+    assert chosen == sorted(set(chosen)) and len(chosen) == 15
 
 
 # -- templatize pipeline -------------------------------------------------------
