@@ -7,7 +7,6 @@ template-overlap ratios and traceable-pattern counts.
 """
 
 from .corpus import (
-    SampleSpec,
     SqlCorpus,
     TemplatizeResult,
     load_corpus,
@@ -72,7 +71,6 @@ __all__ = [
     "PatternCounts",
     "PatternSpec",
     "SQL_KEYWORDS",
-    "SampleSpec",
     "SpecMismatchError",
     "SqlAlignError",
     "SqlCorpus",

@@ -25,8 +25,7 @@ import math
 import sys
 import warnings
 
-from .corpus import (SampleSpec, SqlCorpus, load_corpus, read_rows, sample_corpus,
-                     templatize_corpus)
+from .corpus import SqlCorpus, load_corpus, read_rows, sample_corpus, templatize_corpus
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, write_distribution
@@ -90,10 +89,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _field_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sql-field", default="sql",
                         help="row field holding the SQL string (default: sql)")
-    parser.add_argument("--question-field", default=None,
-                        help="row field holding the natural-language question")
-    parser.add_argument("--group-field", default=None,
-                        help="row field holding the database / domain id used for grouping")
     parser.add_argument("--input-format", choices=("json", "jsonl", "csv"), default=None,
                         help="container format (default: inferred from file extension)")
     parser.add_argument("--skip-bad-rows", action="store_true",
@@ -119,16 +114,15 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _field_settings(args) -> dict:
-    """The loader's keyword arguments, from the field options."""
-    return {"sql_field": args.sql_field, "question_field": args.question_field,
-            "group_field": args.group_field, "input_format": args.input_format,
+    """The loader's keyword arguments from the field options every
+    command takes."""
+    return {"sql_field": args.sql_field, "input_format": args.input_format,
             "skip_bad_rows": args.skip_bad_rows}
 
 
 def _load(args, path) -> SqlCorpus:
-    """A corpus file's SQL column, and its group column under
-    --group-field: all that a view or the sampler reads. Every command
-    loads each of its files here once."""
+    """A corpus file's SQL column: all that a view reads. Every view loads
+    each of its files here once."""
     return load_corpus(path, **_field_settings(args))
 
 
@@ -250,10 +244,11 @@ def cmd_ar(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus = _load(args, args.input)
-    spec = SampleSpec(fraction=args.fraction, per_group=args.per_group, seed=args.seed)
-    chosen = sample_corpus(corpus, spec)
-    rows = read_rows(corpus, chosen, **_field_settings(args))
+    corpus = load_corpus(args.input, group_field=args.group_field, **_field_settings(args))
+    chosen = sample_corpus(corpus, fraction=args.fraction, per_group=args.per_group,
+                           seed=args.seed)
+    rows = read_rows(corpus, chosen, question_field=args.question_field,
+                     group_field=args.group_field, **_field_settings(args))
     _write_text(args.output, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
                                      for row in rows))
     print(f"sampled {len(rows)} of {len(corpus)} records (seed={args.seed})", file=sys.stderr)
@@ -341,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampler seed (default: 0)")
     p.add_argument("-o", "--output", default=None,
                    help="sampled corpus as JSON-lines (default: stdout)")
+    p.add_argument("--question-field", default=None,
+                   help="row field holding the natural-language question")
+    p.add_argument("--group-field", default=None,
+                   help="row field holding the database / domain id used for grouping")
     _field_options(p)
     p.set_defaults(func=cmd_sample)
 

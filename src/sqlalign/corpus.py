@@ -3,11 +3,12 @@
 Corpora arrive as JSON arrays, JSON-lines or CSV files of rows that hold at
 least a SQL string; the caller names the fields explicitly. One row loop
 reads and checks a file's rows, and everything that reads a file goes
-through it. ``load_corpus`` keeps the SQL column, and the group column when
-a group field is named (a ``SqlCorpus``): all that the template, alignment
-and pattern views and the sampler read. A command that writes records out
-picks their indices and fetches those rows with ``read_rows``, which reads
-the file again. A corpus is named by its file's path, and every
+through it. ``load_corpus`` keeps the SQL column, all that the template,
+alignment and pattern views read, and the group column when a group field
+is named, which the sampler reads (a ``SqlCorpus``). A command that writes
+records out picks their indices with ``sample_corpus`` and fetches those
+rows with ``read_rows``, which reads the file again; only it reads the
+question field. A corpus is named by its file's path, and every
 FormatError the loader raises carries that path and puts it first in its
 text.
 
@@ -55,24 +56,6 @@ class SqlCorpus(FrozenValue):
         return len(self.sqls)
 
 
-class SampleSpec(FrozenValue):
-    """Either a uniform fraction of the corpus or up to per_group records
-    from every group, drawn without replacement by a seeded Mersenne
-    Twister (random.Random). Original record order is preserved."""
-
-    _fields = ("fraction", "per_group", "seed")
-
-    def __init__(self, fraction: float | None = None, per_group: int | None = None,
-                 seed: int = 0):
-        if (fraction is None) == (per_group is None):
-            raise ValueError("specify exactly one of fraction and per_group")
-        if fraction is not None and not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        if per_group is not None and per_group < 1:
-            raise ValueError("per_group must be >= 1")
-        super().__init__(fraction, per_group, seed)
-
-
 # The format each file extension implies; a file with any other needs
 # input_format.
 _FORMATS = {".json": "json", ".jsonl": "jsonl", ".ndjson": "jsonl", ".csv": "csv"}
@@ -114,8 +97,12 @@ def _read_rows(path: Path, input_format: str):
         elif input_format == "csv":
             with open(path, encoding="utf-8-sig", newline="") as fh:
                 reader = csv.DictReader(fh)
-                if reader.fieldnames is None:
+                names = reader.fieldnames
+                if names is None:
                     raise FormatError("CSV file has no header row", path=path)
+                if len(set(names)) < len(names):  # DictReader keeps a name's last cell
+                    repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                    raise FormatError(f"CSV header repeats the name {repeated!r}", path=path)
                 for i, row in enumerate(reader):
                     if None in row:  # DictReader files surplus cells under the key None
                         raise FormatError("more fields than the header", row=i, path=path)
@@ -136,12 +123,14 @@ def _text_field(row: dict, name: str) -> str:
     return "" if value is None else str(value)
 
 
-def _kept_rows(path: Path, sql_field: str, question_field: str | None,
-               group_field: str | None, input_format: str | None, skip_bad_rows: bool):
+def _kept_rows(path: Path, sql_field: str, fields, input_format: str | None,
+               skip_bad_rows: bool):
     """Yield (row index, row, sql) for each row of the file that holds SQL,
     with its SQL as text. ``load_corpus`` and ``read_rows`` read a file
     through it alone, and it makes every check of its rows: load_corpus
-    lists what it raises and warns.
+    lists what it raises and warns. ``fields`` are the caller's optional
+    fields, None for each it does not name; the first named one that no
+    kept row holds raises FormatError.
 
     Each caller drives it from a ``for`` statement in its own frame, so a
     warning at stacklevel 3 is blamed on the caller's caller."""
@@ -150,7 +139,7 @@ def _kept_rows(path: Path, sql_field: str, question_field: str | None,
         raise FormatError(f"cannot infer the format from the extension {path.suffix!r}; "
                           "pass input_format json, jsonl or csv", path=path)
     kept = skipped = 0
-    unheld = [field for field in (question_field, group_field) if field]
+    unheld = [field for field in fields if field]
     for i, row in _read_rows(path, fmt):
         sql = _text_field(row, sql_field)
         if not sql.strip():
@@ -172,9 +161,8 @@ def _kept_rows(path: Path, sql_field: str, question_field: str | None,
         raise FormatError(f"no row holds field {unheld[0]!r}", path=path)
 
 
-def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
-                group_field: str | None = None, input_format: str | None = None,
-                skip_bad_rows: bool = False) -> SqlCorpus:
+def load_corpus(path, sql_field: str = "sql", group_field: str | None = None,
+                input_format: str | None = None, skip_bad_rows: bool = False) -> SqlCorpus:
     """Load the SQL column of one corpus file, and its group column when
     group_field is named, from the file in the format input_format names
     or, without it, the one its extension implies. Equal texts are stored
@@ -183,17 +171,17 @@ def load_corpus(path, sql_field: str = "sql", question_field: str | None = None,
     A row missing the SQL field (or holding an empty one) raises
     FormatError naming the row; with skip_bad_rows the row is dropped
     instead, with a UserWarning naming it and a last one giving the count
-    (blamed on the caller's line). Question and group fields are optional
-    and default to "" when absent or null; any other value keeps its text
-    (a JSON 0 becomes "0"). A named one that no kept row holds (absent or
-    null in every row) raises FormatError.
+    (blamed on the caller's line). The group field is optional: a row
+    where it is absent or null has the group "", and any other value
+    keeps its text (a JSON 0 becomes "0"). A group field that no kept row
+    holds (absent or null in every row) raises FormatError.
     """
     path = Path(path)
     distinct: dict[str, str] = {}
     sqls: list[str] = []
     groups: list[str] = []
-    for _, row, sql in _kept_rows(path, sql_field, question_field, group_field,
-                                  input_format, skip_bad_rows):
+    for _, row, sql in _kept_rows(path, sql_field, (group_field,), input_format,
+                                  skip_bad_rows):
         sqls.append(distinct.setdefault(sql, sql))
         if group_field:
             group = _text_field(row, group_field)
@@ -207,7 +195,9 @@ def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
     """The records at the given indices of a corpus that load_corpus loaded
     with these options, in record order, each as the dict of its ``sql``,
     ``question`` and ``group_id`` texts and ``meta``, a map of all the
-    row's other fields.
+    row's other fields. The question field is read here alone, as
+    load_corpus reads the group field: "" where a row holds no value, and
+    FormatError when no kept row holds one.
 
     The file is read again, through the same checks; the warnings the
     load gave are not given again. A file that no longer holds the loaded
@@ -225,8 +215,9 @@ def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
     k = -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the load gave them
-        for k, (i, row, sql) in enumerate(_kept_rows(path, sql_field, question_field,
-                                                     group_field, input_format, skip_bad_rows)):
+        for k, (i, row, sql) in enumerate(_kept_rows(path, sql_field,
+                                                     (group_field, question_field),
+                                                     input_format, skip_bad_rows)):
             if k not in chosen:
                 continue
             if sql != corpus.sqls[k]:
@@ -241,9 +232,12 @@ def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
     return rows
 
 
-def sample_corpus(corpus: SqlCorpus, spec: SampleSpec) -> list[int]:
-    """Draw a deterministic sample without replacement: the indices of the
-    chosen records, in ascending order.
+def sample_corpus(corpus: SqlCorpus, fraction: float | None = None,
+                  per_group: int | None = None, seed: int = 0) -> list[int]:
+    """Draw a deterministic sample without replacement by a seeded Mersenne
+    Twister (random.Random): the indices of the chosen records, in
+    ascending order. Exactly one of fraction, in (0, 1], and per_group,
+    at least 1, is given; anything else raises ValueError.
 
     fraction mode keeps ceil(fraction * n) records chosen uniformly, and at
     least one; a product within 1e-9 of an integer counts as that integer,
@@ -252,10 +246,16 @@ def sample_corpus(corpus: SqlCorpus, spec: SampleSpec) -> list[int]:
     each distinct text of the groups column; a corpus without one is one
     group. Identical (seed, corpus) inputs reproduce identical samples.
     """
-    rng = random.Random(spec.seed)
+    if (fraction is None) == (per_group is None):
+        raise ValueError("specify exactly one of fraction and per_group")
+    if fraction is not None and not 0 < fraction <= 1:
+        raise ValueError("fraction must be in (0, 1]")
+    if per_group is not None and per_group < 1:
+        raise ValueError("per_group must be >= 1")
+    rng = random.Random(seed)
     n = len(corpus)
-    if spec.fraction is not None:
-        product = spec.fraction * n
+    if fraction is not None:
+        product = fraction * n
         k = round(product)
         if abs(product - k) > 1e-9:
             k = math.ceil(product)
@@ -265,7 +265,7 @@ def sample_corpus(corpus: SqlCorpus, spec: SampleSpec) -> list[int]:
         groups.setdefault(group, []).append(i)
     picked: list[int] = []
     for indices in groups.values():
-        picked.extend(rng.sample(indices, min(spec.per_group, len(indices))))
+        picked.extend(rng.sample(indices, min(per_group, len(indices))))
     return sorted(picked)
 
 

@@ -15,12 +15,19 @@ to ``CASES`` since:
 
     PYTHONPATH=src:tests python3 tests/cli_golden.py
 
+A change that alters what a recorded case writes re-records that case,
+and no other, by name: its line is rewritten in place with the code
+installed now, and every other line stays byte for byte as it was.
+
+    PYTHONPATH=src:tests python3 tests/cli_golden.py --rerecord CASE [CASE ...]
+
 Only run it on purpose: ``test_cli_golden.py`` checks the code against the
 committed file.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -143,17 +150,34 @@ def golden_lines(cases=CASES) -> list[str]:
 def committed_lines() -> list[str]:
     if not GOLDEN_PATH.exists():
         return []
-    return GOLDEN_PATH.read_text(encoding="utf-8").splitlines()
+    # Split on "\n" alone: a line's JSON may hold other line separators.
+    return [line for line in GOLDEN_PATH.read_text(encoding="utf-8").split("\n") if line]
 
 
-def main() -> None:
-    done = [json.loads(line)["case"] for line in committed_lines()]
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Append the new cases of CASES to "
+                                     f"{GOLDEN_PATH.name}, or re-record named ones.")
+    parser.add_argument("--rerecord", nargs="+", default=[], metavar="CASE",
+                        help="rewrite these recorded cases' lines in place")
+    args = parser.parse_args(argv)
+    lines = committed_lines()
+    done = [json.loads(line)["case"] for line in lines]
     if [name for name, _, _ in CASES[:len(done)]] != done:
         raise SystemExit(f"{GOLDEN_PATH.name} does not start with CASES; "
                          "cases may only be appended")
-    with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
-        for line in golden_lines(CASES[len(done):]):
-            fh.write(line + "\n")
+    if not args.rerecord:
+        with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
+            for line in golden_lines(CASES[len(done):]):
+                fh.write(line + "\n")
+        return
+    unknown = [name for name in args.rerecord if name not in done]
+    if unknown:
+        raise SystemExit(f"not a recorded case of CASES: {', '.join(unknown)}")
+    cases = [case for case in CASES if case[0] in args.rerecord]
+    fresh = dict(zip((name for name, _, _ in cases), golden_lines(cases)))
+    with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
+        for name, line in zip(done, lines):
+            fh.write(fresh.get(name, line) + "\n")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import pytest
 
 import corpusgen
 from sqlalign import (
-    SampleSpec,
     SqlCorpus,
     StructuralTemplate,
     build_distribution,
@@ -181,7 +180,7 @@ def test_criterion_08_small_sample_stability():
 
     worst = 0.0
     for seed in range(10):
-        chosen = sample_corpus(corpus, SampleSpec(fraction=0.01, seed=seed))
+        chosen = sample_corpus(corpus, fraction=0.01, seed=seed)
         assert len(chosen) == 100
         sample_result = templatize_corpus(
             SqlCorpus(corpus.name, tuple(corpus.sqls[i] for i in chosen)), l_max=15)

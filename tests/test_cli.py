@@ -420,9 +420,9 @@ def test_sample_of_a_file_changed_after_its_load_is_data_error(tmp_path, capsys,
     path.write_text('{"sql": "SELECT 1"}\n{"sql": "SELECT 2"}\n', encoding="utf-8")
     sample = cli.sample_corpus
 
-    def sample_then_edit(corpus, spec):
+    def sample_then_edit(corpus, **options):
         path.write_text('{"sql": "SELECT 1"}\n{"sql": "SELECT 7"}\n', encoding="utf-8")
-        return sample(corpus, spec)
+        return sample(corpus, **options)
 
     monkeypatch.setattr(cli, "sample_corpus", sample_then_edit)
     out = tmp_path / "out.jsonl"
@@ -459,6 +459,24 @@ def test_sample_group_field_that_no_row_holds_is_data_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"sqlalign: error: {path}: no row holds field 'nope'\n"
     assert captured.out == ""
+
+
+def test_sample_question_field_that_no_row_holds_is_data_error(tmp_path, capsys):
+    # The load does not read the question field; the re-read of the chosen
+    # rows checks it, before any output is written.
+    path = tmp_path / "g.jsonl"
+    path.write_text("".join(json.dumps({"sql": f"SELECT {i}", "db_id": f"db{i % 2}"}) + "\n"
+                            for i in range(3)), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", str(path), "--question-field", "nope", "--fraction", "1",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"sqlalign: error: {path}: no row holds field 'nope'\n"
+    assert not out.exists()
+    # With neither field held, the load fails first, on the group field.
+    assert main(["sample", str(path), "--question-field", "nope", "--group-field", "gone",
+                 "--per-group", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"sqlalign: error: {path}: no row holds field 'gone'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -530,7 +548,7 @@ def test_patterns_json_reports_parse_failures(corpora, tmp_path):
 
 # -- report config ---------------------------------------------------------------
 
-LOAD_OPTIONS = {"group_field", "input_format", "question_field", "skip_bad_rows", "sql_field"}
+LOAD_OPTIONS = {"input_format", "skip_bad_rows", "sql_field"}
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -552,6 +570,21 @@ def test_each_report_echoes_the_options_its_command_parsed(corpora, tmp_path, ar
     assert set(config) == keys
     assert config["sql_field"] == "SQL"
     assert "seed" not in config and "c_mode" not in config
+
+
+@pytest.mark.parametrize("option", ["--question-field", "--group-field"])
+@pytest.mark.parametrize("argv", [
+    ["templates", "f.jsonl"],
+    ["align", "--target", "t.jsonl", "--source", "s.jsonl"],
+    ["ar", "--target", "t.jsonl", "--train", "a.jsonl", "--pred", "p.jsonl", "--c", "1"],
+    ["patterns", "--before", "b.jsonl", "--after", "a.jsonl"],
+], ids=["templates", "align", "ar", "patterns"])
+def test_the_views_refuse_the_question_and_group_fields(argv, option, capsys):
+    # No view reads either field; only sample takes them.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "db_id"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {option} db_id\n")
 
 
 def test_every_argument_kept_out_of_the_config_is_one_a_command_parses():

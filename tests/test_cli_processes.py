@@ -42,8 +42,9 @@ def _write_corpora(directory: Path) -> dict[str, Path]:
                 writer.writerows([sql] for sql in sqls)
         else:
             paths[name] = directory / f"{name}.jsonl"
-            paths[name].write_text("".join(json.dumps({"sql": sql}) + "\n" for sql in sqls),
-                                   encoding="utf-8")
+            paths[name].write_text("".join(
+                json.dumps({"sql": sql, "question": f"q{i}", "db_id": f"db{i % 3}"}) + "\n"
+                for i, sql in enumerate(sqls)), encoding="utf-8")
     return paths
 
 
@@ -51,6 +52,8 @@ def _commands(paths: dict[str, Path]) -> dict[str, tuple[list, list[str]]]:
     """Each command's argv and the options naming the files it writes."""
     align = ["align", "--target", paths["target"], "--source", paths["train"],
              "--source", paths["far"], "--source", paths["before"]]
+    # sample reads its file a second time, to write the rows it chose.
+    sample = ["sample", paths["train"], "--question-field", "question", "--group-field", "db_id"]
     return {
         "templates": (["templates", paths["target"]], ["-o", "--report", "--distribution"]),
         "align_json": (align, ["-o"]),
@@ -59,6 +62,8 @@ def _commands(paths: dict[str, Path]) -> dict[str, tuple[list, list[str]]]:
                 "--pred", paths["before"], "--c", "2.0"], ["-o"]),
         "patterns": (["patterns", "--before", paths["before"], "--after", paths["after"]],
                      ["-o"]),
+        "sample_fraction": (sample + ["--fraction", "0.5", "--seed", "3"], ["-o"]),
+        "sample_per_group": (sample + ["--per-group", "2"], ["-o"]),
     }
 
 
@@ -89,3 +94,5 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
     assert {name: code for name, (code, _, _) in first.items()} == dict.fromkeys(first, 0)
     assert [name for name, (_, stderr, _) in first.items() if b"warning" in stderr] == []
     assert first["patterns"][1] == b"patterns: before_failures=3 after_failures=3\n"
+    assert [first[name][2][0].count(b"\n") for name in ("sample_fraction", "sample_per_group")
+            ] == [21, 6]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import corpusgen
 from sqlalign import patterns, templates
 from sqlalign.corpus import (
-    SampleSpec,
     SqlCorpus,
     load_corpus,
     map_distinct_sql,
@@ -48,7 +47,7 @@ def test_record_requires_sql(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"sql": "   ", "q": "a"}, {"sql": "SELECT 1", "q": "b"}, {"q": "c"}])
     with pytest.warns(UserWarning):
-        corpus = load_corpus(path, question_field="q", skip_bad_rows=True)
+        corpus = load_corpus(path, skip_bad_rows=True)
     assert corpus.sqls == ("SELECT 1",)
     rows = read_rows(corpus, range(len(corpus)), question_field="q", skip_bad_rows=True)
     assert rows == [{"sql": "SELECT 1", "question": "b", "group_id": "", "meta": {}}]
@@ -74,16 +73,11 @@ def test_records_corpora_and_sample_specs_compare_by_their_fields():
     assert corpus != SqlCorpus("x", ("SELECT 1",)) != SqlCorpus("y", ("SELECT 1",))
     assert hash(corpus) == hash(SqlCorpus("x", ("SELECT 1",), ("g",)))
     assert repr(corpus) == "SqlCorpus(name='x', sqls=('SELECT 1',), groups=('g',))"
-    spec = SampleSpec(fraction=0.5, seed=3)
-    assert spec == SampleSpec(0.5, None, 3) != SampleSpec(0.5, None, 4)
-    assert hash(spec) == hash(SampleSpec(0.5, None, 3))
-    assert repr(spec) == "SampleSpec(fraction=0.5, per_group=None, seed=3)"
 
 
 @pytest.mark.parametrize("value, field", [
     (SqlCorpus("x", ("SELECT 1",)), "sqls"),
     (SqlCorpus("x", ("SELECT 1",), ("g",)), "groups"),
-    (SampleSpec(per_group=2), "seed"),
 ])
 def test_records_corpora_and_sample_specs_are_frozen(value, field):
     with pytest.raises(AttributeError):
@@ -92,17 +86,16 @@ def test_records_corpora_and_sample_specs_are_frozen(value, field):
         delattr(value, field)
 
 
-def test_sample_spec_validation():
-    with pytest.raises(ValueError):
-        SampleSpec()
-    with pytest.raises(ValueError):
-        SampleSpec(fraction=0.5, per_group=2)
-    with pytest.raises(ValueError):
-        SampleSpec(fraction=0.0)
-    with pytest.raises(ValueError):
-        SampleSpec(fraction=1.5)
-    with pytest.raises(ValueError):
-        SampleSpec(per_group=0)
+def test_sample_corpus_validation():
+    corpus = make_corpus(["SELECT 1", "SELECT 2"])
+    for options, message in [({}, "specify exactly one of fraction and per_group"),
+                             ({"fraction": 0.5, "per_group": 2},
+                              "specify exactly one of fraction and per_group"),
+                             ({"fraction": 0.0}, r"fraction must be in \(0, 1\]"),
+                             ({"fraction": 1.5}, r"fraction must be in \(0, 1\]"),
+                             ({"per_group": 0}, "per_group must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            sample_corpus(corpus, **options)
 
 
 # -- loading -----------------------------------------------------------------
@@ -114,12 +107,12 @@ def test_load_jsonl_with_field_mapping(tmp_path):
         {"question": "q1", "SQL": "SELECT b FROM u", "db_id": "d2"},
         {"question": "q2", "SQL": "SELECT c FROM v", "db_id": "d1"},
     ])
-    options = {"sql_field": "SQL", "question_field": "question", "group_field": "db_id"}
+    options = {"sql_field": "SQL", "group_field": "db_id"}
     corpus = load_corpus(path, **options)
     assert len(corpus) == 3
     assert corpus.sqls == ("SELECT a FROM t", "SELECT b FROM u", "SELECT c FROM v")
     assert corpus.groups == ("d1", "d2", "d1")
-    assert read_rows(corpus, [0, 2], **options) == [
+    assert read_rows(corpus, [0, 2], question_field="question", **options) == [
         {"sql": "SELECT a FROM t", "question": "q0", "group_id": "d1", "meta": {"extra": 7}},
         {"sql": "SELECT c FROM v", "question": "q2", "group_id": "d1", "meta": {}}]
 
@@ -203,10 +196,13 @@ _MALFORMED = [
     ("c.json", "[", None, None,
      ": unreadable json file: Expecting value: line 1 column 2 (char 1)"),
     ("c.jsonl", '{"sql": "SELECT 1"}\n', "xml", None, ": unknown input format 'xml'"),
+    ("c.csv", "sql,db_id,sql\nSELECT 1,d,SELECT 2\n", None, None,
+     ": CSV header repeats the name 'sql'"),
 ]
 _MALFORMED_IDS = ["json-not-array", "json-row-not-object", "csv-no-header", "csv-row-too-long",
                   "row-without-sql", "jsonl-row-not-object-after-blank-lines",
-                  "unknown-extension", "empty-file", "undecodable-file", "unknown-input-format"]
+                  "unknown-extension", "empty-file", "undecodable-file", "unknown-input-format",
+                  "csv-header-repeats-a-name"]
 
 
 @pytest.mark.parametrize("name, data, fmt, row, message", _MALFORMED, ids=_MALFORMED_IDS)
@@ -307,9 +303,8 @@ _FALSY_FIELD_ROWS = [
 def test_load_keeps_falsy_question_and_group_values(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, _FALSY_FIELD_ROWS)
-    options = {"question_field": "q", "group_field": "db_id"}
-    corpus = load_corpus(path, **options)
-    rows = read_rows(corpus, range(len(corpus)), **options)
+    corpus = load_corpus(path, group_field="db_id")
+    rows = read_rows(corpus, range(len(corpus)), question_field="q", group_field="db_id")
     assert [row["question"] for row in rows] == ["0", "False", "", "", ""]
     assert [row["group_id"] for row in rows] == list(corpus.groups) == ["0", "0.0", "", "", ""]
 
@@ -322,7 +317,7 @@ _UNHELD_ROWS = [
 _UNHELD_IDS = ["absent", "null", "only-in-a-skipped-row"]
 
 
-@pytest.mark.parametrize("field", ["question_field", "group_field"])
+@pytest.mark.parametrize("field", ["group_field"])
 @pytest.mark.parametrize("rows", _UNHELD_ROWS, ids=_UNHELD_IDS)
 @pytest.mark.filterwarnings("ignore:.*skipped")
 def test_load_a_named_field_that_no_row_holds_is_a_format_error(tmp_path, field, rows):
@@ -333,14 +328,25 @@ def test_load_a_named_field_that_no_row_holds_is_a_format_error(tmp_path, field,
     assert str(err.value) == f"{path}: no row holds field 'nope'"
 
 
+@pytest.mark.parametrize("rows", _UNHELD_ROWS, ids=_UNHELD_IDS)
+@pytest.mark.filterwarnings("ignore:.*skipped")
+def test_read_rows_a_question_field_that_no_row_holds_is_a_format_error(tmp_path, rows):
+    # load_corpus does not read the question field; read_rows checks it.
+    path = tmp_path / "g.jsonl"
+    write_jsonl(path, rows)
+    corpus = load_corpus(path, skip_bad_rows=True)
+    with pytest.raises(FormatError) as err:
+        read_rows(corpus, range(len(corpus)), question_field="nope", skip_bad_rows=True)
+    assert str(err.value) == f"{path}: no row holds field 'nope'"
+
+
 def test_load_a_field_held_by_one_row_or_by_empty_csv_cells_is_kept(tmp_path):
     path = tmp_path / "g.jsonl"
     write_jsonl(path, [{"sql": "SELECT 1"}, {"sql": "SELECT 2", "db_id": "a"}])
     assert load_corpus(path, group_field="db_id").groups == ("", "a")
     path = tmp_path / "g.csv"
     path.write_text("sql,q\nSELECT 1,\n", encoding="utf-8")
-    corpus = load_corpus(path, question_field="q")
-    assert read_rows(corpus, [0], question_field="q")[0]["question"] == ""
+    assert read_rows(load_corpus(path), [0], question_field="q")[0]["question"] == ""
 
 
 def test_load_unknown_input_format_names_the_file(tmp_path):
@@ -416,11 +422,16 @@ def _read_both(path, options):
     record of it: the SQL texts, or the type, text, path and row of the
     error raised. Both must agree, and the re-read gives no warning. The
     text, category and blamed file and line of every warning the reader
-    gave are returned with its outcome."""
+    gave are returned with its outcome.
+
+    A question field in the options is given to the re-read alone, since
+    the reader does not read it: where no kept row holds it, the re-read
+    fails on it alone, and where the reader failed, as the reader did."""
+    load_options = {k: v for k, v in options.items() if k != "question_field"}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            loaded = load_corpus(path, **options)
+            loaded = load_corpus(path, **load_options)
         except FormatError as exc:
             loaded = None
             outcome = (type(exc), str(exc), exc.path, exc.row)
@@ -437,7 +448,13 @@ def _read_both(path, options):
         else:
             reread = (corpus.name, tuple(row["sql"] for row in rows))
         assert _caught(caught) == loaded_warnings
-    assert reread == outcome
+    if loaded is not None and reread != outcome:
+        unheld = f"{path}: no row holds field {options.get('question_field')!r}"
+        assert reread == (FormatError, unheld, path, None)
+        rows = read_rows(loaded, range(len(loaded)), **load_options)
+        assert tuple(row["sql"] for row in rows) == loaded.sqls
+    else:
+        assert reread == outcome
     return outcome, loaded_warnings
 
 
@@ -538,12 +555,12 @@ def test_both_readers_agree_on_a_mutated_file(tmp_path_factory, name, mutations)
 
 def test_fraction_one_keeps_everything_in_order():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(20)])
-    assert sample_corpus(corpus, SampleSpec(fraction=1.0, seed=9)) == list(range(20))
+    assert sample_corpus(corpus, fraction=1.0, seed=9) == list(range(20))
 
 
 def test_fraction_rounds_up():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(10)])
-    assert len(sample_corpus(corpus, SampleSpec(fraction=0.01, seed=0))) == 1
+    assert len(sample_corpus(corpus, fraction=0.01, seed=0)) == 1
 
 
 @pytest.mark.parametrize("fraction, n, kept", [
@@ -555,13 +572,13 @@ def test_fraction_rounds_up():
 ])
 def test_fraction_counts_a_product_near_an_integer_as_that_integer(fraction, n, kept):
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(n)])
-    assert len(sample_corpus(corpus, SampleSpec(fraction=fraction, seed=0))) == kept
+    assert len(sample_corpus(corpus, fraction=fraction, seed=0)) == kept
 
 
 def test_per_group_takes_min_of_k_and_group_size():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(6)],
                          groups=["db1"] * 5 + ["db2"])
-    chosen = sample_corpus(corpus, SampleSpec(per_group=2, seed=4))
+    chosen = sample_corpus(corpus, per_group=2, seed=4)
     assert len(chosen) == 3
     by_group = {}
     for i in chosen:
@@ -572,28 +589,28 @@ def test_per_group_takes_min_of_k_and_group_size():
 def test_per_group_picks_from_the_groups_column():
     sqls = [f"SELECT c{i} FROM t" for i in range(12)]
     groups = ["a", "b", "c"] * 4
-    spec = SampleSpec(per_group=1, seed=5)
-    chosen = sample_corpus(make_corpus(sqls, groups=groups), spec)
+    spec = {"per_group": 1, "seed": 5}
+    chosen = sample_corpus(make_corpus(sqls, groups=groups), **spec)
     assert sorted(groups[i] for i in chosen) == ["a", "b", "c"]
     # The same SQL column with other groups draws from those; without a
     # groups column the corpus is one group.
-    first, second = sample_corpus(make_corpus(sqls, groups=["a"] * 6 + ["b"] * 6), spec)
+    first, second = sample_corpus(make_corpus(sqls, groups=["a"] * 6 + ["b"] * 6), **spec)
     assert first < 6 <= second
-    assert len(sample_corpus(make_corpus(sqls), spec)) == 1
-    assert sample_corpus(make_corpus(sqls), spec) == sample_corpus(
-        make_corpus(sqls, groups=[""] * 12), spec)
+    assert len(sample_corpus(make_corpus(sqls), **spec)) == 1
+    assert sample_corpus(make_corpus(sqls), **spec) == sample_corpus(
+        make_corpus(sqls, groups=[""] * 12), **spec)
 
 
 def test_sampling_is_deterministic_per_seed():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(100)])
-    spec = SampleSpec(fraction=0.2, seed=42)
-    assert sample_corpus(corpus, spec) == sample_corpus(corpus, spec)
-    assert sample_corpus(corpus, SampleSpec(fraction=0.2, seed=43)) != sample_corpus(corpus, spec)
+    spec = {"fraction": 0.2, "seed": 42}
+    assert sample_corpus(corpus, **spec) == sample_corpus(corpus, **spec)
+    assert sample_corpus(corpus, fraction=0.2, seed=43) != sample_corpus(corpus, **spec)
 
 
 def test_sampling_preserves_original_order():
     corpus = make_corpus([f"SELECT c{i} FROM t" for i in range(50)])
-    chosen = sample_corpus(corpus, SampleSpec(fraction=0.3, seed=1))
+    chosen = sample_corpus(corpus, fraction=0.3, seed=1)
     assert chosen == sorted(set(chosen)) and len(chosen) == 15
 
 
