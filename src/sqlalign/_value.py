@@ -1,13 +1,14 @@
-"""Base classes of the package's value types.
+"""Base class of the package's value types.
 
 A value class names its fields in ``_fields``, in constructor order, and
-its own ``__init__`` checks its arguments and passes their values, in that
-order, to ``Value.__init__``, which sets them. Two values are equal when
-they are of the same class and their fields are equal, and they print as
-``Name(field=value, ...)``. A ``Value`` can change, so it has no hash; a
-``FrozenValue`` is hashed by its fields and refuses every assignment after
-``__init__``, which is why ``Value.__init__`` sets the fields with
-``object.__setattr__``.
+its own ``__init__`` checks its arguments, works out any field that
+follows from them, and passes the field values, in that order, to
+``Value.__init__``, which sets them. A value never changes after that: it
+refuses every assignment and deletion, which is why ``Value.__init__`` sets
+the fields with ``object.__setattr__``. Two values are equal when they are
+of the same class and their fields are equal, a value is hashed by its
+fields (so one that holds a dict or a list has no hash), and it prints as
+``Name(field=value, ...)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def __init__(self, *values):
         for name, value in zip(self._fields, values, strict=True):
@@ -30,16 +30,12 @@ class Value:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
-
-
-class FrozenValue(Value):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")

@@ -28,14 +28,14 @@ import random
 import warnings
 from pathlib import Path
 
-from ._value import FrozenValue, Value
+from ._value import Value
 from .errors import EmptyCorpusError, EmptyDistributionError, FormatError
 from .ngrams import DEFAULT_L_MAX, NGramDistribution, build_distribution
 from .parsing import ParseError
 from .templates import StructuralTemplate, templatize
 
 
-class SqlCorpus(FrozenValue):
+class SqlCorpus(Value):
     """A corpus as columns: the SQL text of each record, in record order,
     and, when it was loaded with a group field, the group text of each
     record (otherwise ``groups`` is None). ``load_corpus`` stores equal

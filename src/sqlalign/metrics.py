@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from ._value import FrozenValue
+from ._value import Value
 from .errors import (EmptyDistributionError, EmptyTargetSetError, SpecMismatchError,
                      SqlAlignError)
 from .ngrams import NGramDistribution
@@ -37,16 +37,25 @@ class AlignmentScore(NamedTuple):
     alpha: float
 
 
-class AlignmentRatio(FrozenValue):
-    """Alignment of target-vs-train relative to target-vs-predictions;
-    ar > 1 means the training set sits closer to the target than the
-    baseline predictions do."""
+class AlignmentRatio(Value):
+    """Alignment of target-vs-train relative to target-vs-predictions,
+    ar = exp(-(numerator.d_kl - denominator.d_kl) / c) over two scores that
+    share c; ar > 1 means the training set sits closer to the target than the
+    baseline predictions do. A c too small for a finite ar raises SqlAlignError."""
 
     _fields = ("ar", "numerator", "denominator")
 
-    def __init__(self, ar: float, numerator: AlignmentScore, denominator: AlignmentScore):
-        if numerator.c != denominator.c:
+    def __init__(self, numerator: AlignmentScore, denominator: AlignmentScore):
+        c = numerator.c
+        if c != denominator.c:
             raise ValueError("alignment ratio requires one shared scaling constant c")
+        try:
+            ar = math.exp(-(numerator.d_kl - denominator.d_kl) / c)
+        except OverflowError:
+            ar = math.inf
+        if not math.isfinite(ar):
+            raise SqlAlignError(f"c {c!r} is too small for these divergences: "
+                                "the alignment ratio is not a finite number")
         super().__init__(ar, numerator, denominator)
 
 
@@ -155,16 +164,7 @@ def alignment_ratio(target: NGramDistribution, train: NGramDistribution,
     """exp(-(D(target||train) - D(target||pred)) / c) with both component
     scores. The ar > 1 test is independent of c. A c so small that ar
     is not a finite float raises SqlAlignError."""
-    numerator = align(target, train, alpha, c)
-    denominator = align(target, pred, alpha, c)
-    try:
-        ar = math.exp(-(numerator.d_kl - denominator.d_kl) / c)
-    except OverflowError:
-        ar = math.inf
-    if not math.isfinite(ar):
-        raise SqlAlignError(f"c {c!r} is too small for these divergences: "
-                            "the alignment ratio is not a finite number")
-    return AlignmentRatio(ar=ar, numerator=numerator, denominator=denominator)
+    return AlignmentRatio(align(target, train, alpha, c), align(target, pred, alpha, c))
 
 
 def ovlp_ratio(target_templates: Iterable[Hashable],

@@ -31,13 +31,13 @@ DEFAULT_L_MAX = 15
 
 
 class NGramDistribution(Value):
-    """Pooled frequencies of valid n-grams from one template corpus."""
+    """Pooled frequencies of valid n-grams from one template corpus; the
+    ``total`` is worked out from the counts, as their sum."""
 
     _fields = ("counts", "total", "l_max", "source_label")
 
-    def __init__(self, counts: dict[NGram, int], total: int, l_max: int,
-                 source_label: str = ""):
-        super().__init__(counts, total, l_max, source_label)
+    def __init__(self, counts: dict[NGram, int], l_max: int, source_label: str = ""):
+        super().__init__(counts, sum(counts.values()), l_max, source_label)
 
 
 def build_distribution(templates: Iterable[StructuralTemplate], l_max: int = DEFAULT_L_MAX,
@@ -91,11 +91,9 @@ def build_distribution(templates: Iterable[StructuralTemplate], l_max: int = DEF
                 if after[end] == depth:
                     gram = text[begin:stops[end]]
                     counts[gram] = get(gram, 0) + multiplicity
-    total = sum(counts.values())
-    if total == 0:
+    if not counts:
         raise EmptyDistributionError("no n-grams survived filtering")
-    return NGramDistribution(counts=counts, total=total, l_max=l_max,
-                             source_label=source_label)
+    return NGramDistribution(counts=counts, l_max=l_max, source_label=source_label)
 
 
 def write_distribution(dist: NGramDistribution, path) -> None:

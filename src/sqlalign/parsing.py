@@ -42,7 +42,6 @@ from itertools import chain
 from operator import eq
 from typing import Iterator, NamedTuple
 
-from ._value import Value
 from .errors import ParseError
 from .keywords import TEMPLATE_OPERATORS
 
@@ -83,16 +82,16 @@ class Token(NamedTuple):
     shape: str
 
 
-class Node(Value):
+class Node:
     """An inner node of a parse tree. Its children, one or more, are inner
     nodes and leaves: a leaf is one of the query's own Tokens. The root
     that ``parse_sql`` returns also has ``positions``, the indices of its
-    structural leaves. Nodes compare by both fields and are unhashable.
+    structural leaves, set after construction. Nodes compare by label and
+    children and are unhashable.
     Comparing and printing walk the tree with their own stack, as ``walk``
     does, so a deep tree compares and prints like a shallow one."""
 
-    _fields = ("label", "children")
-    __slots__ = _fields + ("positions", "_label_index", "__weakref__")
+    __slots__ = ("label", "children", "positions", "_label_index", "__weakref__")
 
     def __init__(self, label: str, children: list[Node | Token]):
         self.label = label
@@ -283,8 +282,6 @@ _CONST_WORDS = frozenset({
 
 _JOIN_WORDS = frozenset({"JOIN", "INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL"})
 
-_JOIN_PREFIX = frozenset({"INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL", "OUTER"})
-
 _SET_OPS = frozenset({"UNION", "INTERSECT", "EXCEPT"})
 
 _INTERVAL_UNITS = frozenset({
@@ -312,7 +309,7 @@ _SIGNS = frozenset({"+", "-", "~"})
 # the words that parser methods name directly. A test scans this module
 # for word literals that are missing here.
 SHAPE_VOCABULARY = TEMPLATE_OPERATORS.union(
-    _NON_ALIAS_WORDS, _CONST_WORDS, _JOIN_WORDS, _JOIN_PREFIX, _SET_OPS, _INTERVAL_UNITS,
+    _NON_ALIAS_WORDS, _CONST_WORDS, _JOIN_WORDS, _SET_OPS, _INTERVAL_UNITS,
     _PRIMARY_WORDS, _PREDICATE_STARTS, _LOGICAL_LEVELS, _ARITH_LEVELS, _SIGNS,
     {"WITH", "RECURSIVE", "FIRST", "LAST", "PARTITION", "ROWS", "RANGE", "GROUPS",
      "UNBOUNDED", "PRECEDING", "FOLLOWING", "CURRENT", "ROW"})
@@ -549,9 +546,16 @@ class _Parser:
                 ch.append(self._table_or_subquery())
                 continue
             if self.tok.upper in _JOIN_WORDS:
+                # [NATURAL] [INNER | CROSS | (LEFT | RIGHT | FULL) [OUTER]] JOIN
                 op = []
-                while self.tok.upper in _JOIN_PREFIX:
+                if self.tok.upper == "NATURAL":
                     op.append(self._struct())
+                if self.tok.upper in ("INNER", "CROSS"):
+                    op.append(self._struct())
+                elif self.tok.upper in ("LEFT", "RIGHT", "FULL"):
+                    op.append(self._struct())
+                    if self.tok.upper == "OUTER":
+                        op.append(self._struct())
                 op.append(self._kw("JOIN"))
                 ch.append(Node("join_op", op))
                 ch.append(self._table_or_subquery())

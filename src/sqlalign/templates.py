@@ -4,11 +4,11 @@ removed from a parse tree."""
 
 from __future__ import annotations
 
-from ._value import FrozenValue
+from ._value import Value
 from .parsing import Node, Token, parse_sql, query_tokens, shape_key
 
 
-class StructuralTemplate(FrozenValue):
+class StructuralTemplate(Value):
     """Ordered structural tokens of one query. Keywords are uppercased;
     two queries are structurally identical iff their canonical_text match."""
 

@@ -13,12 +13,20 @@ parser installed now only records the inputs appended since:
 
     PYTHONPATH=src:tests python3 tests/parser_golden.py
 
+A parser change that alters what a committed input records re-records
+that input, and no other, by its SQL text: each line whose ``sql`` equals
+an argument is rewritten in place with the parser installed now, and
+every other line stays byte for byte as it was.
+
+    PYTHONPATH=src:tests python3 tests/parser_golden.py --rerecord SQL [SQL ...]
+
 Only run it on purpose, with the parser the new records should pin:
 ``test_parser_golden.py`` checks the parser against the committed file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -218,20 +226,44 @@ def golden_inputs(seed: int = 20251004) -> list[str]:
     return inputs + operator_mix_inputs()
 
 
+def committed_lines() -> list[str]:
+    # Split on "\n" alone: a line's JSON may hold other line separators.
+    return [line for line in GOLDEN_PATH.read_text(encoding="utf-8").split("\n") if line]
+
+
 def committed_inputs() -> list[str]:
     """The ``sql`` column of the committed file, in order."""
-    with open(GOLDEN_PATH, encoding="utf-8") as fh:
-        return [json.loads(line)["sql"] for line in fh]
+    return [json.loads(line)["sql"] for line in committed_lines()]
 
 
-def main() -> None:
-    inputs, done = golden_inputs(), committed_inputs()
+def _line(sql: str) -> str:
+    return json.dumps(record(sql), ensure_ascii=False, separators=(",", ":"))
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Append the new inputs of golden_inputs() "
+                                     "to the golden file, or re-record committed ones")
+    parser.add_argument("--rerecord", nargs="+", default=[], metavar="SQL",
+                        help="rewrite the lines of these committed inputs in place")
+    args = parser.parse_args(argv)
+    lines = committed_lines()
+    done = [json.loads(line)["sql"] for line in lines]
+    inputs = golden_inputs()
     if inputs[:len(done)] != done:
         raise SystemExit(f"{GOLDEN_PATH.name} does not start with golden_inputs(); "
                          "inputs may only be appended")
-    with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
-        for sql in inputs[len(done):]:
-            fh.write(json.dumps(record(sql), ensure_ascii=False, separators=(",", ":")) + "\n")
+    if not args.rerecord:
+        with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
+            for sql in inputs[len(done):]:
+                fh.write(_line(sql) + "\n")
+        return
+    unknown = [sql for sql in args.rerecord if sql not in done]
+    if unknown:
+        raise SystemExit("not a committed input: " + ", ".join(map(repr, unknown)))
+    rerecord = set(args.rerecord)
+    with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
+        for sql, line in zip(done, lines):
+            fh.write((_line(sql) if sql in rerecord else line) + "\n")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def _report(name: str, started: float, limit: float) -> None:
 
 
 def _dist(counts):
-    return NGramDistribution(counts=counts, total=sum(counts.values()), l_max=15)
+    return NGramDistribution(counts=counts, l_max=15)
 
 
 def _random_counts(rng, max_vocab=50, max_count=100):

@@ -26,6 +26,8 @@ from sqlalign.errors import (
     ParseError,
     SqlAlignError,
 )
+from sqlalign.metrics import AlignmentRatio, AlignmentScore
+from sqlalign.ngrams import NGramDistribution
 from sqlalign.parsing import parse_sql, query_tokens, shape_key
 from sqlalign.patterns import DEFAULT_PATTERNS, count_patterns
 from sqlalign.templates import StructuralTemplate, templatize
@@ -42,7 +44,7 @@ def make_corpus(sqls, name="c", groups=None):
 
 # -- corpus invariants --------------------------------------------------------
 
-def test_record_requires_sql(tmp_path):
+def test_a_row_without_sql_is_neither_loaded_nor_read_back(tmp_path):
     # A row without SQL is neither loaded nor read back as a record.
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"sql": "   ", "q": "a"}, {"sql": "SELECT 1", "q": "b"}, {"q": "c"}])
@@ -67,7 +69,7 @@ def test_a_groups_column_holds_one_group_per_record():
     assert SqlCorpus("x", ("SELECT 1",)).groups is None
 
 
-def test_records_corpora_and_sample_specs_compare_by_their_fields():
+def test_corpora_compare_and_hash_by_their_fields():
     corpus = SqlCorpus("x", ("SELECT 1",), ("g",))
     assert corpus == SqlCorpus("x", ("SELECT 1",), ("g",))
     assert corpus != SqlCorpus("x", ("SELECT 1",)) != SqlCorpus("y", ("SELECT 1",))
@@ -75,15 +77,32 @@ def test_records_corpora_and_sample_specs_compare_by_their_fields():
     assert repr(corpus) == "SqlCorpus(name='x', sqls=('SELECT 1',), groups=('g',))"
 
 
+_SCORE = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
+
+
 @pytest.mark.parametrize("value, field", [
     (SqlCorpus("x", ("SELECT 1",)), "sqls"),
     (SqlCorpus("x", ("SELECT 1",), ("g",)), "groups"),
+    (NGramDistribution({"SELECT": 1}, l_max=15), "total"),
+    (templatize_corpus(make_corpus(["SELECT 1", "SELECT"])), "distribution"),
+    (count_patterns(make_corpus(["SELECT COUNT(*) FROM t"])), "counts"),
+    (AlignmentRatio(_SCORE, _SCORE), "ar"),
 ])
-def test_records_corpora_and_sample_specs_are_frozen(value, field):
+def test_values_are_frozen(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
+
+
+@pytest.mark.parametrize("value", [
+    NGramDistribution({"SELECT": 1}, l_max=15),
+    templatize_corpus(make_corpus(["SELECT 1"])),
+    count_patterns(make_corpus(["SELECT 1"])),
+])
+def test_a_value_that_holds_a_dict_or_a_list_has_no_hash(value):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
 
 
 def test_sample_corpus_validation():

@@ -30,8 +30,7 @@ from sqlalign.ngrams import NGramDistribution
 
 
 def dist(counts, label=""):
-    return NGramDistribution(counts=counts, total=sum(counts.values()),
-                             l_max=15, source_label=label)
+    return NGramDistribution(counts=counts, l_max=15, source_label=label)
 
 
 def random_dist(rng, max_vocab=50, max_count=100):
@@ -93,16 +92,30 @@ def test_kl_rejects_non_finite_alpha(alpha):
 
 def test_kl_rejects_empty_distributions():
     p = dist({"a": 1})
-    empty = NGramDistribution(counts={}, total=0, l_max=15)
+    empty = NGramDistribution(counts={}, l_max=15)
     with pytest.raises(EmptyDistributionError):
         kl_divergence(p, empty, alpha=0.5)
     with pytest.raises(EmptyDistributionError):
         kl_divergence(empty, p, alpha=0.5)
 
 
+def test_a_distribution_total_is_the_sum_of_its_counts():
+    rng = random.Random(31)
+    for _ in range(50):
+        p = random_dist(rng)
+        assert p.total == sum(p.counts.values())
+    assert NGramDistribution(counts={}, l_max=15).total == 0
+    with pytest.raises(TypeError):
+        NGramDistribution(counts={"SELECT": 1}, total=1, l_max=15)  # total is no argument
+    # Counts that disagree with a given total could give a negative D_KL;
+    # a total worked out from the counts cannot.
+    d = kl_divergence(dist({"SELECT": 3, "FROM": 1}), dist({"SELECT": 1, "FROM": 3}))
+    assert d > 0.0
+
+
 def test_kl_rejects_different_l_max():
     p = dist({"a": 1, "b": 2})
-    q = NGramDistribution(counts=p.counts, total=p.total, l_max=3)
+    q = NGramDistribution(counts=p.counts, l_max=3)
     with pytest.raises(SpecMismatchError):
         kl_divergence(p, q)
 
@@ -114,7 +127,7 @@ from sqlalign.ngrams import NGramDistribution
 rng = random.Random(3)
 def dist(lo, hi):
     counts = {f"SELECT g{i}": rng.randint(1, 1000) for i in range(lo, hi) if rng.random() < 0.7}
-    return NGramDistribution(counts=counts, total=sum(counts.values()), l_max=15)
+    return NGramDistribution(counts=counts, l_max=15)
 # q holds n-grams that p lacks, and p n-grams that q lacks
 p, q = dist(0, 3000), dist(1000, 4000)
 print(repr(kl_divergence(p, q)), repr(kl_divergence(q, p)))
@@ -310,10 +323,11 @@ def test_ratio_sign_iff_divergence_order():
 
 def test_scores_and_ratios_compare_by_their_fields_and_are_frozen():
     score = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
-    ratio = AlignmentRatio(ar=1.0, numerator=score, denominator=score)
-    assert ratio == AlignmentRatio(1.0, AlignmentScore(0.1, 0.9, 1.0, 0.5), score)
-    assert hash(ratio) == hash(AlignmentRatio(1.0, score, score))
-    assert ratio != AlignmentRatio(1.5, score, score)
+    other = AlignmentScore(d_kl=0.3, a_kl=0.7, c=1.0, alpha=0.5)
+    ratio = AlignmentRatio(numerator=score, denominator=score)
+    assert ratio == AlignmentRatio(AlignmentScore(0.1, 0.9, 1.0, 0.5), score)
+    assert hash(ratio) == hash(AlignmentRatio(score, score))
+    assert ratio != AlignmentRatio(score, other) != AlignmentRatio(other, score)
     for value, field in ((score, "c"), (ratio, "ar")):
         with pytest.raises(AttributeError):
             setattr(value, field, 2.0)
@@ -324,7 +338,30 @@ def test_ratio_requires_shared_c():
     score_a = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
     score_b = AlignmentScore(d_kl=0.2, a_kl=0.8, c=2.0, alpha=0.5)
     with pytest.raises(ValueError):
-        AlignmentRatio(ar=1.1, numerator=score_a, denominator=score_b)
+        AlignmentRatio(numerator=score_a, denominator=score_b)
+
+
+def test_a_ratio_is_worked_out_from_its_two_scores():
+    rng = random.Random(29)
+    for _ in range(200):
+        c = rng.uniform(0.01, 10.0)
+        num, den = (AlignmentScore(d, math.exp(-d / c), c, 0.5)
+                    for d in (rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)))
+        ratio = AlignmentRatio(num, den)
+        assert ratio.ar == math.exp(-(num.d_kl - den.d_kl) / num.c)
+        assert (ratio.numerator, ratio.denominator) == (num, den)
+    with pytest.raises(TypeError):
+        AlignmentRatio(1.0, num, den)  # ar is no argument
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-4])
+def test_a_ratio_whose_c_is_too_small_raises_from_the_constructor(c):
+    num = AlignmentScore(d_kl=0.0, a_kl=1.0, c=c, alpha=0.5)
+    den = AlignmentScore(d_kl=1.0, a_kl=0.0, c=c, alpha=0.5)
+    with pytest.raises(SqlAlignError, match=f"c {c!r} is too small"):
+        AlignmentRatio(num, den)
+    # the other way round ar underflows to 0.0, a finite number
+    assert AlignmentRatio(den, num).ar == 0.0
 
 
 _EXTREMES = [5e-324, 1e-320, 1e-310, 1e-4, 1e300, 1e308]

@@ -175,8 +175,7 @@ def test_export_import_roundtrip_and_byte_stability(tmp_path):
     ({}, "empty"),
 ])
 def test_write_distribution_writes_what_indented_json_dumps_writes(tmp_path, counts, label):
-    dist = NGramDistribution(counts=counts, total=sum(counts.values()), l_max=4,
-                             source_label=label)
+    dist = NGramDistribution(counts=counts, l_max=4, source_label=label)
     path = tmp_path / "dist.json"
     write_distribution(dist, path)
     payload = {"l_max": 4, "source_label": label, "total": dist.total, "counts": counts}

@@ -119,14 +119,14 @@ def test_every_token_has_exactly_one_role(sql):
     assert derive_template(tree) == templatize(sql, {})
 
 
-def test_normalize_strips_comments_and_trailing_semicolons():
+def test_comments_and_trailing_semicolons_leave_no_leaf():
     sql = "SELECT a -- pick a\nFROM t /* the table */ ; ;"
     leaves = _leaves(parse_sql(sql))
     assert leaves == _source_tokens(sql)
     assert [tok.text for tok in leaves] == ["SELECT", "a", "FROM", "t"]
 
 
-def test_tokenize_positions_point_into_source():
+def test_token_offsets_point_into_the_source():
     sql = "SELECT a FROM t"
     offsets = token_offsets(sql)
     assert offsets == [0, 7, 9, 14]
@@ -221,6 +221,11 @@ def test_documented_dialect_gaps_fail_with_their_message(sql, message):
     ("SELECT CAST(a AS VARCHAR(20)) FROM t", "SELECT CAST ( ) FROM"),
     ("SELECT CAST(a AS DECIMAL(10, 2)) FROM t", "SELECT CAST ( ) FROM"),
     ("SELECT CAST(a AS VARCHAR(MAX)) FROM t", "SELECT CAST ( ) FROM"),
+    # A join is [NATURAL] [INNER | CROSS | (LEFT | RIGHT | FULL) [OUTER]] JOIN.
+    ("SELECT a FROM t NATURAL LEFT OUTER JOIN u", "SELECT FROM NATURAL LEFT OUTER JOIN"),
+    ("SELECT a FROM t FULL OUTER JOIN u ON a = b", "SELECT FROM FULL OUTER JOIN ON ="),
+    ("SELECT a FROM t CROSS JOIN u", "SELECT FROM CROSS JOIN"),
+    ("SELECT a FROM t NATURAL CROSS JOIN u", "SELECT FROM NATURAL CROSS JOIN"),
 ])
 def test_rarely_taken_branches_give_their_template(sql, template):
     assert derive_template(parse_sql(sql)).canonical_text == template
@@ -258,6 +263,14 @@ def test_a_qualified_star_in_count_is_count_star():
      "expected ')' after type parameters, found '20' (at offset 28)"),
     ("SELECT CAST(a AS VARCHAR(10,)) FROM t", "expected type parameter, found ')' (at offset 28)"),
     ("SELECT CAST(a AS VARCHAR(", "expected ')' after type parameters (at offset 25)"),
+    # No join prefix word repeats or follows one it cannot follow.
+    ("SELECT a FROM t LEFT RIGHT JOIN u ON a = b",
+     "expected JOIN, found 'RIGHT' (at offset 21)"),
+    ("SELECT a FROM t NATURAL NATURAL JOIN u", "expected JOIN, found 'NATURAL' (at offset 24)"),
+    ("SELECT a FROM t INNER OUTER JOIN u ON a = b",
+     "expected JOIN, found 'OUTER' (at offset 22)"),
+    ("SELECT a FROM t LEFT OUTER OUTER JOIN u ON a = b",
+     "expected JOIN, found 'OUTER' (at offset 27)"),
 ])
 def test_rarely_taken_error_branches_name_the_token(sql, message):
     with pytest.raises(ParseError) as err:
