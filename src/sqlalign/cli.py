@@ -113,17 +113,13 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
                         default="json", help="report format (default: json)")
 
 
-def _field_settings(args) -> dict:
-    """The loader's keyword arguments from the field options every
-    command takes."""
-    return {"sql_field": args.sql_field, "input_format": args.input_format,
-            "skip_bad_rows": args.skip_bad_rows}
-
-
 def _load(args, path) -> SqlCorpus:
-    """A corpus file's SQL column: all that a view reads. Every view loads
-    each of its files here once."""
-    return load_corpus(path, **_field_settings(args))
+    """A corpus file's SQL column, all that a view reads, and its groups
+    for a command that takes --group-field. Every command loads each of
+    its files here once."""
+    return load_corpus(path, sql_field=args.sql_field,
+                       group_field=getattr(args, "group_field", None),
+                       input_format=args.input_format, skip_bad_rows=args.skip_bad_rows)
 
 
 # The command selector and the files a command reads or writes; every
@@ -244,11 +240,10 @@ def cmd_ar(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    corpus = load_corpus(args.input, group_field=args.group_field, **_field_settings(args))
+    corpus = _load(args, args.input)
     chosen = sample_corpus(corpus, fraction=args.fraction, per_group=args.per_group,
                            seed=args.seed)
-    rows = read_rows(corpus, chosen, question_field=args.question_field,
-                     group_field=args.group_field, **_field_settings(args))
+    rows = read_rows(corpus, chosen, question_field=args.question_field)
     _write_text(args.output, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
                                      for row in rows))
     print(f"sampled {len(rows)} of {len(corpus)} records (seed={args.seed})", file=sys.stderr)

@@ -7,10 +7,10 @@ through it. ``load_corpus`` keeps the SQL column, all that the template,
 alignment and pattern views read, and the group column when a group field
 is named, which the sampler reads (a ``SqlCorpus``). A command that writes
 records out picks their indices with ``sample_corpus`` and fetches those
-rows with ``read_rows``, which reads the file again; only it reads the
-question field. A corpus is named by its file's path, and every
-FormatError the loader raises carries that path and puts it first in its
-text.
+rows with ``read_rows``, which reads the file again with the settings of
+the load; only it reads the question field. A corpus is named by its
+file's path, and every FormatError the loader raises carries that path
+and puts it first in its text.
 
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
@@ -38,19 +38,25 @@ from .templates import StructuralTemplate, templatize
 class SqlCorpus(Value):
     """A corpus as columns: the SQL text of each record, in record order,
     and, when it was loaded with a group field, the group text of each
-    record (otherwise ``groups`` is None). ``load_corpus`` stores equal
-    texts as one string object, so a repetitive corpus holds each distinct
-    text once. The rest of a row stays in the file; ``read_rows`` reads it
-    back for the records a command writes out."""
+    record (otherwise ``groups`` is None), and the settings it was read
+    with. ``load_corpus`` stores equal texts as one string object, so a
+    repetitive corpus holds each distinct text once. The rest of a row
+    stays in the file; ``read_rows`` reads it back with those settings."""
 
-    _fields = ("name", "sqls", "groups")
+    _fields = ("name", "sqls", "groups", "sql_field", "group_field", "input_format",
+               "skip_bad_rows")
 
-    def __init__(self, name: str, sqls: tuple[str, ...], groups: tuple[str, ...] | None = None):
+    def __init__(self, name: str, sqls: tuple[str, ...], groups: tuple[str, ...] | None = None,
+                 sql_field: str = "sql", group_field: str | None = None,
+                 input_format: str | None = None, skip_bad_rows: bool = False):
         if not sqls:
             raise ValueError("corpus must contain at least one record")
         if groups is not None and len(groups) != len(sqls):
             raise ValueError("groups must hold one group per record")
-        super().__init__(name, sqls, groups)
+        if group_field and groups is None:
+            raise ValueError("a corpus read with a group field holds its groups")
+        super().__init__(name, sqls, groups, sql_field, group_field, input_format,
+                         skip_bad_rows)
 
     def __len__(self) -> int:
         return len(self.sqls)
@@ -166,7 +172,8 @@ def load_corpus(path, sql_field: str = "sql", group_field: str | None = None,
     """Load the SQL column of one corpus file, and its group column when
     group_field is named, from the file in the format input_format names
     or, without it, the one its extension implies. Equal texts are stored
-    as one string object. The corpus is named str(path).
+    as one string object. The corpus is named str(path) and keeps these
+    settings.
 
     A row missing the SQL field (or holding an empty one) raises
     FormatError naming the row; with skip_bad_rows the row is dropped
@@ -186,28 +193,27 @@ def load_corpus(path, sql_field: str = "sql", group_field: str | None = None,
         if group_field:
             group = _text_field(row, group_field)
             groups.append(distinct.setdefault(group, group))
-    return SqlCorpus(str(path), tuple(sqls), tuple(groups) if group_field else None)
+    return SqlCorpus(str(path), tuple(sqls), tuple(groups) if group_field else None,
+                     sql_field, group_field, input_format, skip_bad_rows)
 
 
-def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
-              question_field: str | None = None, group_field: str | None = None,
-              input_format: str | None = None, skip_bad_rows: bool = False) -> list[dict]:
-    """The records at the given indices of a corpus that load_corpus loaded
-    with these options, in record order, each as the dict of its ``sql``,
-    ``question`` and ``group_id`` texts and ``meta``, a map of all the
-    row's other fields. The question field is read here alone, as
-    load_corpus reads the group field: "" where a row holds no value, and
-    FormatError when no kept row holds one.
+def read_rows(corpus: SqlCorpus, indices, question_field: str | None = None) -> list[dict]:
+    """The records at the given indices of a loaded corpus, in record
+    order, each as the dict of its ``sql``, ``question`` and ``group_id``
+    texts and ``meta``, a map of all the row's other fields. The file is
+    read again with the settings the corpus records, through the same
+    checks; the warnings the load gave are not given again. A record's
+    group is the corpus's (see ``groups``; "" without one). The question
+    field is read here alone, as load_corpus reads the group field: ""
+    where a row holds no value, and FormatError when no kept row holds one.
 
-    The file is read again, through the same checks; the warnings the
-    load gave are not given again. A file that no longer holds the loaded
-    records raises FormatError naming it: at the row, when a chosen row's
-    SQL is no longer the corpus's text, and otherwise when the number of
-    records differs. An index that is not one of the corpus's records
-    raises IndexError.
+    A file that no longer holds the loaded records raises FormatError
+    naming it: at the row, when a chosen row's SQL is no longer the
+    corpus's text, and otherwise when the number of records differs. An
+    index that is not one of the corpus's records raises IndexError.
     """
     path = Path(corpus.name)
-    claimed = {sql_field, question_field, group_field}
+    claimed = {corpus.sql_field, question_field, corpus.group_field}
     chosen = set(indices)
     if chosen and not (min(chosen) >= 0 and max(chosen) < len(corpus)):
         raise IndexError("record index out of range")
@@ -215,16 +221,17 @@ def read_rows(corpus: SqlCorpus, indices, sql_field: str = "sql",
     k = -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the load gave them
-        for k, (i, row, sql) in enumerate(_kept_rows(path, sql_field,
-                                                     (group_field, question_field),
-                                                     input_format, skip_bad_rows)):
+        for k, (i, row, sql) in enumerate(_kept_rows(path, corpus.sql_field,
+                                                     (corpus.group_field, question_field),
+                                                     corpus.input_format,
+                                                     corpus.skip_bad_rows)):
             if k not in chosen:
                 continue
             if sql != corpus.sqls[k]:
                 raise FormatError("SQL changed since the file was loaded", row=i, path=path)
             rows.append({"sql": sql,
                          "question": _text_field(row, question_field) if question_field else "",
-                         "group_id": _text_field(row, group_field) if group_field else "",
+                         "group_id": corpus.groups[k] if corpus.groups else "",
                          "meta": {key: v for key, v in row.items() if key not in claimed}})
     if k + 1 != len(corpus):
         raise FormatError(f"changed since it was loaded: {k + 1} records, not {len(corpus)}",

@@ -32,12 +32,17 @@ DEFAULT_L_MAX = 15
 
 class NGramDistribution(Value):
     """Pooled frequencies of valid n-grams from one template corpus; the
-    ``total`` is worked out from the counts, as their sum."""
+    ``total`` is worked out from the counts, as their sum. Every count is
+    a positive int: any other raises ValueError naming its n-gram."""
 
     _fields = ("counts", "total", "l_max", "source_label")
 
     def __init__(self, counts: dict[NGram, int], l_max: int, source_label: str = ""):
-        super().__init__(counts, sum(counts.values()), l_max, source_label)
+        values = counts.values()
+        if counts and (set(map(type, values)) != {int} or min(values) < 1):  # two C passes
+            gram = next(g for g, n in counts.items() if type(n) is not int or n < 1)
+            raise ValueError(f"n-gram {gram!r} has count {counts[gram]!r}, not a positive int")
+        super().__init__(counts, sum(values), l_max, source_label)
 
 
 def build_distribution(templates: Iterable[StructuralTemplate], l_max: int = DEFAULT_L_MAX,

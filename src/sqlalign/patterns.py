@@ -22,10 +22,6 @@ def _func_name(node: Node) -> str:
     return node.children[0].upper
 
 
-def _func_args(node: Node) -> list[Node]:
-    return [child for child in node.children if isinstance(child, Node)]
-
-
 def _select_exprs(tree: Node):
     """Yield the item expressions of the select list of every SELECT core
     in the tree."""
@@ -76,7 +72,7 @@ def _has_count_of(tree: Node, label: str) -> bool:
     """A one-argument COUNT whose argument is labelled ``label``."""
     for func in tree.find_all("func"):
         if _func_name(func) == "COUNT":
-            args = _func_args(func)
+            args = [child for child in func.children if isinstance(child, Node)]
             if len(args) == 1 and args[0].label == label:
                 return True
     return False
@@ -111,14 +107,14 @@ def match_subquery(tree: Node) -> bool:
 
 class PatternSpec(NamedTuple):
     """``match`` takes the root Node that parse_sql returns, whose leaves
-    are the query's Tokens. A spec reads node labels and the ``kind`` and
-    ``upper`` of the tokens at the root's ``positions``, never their
-    ``text`` and never a schema leaf, as the default specs do:
-    count_patterns matches one tree per query shape and template."""
+    are the query's Tokens."""
     id: str
     match: Callable[[Node], bool]
 
 
+# Each default spec reads node labels and the ``kind`` and ``upper`` of the
+# tokens at the root's ``positions``, never their ``text`` and never a
+# schema leaf: count_patterns matches one tree per query shape and template.
 DEFAULT_PATTERNS: tuple[PatternSpec, ...] = (
     PatternSpec("attr_comma_sum", match_attr_comma_sum),
     PatternSpec("bare_sum", match_bare_sum),
@@ -141,31 +137,24 @@ class PatternCounts(Value):
         super().__init__(corpus_name, counts, parse_failures)
 
 
-def count_patterns(corpus: SqlCorpus,
-                   specs: tuple[PatternSpec, ...] = DEFAULT_PATTERNS,
-                   memo: dict | None = None) -> PatternCounts:
-    """Count the records of the SQL column that match each spec, matching
-    each distinct SQL string once and parsing it only when its shape or
-    template is new.
+def count_patterns(corpus: SqlCorpus, memo: dict | None = None) -> PatternCounts:
+    """Count the records of the SQL column that match each of
+    DEFAULT_PATTERNS, matching each distinct SQL string once and parsing
+    it only when its shape or template is new.
 
     A query's shape_key fixes its tree's labels and ``positions``, and
     its template tokens the ``upper`` of the tokens there: all that a
-    PatternSpec reads. So the view's shape table keeps, in the entry form
+    default spec reads. So the view's shape table keeps, in the entry form
     of templates.templatize, per shape key the positions and per template
     the pattern ids: ``(positions, {template tokens: ids})``. A query
     reads its template tokens at its shape's positions and its ids from
     there without a parse. A failure is not kept in it, so a string that
     fails is parsed again.
 
-    ``memo`` is a run memo (see map_distinct_sql): under ``("patterns",
-    specs)`` the view keeps the ids per string, its shape table and its
-    lexicon, never a tree, and the counts are the same with or without it.
+    ``memo`` is a run memo (see map_distinct_sql): under ``"patterns"``
+    the view keeps the ids per string, its shape table and its lexicon,
+    never a tree, and the counts are the same with or without it.
     """
-    specs = tuple(specs)
-    ids = [spec.id for spec in specs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("pattern ids must be unique")
-
     def matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
         tokens = query_tokens(sql, lexicon)
         shape = shape_key(tokens)
@@ -180,11 +169,12 @@ def count_patterns(corpus: SqlCorpus,
         if found is None:
             if tree is None:
                 tree = parse_sql(sql, tokens)
-            found = by_template[words] = tuple(spec.id for spec in specs if spec.match(tree))
+            found = by_template[words] = tuple(spec.id for spec in DEFAULT_PATTERNS
+                                               if spec.match(tree))
         return found
 
-    counts = {spec.id: 0 for spec in specs}
-    results, failures = map_distinct_sql(corpus, matching_ids, memo, ("patterns", specs))
+    counts = {spec.id: 0 for spec in DEFAULT_PATTERNS}
+    results, failures = map_distinct_sql(corpus, matching_ids, memo, "patterns")
     for ids_of_record in results:
         for pattern_id in ids_of_record:
             counts[pattern_id] += 1

@@ -2,10 +2,10 @@
 
 ``golden_lines()`` writes a few small seeded ``corpusgen`` corpora as
 JSON, JSON-lines and CSV into a temporary directory, runs every case of
-``CASES`` there as ``python -m sqlalign.cli`` in its own process (the
-directory is the working directory, so reports hold relative paths) and
-returns one JSON line per case: its argv, exit code, stdout, stderr and
-the files it wrote. A file over ``MAX_INLINE`` bytes is kept as its
+``CASES`` there as ``python -m sqlalign.cli`` in its own process, under
+the caller's ``PYTHONHASHSEED`` or else 0 (the directory is the working
+directory, so reports hold relative paths), and returns one JSON line
+per case: its argv, exit code, stdout, stderr and the files it wrote. A file over ``MAX_INLINE`` bytes is kept as its
 sha256 and size.
 
 Running this module brings ``cli_golden.jsonl`` up to date. Lines already
@@ -38,6 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import golden_file
 import sqlalign
 from corpusgen import FAR_SKELETONS, make_mixture_corpus
 
@@ -126,7 +127,8 @@ def _file_entry(data: bytes):
 
 
 def run_case(directory: Path, name: str, argv: list[str], outputs: list[str]) -> str:
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONHASHSEED=os.environ.get("PYTHONHASHSEED", "0"),
+               PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "sqlalign.cli", *argv], cwd=directory,
                           capture_output=True, env=env, timeout=120)
     files = {}
@@ -148,10 +150,7 @@ def golden_lines(cases=CASES) -> list[str]:
 
 
 def committed_lines() -> list[str]:
-    if not GOLDEN_PATH.exists():
-        return []
-    # Split on "\n" alone: a line's JSON may hold other line separators.
-    return [line for line in GOLDEN_PATH.read_text(encoding="utf-8").split("\n") if line]
+    return golden_file.committed_lines(GOLDEN_PATH)
 
 
 def main(argv=None) -> None:
@@ -160,24 +159,12 @@ def main(argv=None) -> None:
     parser.add_argument("--rerecord", nargs="+", default=[], metavar="CASE",
                         help="rewrite these recorded cases' lines in place")
     args = parser.parse_args(argv)
-    lines = committed_lines()
-    done = [json.loads(line)["case"] for line in lines]
-    if [name for name, _, _ in CASES[:len(done)]] != done:
-        raise SystemExit(f"{GOLDEN_PATH.name} does not start with CASES; "
-                         "cases may only be appended")
-    if not args.rerecord:
-        with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
-            for line in golden_lines(CASES[len(done):]):
-                fh.write(line + "\n")
-        return
-    unknown = [name for name in args.rerecord if name not in done]
-    if unknown:
-        raise SystemExit(f"not a recorded case of CASES: {', '.join(unknown)}")
-    cases = [case for case in CASES if case[0] in args.rerecord]
-    fresh = dict(zip((name for name, _, _ in cases), golden_lines(cases)))
-    with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
-        for name, line in zip(done, lines):
-            fh.write(fresh.get(name, line) + "\n")
+    by_name = {case[0]: case for case in CASES}
+    golden_file.append_or_rerecord(
+        GOLDEN_PATH, "case", list(by_name),
+        lambda names: golden_lines([by_name[name] for name in names]), args.rerecord,
+        f"{GOLDEN_PATH.name} does not start with CASES; cases may only be appended",
+        lambda unknown: f"not a recorded case of CASES: {', '.join(unknown)}")
 
 
 if __name__ == "__main__":

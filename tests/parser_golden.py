@@ -33,6 +33,7 @@ import json
 import random
 from pathlib import Path
 
+import golden_file
 from sqlalign.errors import ParseError
 from sqlalign.parsing import Token, parse_sql, token_offsets, tokenize
 from sqlalign.patterns import DEFAULT_PATTERNS
@@ -227,8 +228,7 @@ def golden_inputs(seed: int = 20251004) -> list[str]:
 
 
 def committed_lines() -> list[str]:
-    # Split on "\n" alone: a line's JSON may hold other line separators.
-    return [line for line in GOLDEN_PATH.read_text(encoding="utf-8").split("\n") if line]
+    return golden_file.committed_lines(GOLDEN_PATH)
 
 
 def committed_inputs() -> list[str]:
@@ -246,24 +246,11 @@ def main(argv=None) -> None:
     parser.add_argument("--rerecord", nargs="+", default=[], metavar="SQL",
                         help="rewrite the lines of these committed inputs in place")
     args = parser.parse_args(argv)
-    lines = committed_lines()
-    done = [json.loads(line)["sql"] for line in lines]
-    inputs = golden_inputs()
-    if inputs[:len(done)] != done:
-        raise SystemExit(f"{GOLDEN_PATH.name} does not start with golden_inputs(); "
-                         "inputs may only be appended")
-    if not args.rerecord:
-        with open(GOLDEN_PATH, "a", encoding="utf-8", newline="\n") as fh:
-            for sql in inputs[len(done):]:
-                fh.write(_line(sql) + "\n")
-        return
-    unknown = [sql for sql in args.rerecord if sql not in done]
-    if unknown:
-        raise SystemExit("not a committed input: " + ", ".join(map(repr, unknown)))
-    rerecord = set(args.rerecord)
-    with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
-        for sql, line in zip(done, lines):
-            fh.write((_line(sql) if sql in rerecord else line) + "\n")
+    golden_file.append_or_rerecord(
+        GOLDEN_PATH, "sql", golden_inputs(), lambda sqls: [_line(sql) for sql in sqls],
+        args.rerecord,
+        f"{GOLDEN_PATH.name} does not start with golden_inputs(); inputs may only be appended",
+        lambda unknown: "not a committed input: " + ", ".join(map(repr, unknown)))
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ def test_a_row_without_sql_is_neither_loaded_nor_read_back(tmp_path):
     with pytest.warns(UserWarning):
         corpus = load_corpus(path, skip_bad_rows=True)
     assert corpus.sqls == ("SELECT 1",)
-    rows = read_rows(corpus, range(len(corpus)), question_field="q", skip_bad_rows=True)
+    rows = read_rows(corpus, range(len(corpus)), question_field="q")
     assert rows == [{"sql": "SELECT 1", "question": "b", "group_id": "", "meta": {}}]
 
 
@@ -67,6 +67,9 @@ def test_a_groups_column_holds_one_group_per_record():
             SqlCorpus("x", ("SELECT 1", "SELECT 2"), groups)
     assert SqlCorpus("x", ("SELECT 1", "SELECT 2"), ("a", "a")).groups == ("a", "a")
     assert SqlCorpus("x", ("SELECT 1",)).groups is None
+    # read_rows and the sampler would read such a corpus as one group "".
+    with pytest.raises(ValueError, match="read with a group field holds its groups"):
+        SqlCorpus("x", ("SELECT 1",), group_field="db")
 
 
 def test_corpora_compare_and_hash_by_their_fields():
@@ -74,7 +77,10 @@ def test_corpora_compare_and_hash_by_their_fields():
     assert corpus == SqlCorpus("x", ("SELECT 1",), ("g",))
     assert corpus != SqlCorpus("x", ("SELECT 1",)) != SqlCorpus("y", ("SELECT 1",))
     assert hash(corpus) == hash(SqlCorpus("x", ("SELECT 1",), ("g",)))
-    assert repr(corpus) == "SqlCorpus(name='x', sqls=('SELECT 1',), groups=('g',))"
+    assert corpus != SqlCorpus("x", ("SELECT 1",), ("g",), skip_bad_rows=True)
+    assert repr(corpus) == ("SqlCorpus(name='x', sqls=('SELECT 1',), groups=('g',), "
+                            "sql_field='sql', group_field=None, input_format=None, "
+                            "skip_bad_rows=False)")
 
 
 _SCORE = AlignmentScore(d_kl=0.1, a_kl=0.9, c=1.0, alpha=0.5)
@@ -131,7 +137,7 @@ def test_load_jsonl_with_field_mapping(tmp_path):
     assert len(corpus) == 3
     assert corpus.sqls == ("SELECT a FROM t", "SELECT b FROM u", "SELECT c FROM v")
     assert corpus.groups == ("d1", "d2", "d1")
-    assert read_rows(corpus, [0, 2], question_field="question", **options) == [
+    assert read_rows(corpus, [0, 2], question_field="question") == [
         {"sql": "SELECT a FROM t", "question": "q0", "group_id": "d1", "meta": {"extra": 7}},
         {"sql": "SELECT c FROM v", "question": "q2", "group_id": "d1", "meta": {}}]
 
@@ -323,9 +329,27 @@ def test_load_keeps_falsy_question_and_group_values(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, _FALSY_FIELD_ROWS)
     corpus = load_corpus(path, group_field="db_id")
-    rows = read_rows(corpus, range(len(corpus)), question_field="q", group_field="db_id")
+    rows = read_rows(corpus, range(len(corpus)), question_field="q")
     assert [row["question"] for row in rows] == ["0", "False", "", "", ""]
     assert [row["group_id"] for row in rows] == list(corpus.groups) == ["0", "0.0", "", "", ""]
+
+
+def test_read_rows_reads_with_the_settings_of_the_load(tmp_path):
+    # The re-read takes the load's settings and groups: it cannot read
+    # another field as the group, nor disagree with corpus.groups.
+    path = tmp_path / "c.dat"
+    write_jsonl(path, [{"SQL": "SELECT 1", "db": "a", "q": "x"}, {"SQL": ""},
+                       {"SQL": "SELECT 2", "db": "b", "q": "y"}])
+    with pytest.warns(UserWarning):
+        corpus = load_corpus(path, sql_field="SQL", group_field="db", input_format="jsonl",
+                             skip_bad_rows=True)
+    assert (corpus.sql_field, corpus.group_field, corpus.input_format,
+            corpus.skip_bad_rows) == ("SQL", "db", "jsonl", True)
+    rows = read_rows(corpus, [0, 1])
+    assert [row["group_id"] for row in rows] == list(corpus.groups) == ["a", "b"]
+    assert [row["meta"] for row in rows] == [{"q": "x"}, {"q": "y"}]
+    with pytest.raises(TypeError):
+        read_rows(corpus, [0, 1], group_field="q")
 
 
 _UNHELD_ROWS = [
@@ -355,7 +379,7 @@ def test_read_rows_a_question_field_that_no_row_holds_is_a_format_error(tmp_path
     write_jsonl(path, rows)
     corpus = load_corpus(path, skip_bad_rows=True)
     with pytest.raises(FormatError) as err:
-        read_rows(corpus, range(len(corpus)), question_field="nope", skip_bad_rows=True)
+        read_rows(corpus, range(len(corpus)), question_field="nope")
     assert str(err.value) == f"{path}: no row holds field 'nope'"
 
 
@@ -459,9 +483,12 @@ def _read_both(path, options):
         loaded_warnings = _caught(caught)
         # A file the reader rejects has no records to choose; the re-read
         # of none of them must still fail as the reader did.
-        corpus = loaded or SqlCorpus(str(path), ("SELECT 1",))
+        corpus = loaded or SqlCorpus(str(path), ("SELECT 1",),
+                                     ("",) if options.get("group_field") else None,
+                                     **load_options)
         try:
-            rows = read_rows(corpus, range(len(corpus)) if loaded else (), **options)
+            rows = read_rows(corpus, range(len(corpus)) if loaded else (),
+                             options.get("question_field"))
         except FormatError as exc:
             reread = (type(exc), str(exc), exc.path, exc.row)
         else:
@@ -470,7 +497,7 @@ def _read_both(path, options):
     if loaded is not None and reread != outcome:
         unheld = f"{path}: no row holds field {options.get('question_field')!r}"
         assert reread == (FormatError, unheld, path, None)
-        rows = read_rows(loaded, range(len(loaded)), **load_options)
+        rows = read_rows(loaded, range(len(loaded)))
         assert tuple(row["sql"] for row in rows) == loaded.sqls
     else:
         assert reread == outcome
@@ -529,20 +556,20 @@ def test_read_rows_names_the_file_and_row_that_changed_since_the_load(tmp_path):
         corpus = load_corpus(path, skip_bad_rows=True)
     write_jsonl(path, rows[:2] + [{"sql": "SELECT 9", "q": "b"}] + rows[3:])
     # The rows before the changed one still read back.
-    assert read_rows(corpus, [0], skip_bad_rows=True)[0]["sql"] == "SELECT 1"
+    assert read_rows(corpus, [0])[0]["sql"] == "SELECT 1"
     with pytest.raises(FormatError) as err:
-        read_rows(corpus, [0, 1], skip_bad_rows=True)
+        read_rows(corpus, [0, 1])
     assert str(err.value) == f"{path} row 2: SQL changed since the file was loaded"
     assert (err.value.path, err.value.row) == (path, 2)
     for changed in (rows[:3], rows + [{"sql": "SELECT 4"}]):
         write_jsonl(path, changed)
         with pytest.raises(FormatError) as err:
-            read_rows(corpus, [0], skip_bad_rows=True)
+            read_rows(corpus, [0])
         assert str(err.value) == (f"{path}: changed since it was loaded: "
                                   f"{len(changed) - 1} records, not 3")
     path.unlink()
     with pytest.raises(FormatError, match="cannot read"):
-        read_rows(corpus, [0], skip_bad_rows=True)
+        read_rows(corpus, [0])
 
 
 def test_read_rows_gives_no_warning_and_keeps_record_order(tmp_path):
@@ -553,13 +580,13 @@ def test_read_rows_gives_no_warning_and_keeps_record_order(tmp_path):
         corpus = load_corpus(path, skip_bad_rows=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = read_rows(corpus, [2, 0, 2], skip_bad_rows=True)
+        rows = read_rows(corpus, [2, 0, 2])
     assert rows == [{"sql": "SELECT 1", "question": "", "group_id": "", "meta": {"x": 1}},
                     {"sql": "SELECT 3", "question": "", "group_id": "", "meta": {}}]
-    assert read_rows(corpus, [], skip_bad_rows=True) == []
+    assert read_rows(corpus, []) == []
     for indices in ([0, 3], [-1], [1, 7, 5]):
         with pytest.raises(IndexError, match="record index out of range"):
-            read_rows(corpus, indices, skip_bad_rows=True)
+            read_rows(corpus, indices)
 
 
 @settings(max_examples=100, deadline=None)
@@ -790,8 +817,8 @@ def _templatize_view(corpus, memo=None):
             result.distribution.counts, result.distribution.source_label)
 
 
-def _patterns_view(corpus, specs=DEFAULT_PATTERNS, memo=None):
-    counted = count_patterns(corpus, specs, memo=memo)
+def _patterns_view(corpus, memo=None):
+    counted = count_patterns(corpus, memo=memo)
     return counted.corpus_name, counted.counts, counted.parse_failures
 
 
@@ -810,25 +837,23 @@ def test_a_shared_memo_gives_the_per_corpus_results(corpora_sqls):
     memo = {}
     for corpus in corpora:
         assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-        assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
+        assert _patterns_view(corpus, memo) == _patterns_view(corpus)
 
 
 def test_views_in_one_memo_do_not_mix():
     sqls = ["SELECT a, SUM(b) FROM t GROUP BY a", "SELECT COUNT(*) FROM t",
             "SELECT broken FROM", "SELECT SUM(b) FROM t", "SELECT COUNT(*) FROM t"]
     corpus = make_corpus(sqls)
-    other_specs = tuple(reversed(DEFAULT_PATTERNS[:3]))
     memo = {}
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-    assert _patterns_view(corpus, memo=memo) == _patterns_view(corpus)
-    assert _patterns_view(corpus, other_specs, memo) == _patterns_view(corpus, other_specs)
+    assert _patterns_view(corpus, memo) == _patterns_view(corpus)
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
     # One cache per view, each a (strings, shapes, lexicon) triple, and no
     # table shared between two of them.
-    assert set(memo) == {"templates", ("patterns", DEFAULT_PATTERNS), ("patterns", other_specs)}
+    assert set(memo) == {"templates", "patterns"}
     tables = [table for cache in memo.values() for table in cache]
     assert all(len(cache) == 3 for cache in memo.values())
-    assert len({id(table) for table in tables}) == len(tables) == 9
+    assert len({id(table) for table in tables}) == len(tables) == 6
 
 
 def test_the_memo_keeps_no_tree(monkeypatch):
@@ -858,10 +883,10 @@ def test_the_memo_keeps_no_tree(monkeypatch):
         assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
-    assert set(memo) == {"templates", ("patterns", DEFAULT_PATTERNS)}
+    assert set(memo) == {"templates", "patterns"}
     # The patterns view's shape table keeps per shape its token positions
     # and the pattern ids of each template read at them, and no tree.
-    pattern_shapes = memo[("patterns", DEFAULT_PATTERNS)][1]
+    pattern_shapes = memo["patterns"][1]
     assert len(pattern_shapes) == 2
     positions, shape_ids = pattern_shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
     assert positions == (0, 1, 2, 3, 4, 5)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,19 @@ def test_a_distribution_total_is_the_sum_of_its_counts():
     # a total worked out from the counts cannot.
     d = kl_divergence(dist({"SELECT": 3, "FROM": 1}), dist({"SELECT": 1, "FROM": 3}))
     assert d > 0.0
+
+
+@pytest.mark.parametrize("counts, gram", [
+    ({"SELECT": 3, "FROM": -1}, "FROM"),  # kl_divergence blamed alpha for it
+    ({"SELECT": 2.5}, "SELECT"),
+    ({"SELECT": 1, "FROM": 0}, "FROM"),  # used to join the vocabulary
+    ({"SELECT": True}, "SELECT"),
+    ({"SELECT": "3"}, "SELECT"),
+], ids=["negative", "float", "zero", "bool", "text"])
+def test_a_count_that_is_not_a_positive_int_names_its_ngram(counts, gram):
+    message = f"n-gram {gram!r} has count {counts[gram]!r}, not a positive int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dist(counts)
 
 
 def test_kl_rejects_different_l_max():
