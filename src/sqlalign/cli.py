@@ -12,7 +12,16 @@ keys and fixed 6-decimal floats, so identical inputs and flags produce
 byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
 A command that reads several corpora keeps one run memo for them all, so
-it parses each distinct SQL string once; reports stay per corpus.
+it parses each distinct SQL string once; reports stay per corpus. The one
+exception is ``align`` over four or more corpora (the target and three or
+more sources): it forks once, and the child templatizes the second half
+of the corpora, in command order, with its own memo while this process
+does the first half, so a string that both halves hold is parsed once per
+process. ``ar`` (three corpora) and ``patterns`` (two) stay in one
+process: split 1|2 or 1|1, one process idles for most of the run, and
+both measured slower than one process. Without ``os.fork``, or while
+another thread is alive (forking then is unsafe), ``align`` stays in one
+process too.
 """
 
 from __future__ import annotations
@@ -22,7 +31,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import threading
 import warnings
 
 from .corpus import SqlCorpus, load_corpus, read_rows, sample_corpus, templatize_corpus
@@ -160,29 +171,91 @@ def cmd_templates(args) -> int:
     return 0
 
 
-def cmd_align(args) -> int:
+def _templatize_each(corpora: list[SqlCorpus], l_max: int) -> list:
+    """Each corpus's TemplatizeResult, or the SqlAlignError it raised, in
+    order, through one run memo."""
     memo = {}
-    target_corpus = _load(args, args.target)
-    target = templatize_corpus(target_corpus, l_max=args.l_max, memo=memo)
-    target_set = {t.tokens for t in target.templates}
+    outcomes = []
+    for corpus in corpora:
+        try:
+            outcomes.append(templatize_corpus(corpus, l_max=l_max, memo=memo))
+        except SqlAlignError as exc:
+            outcomes.append(exc)
+    return outcomes
 
+
+def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
+    """``_templatize_each`` over the corpora. With four or more, a forked
+    child does the second half and sends its outcomes back pickled, in one
+    write to a pipe, while this process does the first half; the child is
+    reaped on every path, and killed first on an error path."""
+    if len(corpora) < 4 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _templatize_each(corpora, l_max)
+    import pickle
+    import signal
+
+    half = len(corpora) // 2
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit alone, whatever happens
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(_templatize_each(corpora[half:], l_max),
+                                        pickle.HIGHEST_PROTOCOL))
+            status = 0
+        except Exception:
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    reply = None
+    try:
+        first = _templatize_each(corpora[:half], l_max)
+        reply = pipe.read()
+    finally:
+        if reply is None:  # an error path: stop the child before it can fail writing
+            os.kill(pid, signal.SIGKILL)
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"the forked templating process exited with status {code}")
+    return first + pickle.loads(reply)
+
+
+def cmd_align(args) -> int:
+    target_corpus = _load(args, args.target)
     rows = []
-    loaded = []  # (row, corpus, result) of every source that loaded
+    loaded = []  # (row, corpus) of every source that loaded
     for source_path in args.source:
         row = {"target": str(args.target), "source": str(source_path)}
         rows.append(row)
         try:
-            source_corpus = _load(args, source_path)
-            loaded.append((row, source_corpus,
-                           templatize_corpus(source_corpus, l_max=args.l_max, memo=memo)))
+            loaded.append((row, _load(args, source_path)))
         except SqlAlignError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
 
-    if loaded:
+    target, *outcomes = _templatize_all([target_corpus] + [c for _, c in loaded], args.l_max)
+    if isinstance(target, SqlAlignError):
+        raise target
+    target_set = {t.tokens for t in target.templates}
+    scored = []  # (row, corpus, result) of every source that templated
+    for (row, source_corpus), outcome in zip(loaded, outcomes):
+        if isinstance(outcome, SqlAlignError):
+            row["error"] = f"{type(outcome).__name__}: {outcome}"
+        else:
+            scored.append((row, source_corpus, outcome))
+
+    if scored:
         scores = batch_align(target.distribution,
-                             [result.distribution for _, _, result in loaded],
+                             [result.distribution for _, _, result in scored],
                              alpha=args.alpha, c=args.c)
-        for (row, source_corpus, result), score in zip(loaded, scores):
+        for (row, source_corpus, result), score in zip(scored, scores):
             row.update({
                 "d_kl": score.d_kl,
                 "a_kl": score.a_kl,

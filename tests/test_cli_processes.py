@@ -1,6 +1,9 @@
-"""The CLI run as separate processes, the way a user runs it: reports,
-stderr and exit codes must not depend on the process's string-hash seed,
-and no file may be opened in the locale's default encoding."""
+"""The CLI and its processes. Run as separate processes, the way a user
+runs it, its reports, stderr and exit codes must not depend on the
+process's string-hash seed, and no file may be opened in the locale's
+default encoding. ``align`` over four or more corpora templatizes half of
+them in a forked child: it must write what one process writes, and leave
+no child behind on any path."""
 
 import csv
 import json
@@ -8,10 +11,15 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+
+import pytest
 
 import sqlalign
 from corpusgen import FAR_SKELETONS, make_mixture_corpus
+from sqlalign import cli
 
 SRC = str(Path(sqlalign.__file__).parents[1])
 
@@ -96,3 +104,142 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
     assert first["patterns"][1] == b"patterns: before_failures=3 after_failures=3\n"
     assert [first[name][2][0].count(b"\n") for name in ("sample_fraction", "sample_per_group")
             ] == [21, 6]
+
+
+# -- align's forked child --------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned in this process, one per fork."""
+    returned = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        returned.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return returned
+
+
+def _main(argv, capsysbinary) -> tuple[int, bytes, bytes]:
+    """cli.main's exit code, stdout and stderr; it must leave no child
+    process, reaped or not."""
+    code = cli.main([str(arg) for arg in argv])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out, err = capsysbinary.readouterr()
+    return code, out, err
+
+
+def _align_cases(paths: dict[str, Path], tmp_path: Path) -> dict[str, list]:
+    bad = tmp_path / "bad.jsonl"  # no record parses
+    bad.write_text('{"sql": "SELECT broken FROM"}\n{"sql": "( ("}\n', encoding="utf-8")
+    gaps = tmp_path / "gaps.jsonl"  # a row without SQL, for --skip-bad-rows
+    gaps.write_text(paths["train"].read_text(encoding="utf-8") + '{"question": "none"}\n',
+                    encoding="utf-8")
+    shared = ["align", "--target", paths["target"], "--source", paths["train"],
+              "--source", paths["far"], "--source", paths["before"], "--source", paths["after"]]
+    return {
+        "shared_json": shared,
+        "shared_csv": shared + ["--format", "csv", "--c", "2", "--l-max", "4"],
+        "source_fails": ["align", "--target", paths["target"], "--source", paths["train"],
+                         "--source", paths["far"], "--source", bad,
+                         "--source", tmp_path / "missing.jsonl"],
+        "target_fails": ["align", "--target", bad, "--source", paths["train"],
+                         "--source", gaps, "--source", paths["far"], "--skip-bad-rows"],
+    }
+
+
+def test_align_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
+    # Each report goes to stdout, so the exit code, stdout and stderr are
+    # all that a run writes.
+    paths = _write_corpora(tmp_path)
+    cases = _align_cases(paths, tmp_path)
+    forked = {}
+    for name, argv in cases.items():
+        forks.clear()
+        forked[name] = _main(argv, capsysbinary)
+        assert len(forks) == 1, name
+    monkeypatch.delattr(os, "fork")
+    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == forked
+    assert [code for code, _, _ in forked.values()] == [0, 0, 2, 2]
+    bad, gaps, missing = (tmp_path / name for name in ("bad.jsonl", "gaps.jsonl", "missing.jsonl"))
+    rows = json.loads(forked["source_fails"][1])["rows"]
+    assert ["error" in row for row in rows] == [False, False, True, True]
+    assert rows[2]["error"] == f"EmptyDistributionError: {bad}: none of its 2 records parsed"
+    assert rows[3]["error"].startswith(f"FormatError: {missing}: cannot read")
+    # The sources load before the target templates, so a source's
+    # warnings print before the target's error.
+    gap_row = paths["train"].read_text(encoding="utf-8").count("\n")
+    assert forked["target_fails"][2] == (
+        f"sqlalign: warning: {gaps} row {gap_row}: missing or empty field 'sql', skipped\n"
+        f"sqlalign: warning: {gaps}: skipped 1 bad row(s)\n"
+        f"sqlalign: error: {bad}: none of its 2 records parsed\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "--target", "target", "--source", "train", "--source", "far"],
+    ["ar", "--target", "target", "--train", "train", "--pred", "before", "--c", "1"],
+    ["patterns", "--before", "before", "--after", "after"],
+    ["templates", "target"],
+], ids=["align-3-corpora", "ar", "patterns", "templates"])
+def test_commands_over_fewer_than_four_corpora_stay_in_one_process(
+        tmp_path, capsysbinary, forks, argv):
+    paths = _write_corpora(tmp_path)
+    code, _, _ = _main([paths.get(arg, arg) for arg in argv], capsysbinary)
+    assert code == 0
+    assert forks == []
+
+
+def test_align_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinary, forks):
+    paths = _write_corpora(tmp_path)
+    argv = _align_cases(paths, tmp_path)["shared_json"]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        code, _, err = _main(argv, capsysbinary)
+    finally:
+        stop.set()
+        thread.join()
+    assert code == 0
+    assert forks == []
+    assert b"warning" not in err
+
+
+@pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
+                                           ("child", RuntimeError)])
+def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
+                                                         forks, where, raised):
+    # The parent templatizes target and train; the child far, before and
+    # after. An interrupt in the parent kills the child, which would
+    # otherwise work on for a minute; an error in the child makes it exit
+    # with status 1, which the parent raises.
+    paths = _write_corpora(tmp_path)
+    parent = os.getpid()
+    templatize = cli.templatize_corpus
+
+    def failing(corpus, **options):
+        if os.getpid() == parent:
+            if where == "parent" and corpus.name == str(paths["train"]):
+                raise KeyboardInterrupt
+        elif where == "parent":
+            time.sleep(60)
+        else:
+            raise RuntimeError("templating failed")
+        return templatize(corpus, **options)
+
+    monkeypatch.setattr(cli, "templatize_corpus", failing)
+    started = time.monotonic()
+    with pytest.raises(raised) as caught:
+        _main(_align_cases(paths, tmp_path)["shared_json"], capsysbinary)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if where == "child":
+        assert str(caught.value) == "the forked templating process exited with status 1"
