@@ -106,7 +106,7 @@ def test_the_leaves_of_generated_queries_are_their_tokens(seed, skeleton):
 
 
 @pytest.mark.parametrize("sql", QUERY_ZOO)
-def test_positions_are_increasing_leaf_indices(sql):
+def test_every_token_has_exactly_one_role(sql):
     # the positions are strictly increasing leaf indices: a leaf is
     # structural when its index is among them, and a schema token otherwise
     tree = parse_sql(sql)
