@@ -15,8 +15,8 @@ and puts it first in its text.
 Every record of a corpus either yields a result or is a parse failure:
 ``map_distinct_sql`` returns the two apart, and it is the only code that
 knows how a failure is kept in the run memo. It also opens the view's
-cache in the memo, its strings, its shape table and its lexicon, and
-passes the last two to the view's function.
+cache in the memo, keyed by the view's function: its strings, its shape
+table and its lexicon, and passes the last two to that function.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ class TemplatizeResult(Value):
         super().__init__(templates, distribution, failures)
 
 
-def map_distinct_sql(corpus: SqlCorpus, fn, memo: dict | None,
-                     view) -> tuple[list, list[tuple[int, str]]]:
+def map_distinct_sql(corpus: SqlCorpus, fn,
+                     memo: dict | None) -> tuple[list, list[tuple[int, str]]]:
     """Apply fn to every SQL text of the corpus's column, calling it once
     per distinct string (exact text: a ParseError's offset differs between
     strings that differ only in whitespace), and return ``(results,
@@ -298,20 +298,20 @@ def map_distinct_sql(corpus: SqlCorpus, fn, memo: dict | None,
     raised ParseError.
 
     ``memo`` is a run memo: a plain dict shared by the calls of one run,
-    or None. ``memo[view]`` is the view's whole cache, the triple
+    or None. ``memo[fn]`` is the view's whole cache, the triple
     ``(strings, shapes, lexicon)``, which this function opens; it calls
-    ``fn(sql, shapes, lexicon)``. ``strings`` maps SQL strings to earlier
-    values of fn, or to the ParseError they raised, so ``view`` must fix
-    everything those values depend on, and each view names its own.
-    Strings found there are not passed to fn again and new ones are added,
-    so fn runs once per string across all the corpora of the run.
-    ``shapes`` is the view's shape table: it maps each shape key to its
-    token positions and, per template read at them, the view's value (see
-    templates.templatize). ``lexicon`` is tokenize's. No table is shared
-    between views. Without a memo the cache lives for this call only.
+    ``fn(sql, shapes, lexicon)``. Keyed by the function object itself,
+    the cache holds only fn's values, so two functions never share one.
+    ``strings`` maps SQL strings to earlier values of fn, or to the
+    ParseError they raised. Strings found there are not passed to fn
+    again and new ones are added, so fn runs once per string across all
+    the corpora of the run. ``shapes`` is the view's shape table: it maps
+    each shape key to its token positions and, per template read at them,
+    the view's value (see templates.templatize). ``lexicon`` is
+    tokenize's. Without a memo the cache lives for this call only.
     """
     memo = {} if memo is None else memo
-    strings, shapes, lexicon = memo.setdefault(view, ({}, {}, {}))
+    strings, shapes, lexicon = memo.setdefault(fn, ({}, {}, {}))
     results: list = []
     failures: list[tuple[int, str]] = []
     for i, sql in enumerate(corpus.sqls):
@@ -341,13 +341,13 @@ def templatize_corpus(corpus: SqlCorpus, l_max: int = DEFAULT_L_MAX,
 
     Records that fail to parse are recorded and excluded; if none parses,
     EmptyDistributionError names the corpus. ``memo`` is a run memo (see
-    map_distinct_sql): under ``memo["templates"]`` the view keeps its
+    map_distinct_sql): under ``memo[templatize]`` the view keeps its
     strings, shape table and lexicon, so a string templated for an earlier
     corpus of the run is not parsed again, and each (shape, template) of
     the run is one StructuralTemplate. The result is the same with or
     without it.
     """
-    templates, failures = map_distinct_sql(corpus, templatize, memo, "templates")
+    templates, failures = map_distinct_sql(corpus, templatize, memo)
     if not templates:
         raise EmptyDistributionError(f"{corpus.name}: none of its {len(corpus)} records parsed")
     distribution = build_distribution(templates, l_max=l_max, source_label=corpus.name)

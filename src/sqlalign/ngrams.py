@@ -48,8 +48,8 @@ class NGramDistribution(Value):
 def build_distribution(templates: Iterable[StructuralTemplate], l_max: int = DEFAULT_L_MAX,
                        source_label: str = "") -> NGramDistribution:
     """Pool the valid n-grams of all templates into one frequency
-    distribution. Each template is a StructuralTemplate; a bare token
-    sequence is wrapped first, as ``StructuralTemplate(tuple(tokens))``.
+    distribution. Each template is a StructuralTemplate; the caller
+    converts a bare token sequence with ``StructuralTemplate(tuple(tokens))``.
 
     Every window of 1..l_max tokens is a candidate. Counting is per
     occurrence: a template that occurs k times contributes each of its

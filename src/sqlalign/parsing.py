@@ -337,10 +337,6 @@ class _Parser:
     # Keyword and operator tests look at ``self.tok.upper`` alone; see
     # Token for why that cannot match a token of another kind.
 
-    def _peek(self, k: int) -> Token:
-        """The token k places after the current one."""
-        return self.toks[self.i + k]
-
     def _offset(self) -> int:
         """The current token's offset in the text, from token_offsets; the
         END sentinel's is the text's length."""
@@ -385,9 +381,9 @@ class _Parser:
             self._error(f"expected {' or '.join(expected)}")
         return self._struct()
 
-    def _punct(self, kind: str, what: str) -> Token:
+    def _punct(self, kind: str) -> Token:
         if self.tok.kind != kind:
-            self._error(f"expected {what}")
+            self._error("expected '('" if kind == LPAREN else "expected ')'")
         return self._struct()
 
     def _name(self, message: str) -> Token:
@@ -406,13 +402,12 @@ class _Parser:
     def _subquery_ahead(self, nested: bool) -> bool:
         """At '(' followed by SELECT or WITH or, when ``nested``, by
         another '('."""
-        nxt = self._peek(1)
+        nxt = self.toks[self.i + 1]
         return (nested and nxt.kind == LPAREN) or nxt.upper in ("SELECT", "WITH")
 
     def _subquery(self, label: str = "subquery") -> Node:
         """``( select_stmt )`` as one node."""
-        return Node(label, [self._struct(), self._select_stmt(),
-                            self._punct(RPAREN, "')'")])
+        return Node(label, [self._struct(), self._select_stmt(), self._punct(RPAREN)])
 
     # -- statements ---------------------------------------------------
 
@@ -520,10 +515,7 @@ class _Parser:
         return False
 
     def _alias_ahead(self) -> bool:
-        t = self.tok
-        if t.kind in (QIDENT, STRING):
-            return True
-        return t.kind == WORD and t.upper not in _NON_ALIAS_WORDS
+        return self.tok.kind == STRING or self._at_name(_NON_ALIAS_WORDS)
 
     def _optional_alias(self, ch: list) -> list:
         """Append ``[AS] alias`` to ch when present."""
@@ -585,9 +577,9 @@ class _Parser:
         return Node("table_ref", self._optional_alias(ch))
 
     def _using_cols(self) -> Node:
-        ch = self._comma_list([self._punct(LPAREN, "'('")],
+        ch = self._comma_list([self._punct(LPAREN)],
                               lambda: self._name("expected column name in USING"))
-        ch.append(self._punct(RPAREN, "')'"))
+        ch.append(self._punct(RPAREN))
         return Node("using_cols", ch)
 
     # -- trailing clauses ----------------------------------------------
@@ -619,7 +611,7 @@ class _Parser:
 
     def _paren_list(self) -> Node:
         ch = self._comma_list([self._struct()], self._expr)
-        ch.append(self._punct(RPAREN, "')'"))
+        ch.append(self._punct(RPAREN))
         return Node("paren", ch)
 
     # -- expressions -----------------------------------------------------
@@ -674,7 +666,7 @@ class _Parser:
                 continue
             ch = [node]
             if up == "NOT":
-                if self._peek(1).upper not in _NEGATABLE:
+                if self.toks[self.i + 1].upper not in _NEGATABLE:
                     break
                 ch.append(self._struct())
                 up = self.tok.upper
@@ -726,7 +718,7 @@ class _Parser:
         if kind == WORD:
             up = t.upper
             if up in _PRIMARY_WORDS:
-                follows_paren = self._peek(1).kind == LPAREN
+                follows_paren = self.toks[self.i + 1].kind == LPAREN
                 if up == "CASE":
                     return self._case_expr()
                 if up == "CAST" and follows_paren:
@@ -735,13 +727,13 @@ class _Parser:
                     return Node("exists", [self._struct(), self._subquery()])
                 if up == "EXTRACT" and follows_paren:
                     return self._extract_expr()
-                if up == "INTERVAL" and self._peek(1).kind in (STRING, NUMBER):
+                if up == "INTERVAL" and self.toks[self.i + 1].kind in (STRING, NUMBER):
                     return self._interval_expr()
             if up in _CONST_WORDS:
                 return Node("const", [self._struct()])
             if up in _RESERVED_STOP:
                 self._error("expected expression")
-            if self._peek(1).kind == LPAREN:
+            if self.toks[self.i + 1].kind == LPAREN:
                 return self._func_call()
             return self._column_ref()
         if kind in (NUMBER, STRING, PARAM):
@@ -770,12 +762,12 @@ class _Parser:
         return Node("case", ch)
 
     def _cast_expr(self) -> Node:
-        ch = [self._kw("CAST"), self._punct(LPAREN, "'('"), self._expr()]
+        ch = [self._kw("CAST"), self._punct(LPAREN), self._expr()]
         if self.tok.upper != "AS":
             self._error("expected AS in CAST")
         ch.append(self._schema())  # AS drops together with the type name
         ch.append(self._type_name())
-        ch.append(self._punct(RPAREN, "')'"))
+        ch.append(self._punct(RPAREN))
         return Node("cast", ch)
 
     def _type_name(self) -> Node:
@@ -801,13 +793,13 @@ class _Parser:
         return Node("type_name", ch)
 
     def _extract_expr(self) -> Node:
-        ch = [self._kw("EXTRACT"), self._punct(LPAREN, "'('")]
+        ch = [self._kw("EXTRACT"), self._punct(LPAREN)]
         if self.tok.kind != WORD:
             self._error("expected date part in EXTRACT")
         ch.append(self._struct())  # the date part carries shape, keep it
         ch.append(self._kw("FROM"))
         ch.append(self._expr())
-        ch.append(self._punct(RPAREN, "')'"))
+        ch.append(self._punct(RPAREN))
         return Node("func", ch)
 
     def _interval_expr(self) -> Node:
@@ -817,19 +809,18 @@ class _Parser:
         return Node("const", ch)
 
     def _func_call(self) -> Node:
-        ch = [self._struct(), self._punct(LPAREN, "'('")]
+        ch = [self._struct(), self._punct(LPAREN)]
         if self.tok.upper == "*":  # COUNT(*), but not COUNT(DISTINCT *)
             ch.append(Node("star", [self._struct()]))
         elif self.tok.kind != RPAREN:
             if self.tok.upper in ("DISTINCT", "ALL"):
                 ch.append(self._struct())
             self._comma_list(ch, self._expr)
-        ch.append(self._punct(RPAREN, "')'"))
+        ch.append(self._punct(RPAREN))
         node = Node("func", ch)
         if self.tok.upper == "FILTER":
-            fch = [node, self._struct(), self._punct(LPAREN, "'('"),
-                   self._kw("WHERE"), self._expr(), self._punct(RPAREN, "')'")]
-            node = Node("filtered", fch)
+            node = Node("filtered", [node, self._struct(), self._punct(LPAREN),
+                                     self._kw("WHERE"), self._expr(), self._punct(RPAREN)])
         if self.tok.upper == "OVER":
             node = Node("window", [node, self._over_clause()])
         return node
@@ -846,7 +837,7 @@ class _Parser:
                 ch.append(self._order_clause())
             if self.tok.upper in ("ROWS", "RANGE", "GROUPS"):
                 ch.append(self._frame_spec())
-            ch.append(self._punct(RPAREN, "')'"))
+            ch.append(self._punct(RPAREN))
         else:
             ch.append(self._name("expected window name or '(' after OVER"))
         return Node("over", ch)

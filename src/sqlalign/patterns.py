@@ -137,6 +137,28 @@ class PatternCounts(Value):
         super().__init__(corpus_name, counts, parse_failures)
 
 
+def _matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
+    """The ids of DEFAULT_PATTERNS that the query matches: the patterns
+    view's function for map_distinct_sql, parsing the query only when its
+    shape or template is new to ``shapes`` (see count_patterns)."""
+    tokens = query_tokens(sql, lexicon)
+    shape = shape_key(tokens)
+    entry = shapes.get(shape)
+    tree = None
+    if entry is None:
+        tree = parse_sql(sql, tokens)
+        entry = shapes[shape] = (tree.positions, {})
+    positions, by_template = entry
+    words = tuple([tokens[i].upper for i in positions])
+    found = by_template.get(words)
+    if found is None:
+        if tree is None:
+            tree = parse_sql(sql, tokens)
+        found = by_template[words] = tuple(spec.id for spec in DEFAULT_PATTERNS
+                                           if spec.match(tree))
+    return found
+
+
 def count_patterns(corpus: SqlCorpus, memo: dict | None = None) -> PatternCounts:
     """Count the records of the SQL column that match each of
     DEFAULT_PATTERNS, matching each distinct SQL string once and parsing
@@ -151,30 +173,13 @@ def count_patterns(corpus: SqlCorpus, memo: dict | None = None) -> PatternCounts
     there without a parse. A failure is not kept in it, so a string that
     fails is parsed again.
 
-    ``memo`` is a run memo (see map_distinct_sql): under ``"patterns"``
-    the view keeps the ids per string, its shape table and its lexicon,
-    never a tree, and the counts are the same with or without it.
+    ``memo`` is a run memo (see map_distinct_sql): under
+    ``memo[_matching_ids]`` the view keeps the ids per string, its shape
+    table and its lexicon, never a tree, and the counts are the same with
+    or without it.
     """
-    def matching_ids(sql: str, shapes: dict, lexicon: dict) -> tuple[str, ...]:
-        tokens = query_tokens(sql, lexicon)
-        shape = shape_key(tokens)
-        entry = shapes.get(shape)
-        tree = None
-        if entry is None:
-            tree = parse_sql(sql, tokens)
-            entry = shapes[shape] = (tree.positions, {})
-        positions, by_template = entry
-        words = tuple([tokens[i].upper for i in positions])
-        found = by_template.get(words)
-        if found is None:
-            if tree is None:
-                tree = parse_sql(sql, tokens)
-            found = by_template[words] = tuple(spec.id for spec in DEFAULT_PATTERNS
-                                               if spec.match(tree))
-        return found
-
     counts = {spec.id: 0 for spec in DEFAULT_PATTERNS}
-    results, failures = map_distinct_sql(corpus, matching_ids, memo, "patterns")
+    results, failures = map_distinct_sql(corpus, _matching_ids, memo)
     for ids_of_record in results:
         for pattern_id in ids_of_record:
             counts[pattern_id] += 1

@@ -338,6 +338,32 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
         assert sorted(calls) == sorted(distinct), argv[0]
 
 
+@pytest.mark.parametrize("command", ["templates", "align", "ar", "patterns"])
+def test_each_command_keys_its_cache_by_its_view_function(corpora, tmp_path, monkeypatch,
+                                                          command):
+    memos = []
+    original = corpus.map_distinct_sql
+
+    def spy(corpus_, fn, memo):
+        memo = {} if memo is None else memo
+        memos.append(memo)
+        return original(corpus_, fn, memo)
+
+    monkeypatch.setattr(corpus, "map_distinct_sql", spy)
+    monkeypatch.setattr(patterns, "map_distinct_sql", spy)
+    argv = {
+        "templates": [corpora["target"]],
+        "align": ["--target", corpora["target"], "--source", corpora["near"],
+                  "--source", corpora["far"]],
+        "ar": ["--target", corpora["target"], "--train", corpora["near"],
+               "--pred", corpora["far"], "--c", "1"],
+        "patterns": ["--before", corpora["near"], "--after", corpora["far"]],
+    }[command]
+    assert main([command, *argv, "--sql-field", "SQL", "-o", str(tmp_path / "out")]) == 0
+    fn = patterns._matching_ids if command == "patterns" else corpus.templatize
+    assert memos and all(list(memo) == [fn] for memo in memos)
+
+
 # -- what the commands load ------------------------------------------------------
 
 def test_every_command_loads_each_input_once_through_load_corpus(corpora, tmp_path,

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import json
 import random
@@ -702,12 +703,13 @@ def test_map_distinct_sql_calls_once_per_exact_string():
     sqls = ["SELECT a FROM t", "SELECT broken FROM", "SELECT a FROM t",
             "SELECT  a FROM t", "SELECT broken FROM"]
     memo = {}
-    results, failures = map_distinct_sql(make_corpus(sqls), fn, memo, "trees")
+    results, failures = map_distinct_sql(make_corpus(sqls), fn, memo)
     assert [sql for sql, _, _ in calls] == ["SELECT a FROM t", "SELECT broken FROM",
                                             "SELECT  a FROM t"]
-    # The view's whole cache is one entry: its strings, shape table and lexicon.
-    assert list(memo) == ["trees"]
-    strings, view_shapes, view_lexicon = memo["trees"]
+    # The view's whole cache is one entry, keyed by its function: its
+    # strings, shape table and lexicon.
+    assert list(memo) == [fn]
+    strings, view_shapes, view_lexicon = memo[fn]
     assert all(shapes is view_shapes and lexicon is view_lexicon
                for _, shapes, lexicon in calls)
     assert len(results) == 3
@@ -726,25 +728,39 @@ def test_map_distinct_sql_without_a_memo_keeps_tables_for_one_call():
         return len(sql)
 
     corpus = make_corpus(["SELECT a FROM t", "SELECT b FROM t", "SELECT a FROM t"])
-    assert map_distinct_sql(corpus, fn, None, "len") == ([15, 15, 15], [])
-    assert map_distinct_sql(corpus, fn, None, "len") == ([15, 15, 15], [])
+    assert map_distinct_sql(corpus, fn, None) == ([15, 15, 15], [])
+    assert map_distinct_sql(corpus, fn, None) == ([15, 15, 15], [])
     assert len(calls) == 4  # once per distinct string in each call
     assert calls[0][0] is calls[1][0] and calls[0][1] is calls[1][1]
     assert calls[1][0] is not calls[2][0] and calls[1][1] is not calls[2][1]
 
 
-def test_map_distinct_sql_refuses_a_memo_without_a_view():
-    # With a default view, two functions would share the table memo[None]
-    # and the second would get the first one's values.
+def test_two_functions_in_one_memo_keep_apart_caches():
+    # Both lambdas are named "<lambda>": the cache is keyed by the function
+    # object, so the second does not get the first one's values.
     corpus = make_corpus(["SELECT a FROM t"])
     memo = {}
-    with pytest.raises(TypeError):
-        map_distinct_sql(corpus, lambda *args: 0, memo)
-    assert memo == {}
-    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: len(sql), memo, "len") \
-        == ([15], [])
-    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: sql.upper(), memo, "upper") \
+    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: len(sql), memo) == ([15], [])
+    assert map_distinct_sql(corpus, lambda sql, shapes, lexicon: sql.upper(), memo) \
         == (["SELECT A FROM T"], [])
+    assert len(memo) == 2
+
+
+def test_a_wrapped_view_function_keeps_its_own_cache():
+    # A wrapper made with functools.wraps, as a tracer wraps
+    # corpus.templatize, copies the function's name but is another key.
+    @functools.wraps(templatize)
+    def wrapped(sql, shapes, lexicon):
+        return templatize(sql, shapes, lexicon)
+
+    corpus = make_corpus(["SELECT a FROM t", "SELECT broken FROM", "SELECT b FROM u",
+                          "SELECT a FROM t"])
+    memo = {}
+    plain = map_distinct_sql(corpus, templatize, memo)
+    assert map_distinct_sql(corpus, wrapped, memo) == plain
+    assert list(memo) == [templatize, wrapped]
+    assert memo[wrapped][0].keys() == memo[templatize][0].keys()
+    assert all(a is not b for a, b in zip(memo[templatize], memo[wrapped]))
 
 
 _GENERATED_SQL = st.builds(
@@ -848,9 +864,9 @@ def test_views_in_one_memo_do_not_mix():
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
     assert _patterns_view(corpus, memo) == _patterns_view(corpus)
     assert _templatize_view(corpus, memo) == _templatize_view(corpus)
-    # One cache per view, each a (strings, shapes, lexicon) triple, and no
-    # table shared between two of them.
-    assert set(memo) == {"templates", "patterns"}
+    # One cache per view function, each a (strings, shapes, lexicon)
+    # triple, and no table shared between two of them.
+    assert set(memo) == {templatize, patterns._matching_ids}
     tables = [table for cache in memo.values() for table in cache]
     assert all(len(cache) == 3 for cache in memo.values())
     assert len({id(table) for table in tables}) == len(tables) == 6
@@ -883,10 +899,10 @@ def test_the_memo_keeps_no_tree(monkeypatch):
         assert [ref() for ref in refs] == [None] * 5
     finally:
         gc.enable()
-    assert set(memo) == {"templates", "patterns"}
+    assert set(memo) == {templatize, patterns._matching_ids}
     # The patterns view's shape table keeps per shape its token positions
     # and the pattern ids of each template read at them, and no tree.
-    pattern_shapes = memo["patterns"][1]
+    pattern_shapes = memo[patterns._matching_ids][1]
     assert len(pattern_shapes) == 2
     positions, shape_ids = pattern_shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
     assert positions == (0, 1, 2, 3, 4, 5)
@@ -896,7 +912,7 @@ def test_the_memo_keeps_no_tree(monkeypatch):
                   for ids in shape_ids.values()) == [(), ("count_star",), ("subquery",)]
     # The templates view's shape table keeps per shape its token positions
     # and the templates read at them, each keyed by its own tokens, and no tree.
-    shapes = memo["templates"][1]
+    shapes = memo[templatize][1]
     assert len(shapes) == 2
     positions, shape_templates = shapes[shape_key(query_tokens("SELECT MAX(*) FROM u"))]
     assert positions == (0, 1, 2, 3, 4, 5)

@@ -18,14 +18,26 @@ def test_all_names_resolve_and_are_sorted_once():
     assert sqlalign.__all__ == sorted(set(sqlalign.__all__))
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
-    # Every CLI process pays for what the import loads. Modules that the
-    # interpreter loaded before the import, as site may, do not count.
+def _loaded_by_importing_the_cli(names: set[str]) -> str:
+    """Which of the named modules ``import sqlalign.cli`` loads, printed by
+    a fresh interpreter. Modules that it loaded before the import, as site
+    may, do not count."""
     code = ("import sys; before = set(sys.modules); import sqlalign.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))")
+            f"print(sorted({names!r} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
+    # Every CLI process pays for what the import loads.
+    assert _loaded_by_importing_the_cli({"dataclasses", "inspect", "logging"}) == "[]\n"
+
+
+def test_importing_the_cli_loads_none_of_the_modules_only_the_fork_needs():
+    # align imports these on its forked path alone, so no other command
+    # pays for them.
+    assert _loaded_by_importing_the_cli({"pickle", "signal", "traceback"}) == "[]\n"
 
 
 def test_the_package_imports_only_the_standard_library():

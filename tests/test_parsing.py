@@ -464,7 +464,7 @@ def test_a_recursion_error_is_reported_as_nesting_too_deep():
     assert err.value.position in token_offsets(sql) and sql[err.value.position] == "("
     assert [i for i, _ in result.failures] == [0]
     assert result.failures[0][1].startswith("query nests too deeply")
-    stored = memo["templates"][0][sql]  # the view's strings
+    stored = memo[templatize][0][sql]  # the view's strings
     assert isinstance(stored, ParseError)
     assert stored.__traceback__ is None and stored.__context__ is None
 

@@ -199,8 +199,8 @@ def test_every_golden_input_gets_its_pattern_ids_through_one_memo():
         checked += 1
     assert checked > 4000
     # the view's shape table holds ids per (shape, template), fewer than strings
-    _, shapes, _ = memo["patterns"]
-    assert list(memo) == ["patterns"]
+    _, shapes, _ = memo[patterns._matching_ids]
+    assert list(memo) == [patterns._matching_ids]
     assert sum(len(by_template) for _, by_template in shapes.values()) < checked
 
 
