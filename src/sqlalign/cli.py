@@ -12,16 +12,20 @@ keys and fixed 6-decimal floats, so identical inputs and flags produce
 byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
 A command that reads several corpora keeps one run memo for them all, so
-it parses each distinct SQL string once; reports stay per corpus. The one
-exception is ``align`` over four or more corpora (the target and three or
-more sources): it forks once, and the child templatizes the second half
-of the corpora, in command order, with its own memo while this process
-does the first half, so a string that both halves hold is parsed once per
-process. ``ar`` (three corpora) and ``patterns`` (two) stay in one
-process: split 1|2 or 1|1, one process idles for most of the run, and
-both measured slower than one process. Without ``os.fork``, or while
-another thread is alive (forking then is unsafe), ``align`` stays in one
-process too.
+it parses each distinct SQL string once; reports stay per corpus. The
+exception is a command over three or more corpora, ``ar`` and ``align``
+with two or more sources: it forks once, and the child templatizes the
+last half of the corpora, in command order, with its own memo while this
+process does the first, so a string that both halves hold is parsed once
+per process. This process keeps the larger half: ``ar`` splits 2|1 (the
+child takes ``--pred``) and ``align`` over four corpora 2|2. ``ar`` loads
+all three files before it templatizes any, so a later file's load error
+or skip warning prints before an earlier file's template error.
+``patterns`` (two corpora) stays in one process: a 1|1 split loses the
+strings that its two dumps share and one memo parses once, and on the
+benchmark's ``preds``, whose dumps share half their distinct strings, it
+did not pay reliably. Without ``os.fork``, or while another thread is
+alive (forking then is unsafe), every command stays in one process.
 """
 
 from __future__ import annotations
@@ -30,17 +34,21 @@ import argparse
 import csv
 import io
 import json
+import marshal
 import math
 import os
 import sys
 import threading
 import warnings
 
-from .corpus import SqlCorpus, load_corpus, read_rows, sample_corpus, templatize_corpus
+from . import errors
+from .corpus import (SqlCorpus, TemplatizeResult, load_corpus, read_rows, sample_corpus,
+                     templatize_corpus)
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
-from .ngrams import DEFAULT_L_MAX, write_distribution
+from .ngrams import DEFAULT_L_MAX, NGramDistribution, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
+from .templates import StructuralTemplate
 
 
 def _json_value(value) -> str:
@@ -184,17 +192,52 @@ def _templatize_each(corpora: list[SqlCorpus], l_max: int) -> list:
     return outcomes
 
 
-def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
-    """``_templatize_each`` over the corpora. With four or more, a forked
-    child does the second half and sends its outcomes back pickled, in one
-    write to a pipe, while this process does the first half; the child is
-    reaped on every path, and killed first on an error path."""
-    if len(corpora) < 4 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _templatize_each(corpora, l_max)
-    import pickle
-    import signal
+def _as_builtins(outcome) -> tuple:
+    """A templating outcome as builtins that marshal writes: an error's
+    class name and text, or a result's counts, source label, template
+    tokens and failures."""
+    if isinstance(outcome, SqlAlignError):
+        return type(outcome).__name__, str(outcome)
+    distribution = outcome.distribution
+    return (distribution.counts, distribution.source_label,
+            [t.tokens for t in outcome.templates], outcome.failures)
 
-    half = len(corpora) // 2
+
+def _from_builtins(replies: list, l_max: int) -> list:
+    """The outcomes that ``_as_builtins`` wrote, with one
+    StructuralTemplate per distinct token tuple of the replies."""
+    shared = {}
+    outcomes = []
+    for reply in replies:
+        if len(reply) == 2:  # an error's class name and text
+            name, text = reply
+            outcomes.append(getattr(errors, name)(text))
+            continue
+        counts, source_label, all_tokens, failures = reply
+        templates = []
+        for tokens in all_tokens:
+            template = shared.get(tokens)
+            if template is None:
+                template = shared[tokens] = StructuralTemplate(tokens)
+            templates.append(template)
+        outcomes.append(TemplatizeResult(templates, NGramDistribution(counts, l_max, source_label),
+                                         failures))
+    return outcomes
+
+
+def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
+    """``_templatize_each`` over the corpora. With three or more, a forked
+    child does the last ``n // 2`` of the n corpora while this process
+    does the first ``n - n // 2``: ``ar`` splits 2|1 and ``align`` over
+    four corpora 2|2. ``patterns`` does not come here (see the module
+    docstring).
+    The child sends its outcomes back as builtins through marshal, in one
+    write to a pipe; it is reaped on every path, and killed first on an
+    error path. A run that succeeds imports neither signal nor traceback."""
+    if len(corpora) < 3 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _templatize_each(corpora, l_max)
+
+    half = (len(corpora) + 1) // 2
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child leaves by os._exit alone, whatever happens
@@ -202,8 +245,8 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(_templatize_each(corpora[half:], l_max),
-                                        pickle.HIGHEST_PROTOCOL))
+                pipe.write(marshal.dumps([_as_builtins(outcome) for outcome
+                                          in _templatize_each(corpora[half:], l_max)]))
             status = 0
         except Exception:
             import traceback
@@ -219,13 +262,14 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
         reply = pipe.read()
     finally:
         if reply is None:  # an error path: stop the child before it can fail writing
+            import signal
             os.kill(pid, signal.SIGKILL)
         pipe.close()
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise RuntimeError(f"the forked templating process exited with status {code}")
-    return first + pickle.loads(reply)
+    return first + _from_builtins(marshal.loads(reply), l_max)
 
 
 def cmd_align(args) -> int:
@@ -286,10 +330,12 @@ def cmd_align(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    memo = {}
-    target = templatize_corpus(_load(args, args.target), l_max=args.l_max, memo=memo)
-    train = templatize_corpus(_load(args, args.train), l_max=args.l_max, memo=memo)
-    pred = templatize_corpus(_load(args, args.pred), l_max=args.l_max, memo=memo)
+    paths = (args.target, args.train, args.pred)
+    outcomes = _templatize_all([_load(args, path) for path in paths], args.l_max)
+    for outcome in outcomes:
+        if isinstance(outcome, SqlAlignError):
+            raise outcome
+    target, train, pred = outcomes
     ratio = alignment_ratio(target.distribution, train.distribution,
                             pred.distribution, alpha=args.alpha, c=args.c)
     report = {

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shlex
 import warnings
 from pathlib import Path
@@ -300,7 +301,26 @@ def test_extreme_input_is_one_data_error_line_and_no_report(corpora, tmp_path, c
 
 # -- one parse per distinct string per command ---------------------------------
 
+_SHARED = ["SELECT a FROM t", "SELECT COUNT(*) FROM u", "SELECT broken FROM"]
+_STRINGS = {
+    "target": _SHARED + ["SELECT b FROM v WHERE c > 1"],
+    "src1": _SHARED[::-1] + ["SELECT SUM(d) FROM w", "SELECT a FROM t"],
+    "src2": ["SELECT SUM(d) FROM w", "SELECT broken FROM", "( ("],
+}
+
+
+def _write_strings(tmp_path) -> dict:
+    paths = {}
+    for name, sqls in _STRINGS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps([{"sql": sql} for sql in sqls]))
+    return paths
+
+
 def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
+    # In one process: align and ar fork over three corpora, and the calls
+    # of a child are not seen here.
+    monkeypatch.delattr(os, "fork")
     calls = []
 
     def counted(module, name):
@@ -313,16 +333,7 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
 
     counted(corpus, "templatize")
     counted(patterns, "parse_sql")
-    shared = ["SELECT a FROM t", "SELECT COUNT(*) FROM u", "SELECT broken FROM"]
-    files = {
-        "target": shared + ["SELECT b FROM v WHERE c > 1"],
-        "src1": shared[::-1] + ["SELECT SUM(d) FROM w", "SELECT a FROM t"],
-        "src2": ["SELECT SUM(d) FROM w", "SELECT broken FROM", "( ("],
-    }
-    paths = {}
-    for name, sqls in files.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps([{"sql": sql} for sql in sqls]))
+    paths = _write_strings(tmp_path)
     commands = [
         (["align", "--target", paths["target"], "--source", paths["src1"],
           "--source", paths["src2"]], ["target", "src1", "src2"]),
@@ -334,8 +345,36 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
         calls.clear()
         out = tmp_path / "out.json"
         assert main([str(arg) for arg in argv] + ["-o", str(out)]) == 0
-        distinct = {sql for name in read for sql in files[name]}
+        distinct = {sql for name in read for sql in _STRINGS[name]}
         assert sorted(calls) == sorted(distinct), argv[0]
+
+
+def test_each_forked_process_parses_a_distinct_string_of_its_corpora_once(tmp_path,
+                                                                          monkeypatch):
+    # Over three corpora, this process templatizes target and src1 and a
+    # forked child src2. Both append their calls to one file.
+    log = tmp_path / "calls.jsonl"
+    templatize = corpus.templatize
+
+    def count_call(sql, *table):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), sql]) + "\n")
+        return templatize(sql, *table)
+    monkeypatch.setattr(corpus, "templatize", count_call)
+    paths = _write_strings(tmp_path)
+    for argv in (["align", "--target", paths["target"], "--source", paths["src1"],
+                  "--source", paths["src2"]],
+                 ["ar", "--target", paths["target"], "--train", paths["src1"],
+                  "--pred", paths["src2"], "--c", "1"]):
+        log.write_text("")
+        assert main([str(arg) for arg in argv] + ["-o", str(tmp_path / "out.json")]) == 0
+        calls = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, sql = json.loads(line)
+            calls.setdefault(pid, []).append(sql)
+        parent = sorted(calls.pop(os.getpid()))
+        assert parent == sorted(set(_STRINGS["target"] + _STRINGS["src1"])), argv[0]
+        assert [sorted(child) for child in calls.values()] == [sorted(set(_STRINGS["src2"]))]
 
 
 @pytest.mark.parametrize("command", ["templates", "align", "ar", "patterns"])

@@ -1,9 +1,9 @@
 """The CLI and its processes. Run as separate processes, the way a user
 runs it, its reports, stderr and exit codes must not depend on the
 process's string-hash seed, and no file may be opened in the locale's
-default encoding. ``align`` over four or more corpora templatizes half of
-them in a forked child: it must write what one process writes, and leave
-no child behind on any path."""
+default encoding. ``align`` and ``ar`` over three or more corpora
+templatize the last half of them in a forked child: each must write what
+one process writes, and leave no child behind on any path."""
 
 import csv
 import json
@@ -106,7 +106,7 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
             ] == [21, 6]
 
 
-# -- align's forked child --------------------------------------------------------
+# -- the forked child of align and ar ---------------------------------------------
 
 
 @pytest.fixture
@@ -134,23 +134,62 @@ def _main(argv, capsysbinary) -> tuple[int, bytes, bytes]:
     return code, out, err
 
 
-def _align_cases(paths: dict[str, Path], tmp_path: Path) -> dict[str, list]:
-    bad = tmp_path / "bad.jsonl"  # no record parses
-    bad.write_text('{"sql": "SELECT broken FROM"}\n{"sql": "( ("}\n', encoding="utf-8")
-    gaps = tmp_path / "gaps.jsonl"  # a row without SQL, for --skip-bad-rows
-    gaps.write_text(paths["train"].read_text(encoding="utf-8") + '{"question": "none"}\n',
-                    encoding="utf-8")
+def _write_bad_files(paths: dict[str, Path], tmp_path: Path) -> None:
+    """Adds "bad", where no record parses, "gaps", the train corpus with
+    a row without SQL (for --skip-bad-rows), and "missing", no file."""
+    paths["bad"] = tmp_path / "bad.jsonl"
+    paths["bad"].write_text('{"sql": "SELECT broken FROM"}\n{"sql": "( ("}\n', encoding="utf-8")
+    paths["gaps"] = tmp_path / "gaps.jsonl"
+    paths["gaps"].write_text(paths["train"].read_text(encoding="utf-8")
+                             + '{"question": "none"}\n', encoding="utf-8")
+    paths["missing"] = tmp_path / "missing.jsonl"
+
+
+def _align_cases(paths: dict[str, Path]) -> dict[str, list]:
     shared = ["align", "--target", paths["target"], "--source", paths["train"],
               "--source", paths["far"], "--source", paths["before"], "--source", paths["after"]]
     return {
         "shared_json": shared,
         "shared_csv": shared + ["--format", "csv", "--c", "2", "--l-max", "4"],
         "source_fails": ["align", "--target", paths["target"], "--source", paths["train"],
-                         "--source", paths["far"], "--source", bad,
-                         "--source", tmp_path / "missing.jsonl"],
-        "target_fails": ["align", "--target", bad, "--source", paths["train"],
-                         "--source", gaps, "--source", paths["far"], "--skip-bad-rows"],
+                         "--source", paths["far"], "--source", paths["bad"],
+                         "--source", paths["missing"]],
+        "target_fails": ["align", "--target", paths["bad"], "--source", paths["train"],
+                         "--source", paths["gaps"], "--source", paths["far"], "--skip-bad-rows"],
     }
+
+
+def _ar_cases(paths: dict[str, Path]) -> dict[str, list]:
+    def ar(target, train, pred, *options):
+        return ["ar", "--target", paths[target], "--train", paths[train],
+                "--pred", paths[pred], "--c", "2", *options]
+    return {
+        "shared": ar("target", "train", "before"),
+        "skipped_rows": ar("target", "gaps", "before", "--skip-bad-rows", "--l-max", "4"),
+        "pred_fails": ar("target", "train", "bad"),
+        "train_missing": ar("target", "missing", "before"),
+        "target_fails": ar("bad", "train", "gaps", "--skip-bad-rows"),
+    }
+
+
+def _with_and_without_fork(cases, monkeypatch, capsysbinary, forks) -> tuple[dict, list]:
+    """What each case writes and how often it forked; without os.fork,
+    each must write the same."""
+    forked = {}
+    counts = []
+    for name, argv in cases.items():
+        forks.clear()
+        forked[name] = _main(argv, capsysbinary)
+        counts.append(len(forks))
+    monkeypatch.delattr(os, "fork")
+    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == forked
+    return forked, counts
+
+
+def _skip_warnings(paths: dict[str, Path]) -> str:
+    gap_row = paths["train"].read_text(encoding="utf-8").count("\n")
+    return (f"sqlalign: warning: {paths['gaps']} row {gap_row}: missing or empty field 'sql', "
+            f"skipped\nsqlalign: warning: {paths['gaps']}: skipped 1 bad row(s)\n")
 
 
 def test_align_writes_the_same_bytes_with_and_without_its_forked_child(
@@ -158,36 +197,52 @@ def test_align_writes_the_same_bytes_with_and_without_its_forked_child(
     # Each report goes to stdout, so the exit code, stdout and stderr are
     # all that a run writes.
     paths = _write_corpora(tmp_path)
-    cases = _align_cases(paths, tmp_path)
-    forked = {}
-    for name, argv in cases.items():
-        forks.clear()
-        forked[name] = _main(argv, capsysbinary)
-        assert len(forks) == 1, name
-    monkeypatch.delattr(os, "fork")
-    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == forked
+    _write_bad_files(paths, tmp_path)
+    forked, counts = _with_and_without_fork(_align_cases(paths), monkeypatch, capsysbinary,
+                                            forks)
+    assert counts == [1, 1, 1, 1]
     assert [code for code, _, _ in forked.values()] == [0, 0, 2, 2]
-    bad, gaps, missing = (tmp_path / name for name in ("bad.jsonl", "gaps.jsonl", "missing.jsonl"))
     rows = json.loads(forked["source_fails"][1])["rows"]
     assert ["error" in row for row in rows] == [False, False, True, True]
-    assert rows[2]["error"] == f"EmptyDistributionError: {bad}: none of its 2 records parsed"
-    assert rows[3]["error"].startswith(f"FormatError: {missing}: cannot read")
+    assert rows[2]["error"] == (
+        f"EmptyDistributionError: {paths['bad']}: none of its 2 records parsed")
+    assert rows[3]["error"].startswith(f"FormatError: {paths['missing']}: cannot read")
     # The sources load before the target templates, so a source's
     # warnings print before the target's error.
-    gap_row = paths["train"].read_text(encoding="utf-8").count("\n")
     assert forked["target_fails"][2] == (
-        f"sqlalign: warning: {gaps} row {gap_row}: missing or empty field 'sql', skipped\n"
-        f"sqlalign: warning: {gaps}: skipped 1 bad row(s)\n"
-        f"sqlalign: error: {bad}: none of its 2 records parsed\n").encode()
+        _skip_warnings(paths)
+        + f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
+
+
+def test_ar_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    forked, counts = _with_and_without_fork(_ar_cases(paths), monkeypatch, capsysbinary, forks)
+    # A file that cannot be read stops ar before it forks.
+    assert counts == [1, 1, 1, 0, 1]
+    assert [code for code, _, _ in forked.values()] == [0, 0, 2, 2, 2]
+    assert json.loads(forked["shared"][1])["parse_failures"] == {
+        "pred": 3, "target": 2, "train": 2}
+    assert forked["skipped_rows"][2].startswith(_skip_warnings(paths).encode())
+    # The child templatizes --pred, so this error crossed its reply.
+    assert forked["pred_fails"][2] == (
+        f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
+    assert forked["train_missing"][2].startswith(
+        f"sqlalign: error: {paths['missing']}: cannot read".encode())
+    # ar loads all three files before it templatizes any, so the
+    # prediction dump's warnings print before the target's error.
+    assert forked["target_fails"][2] == (
+        _skip_warnings(paths)
+        + f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
 
 
 @pytest.mark.parametrize("argv", [
-    ["align", "--target", "target", "--source", "train", "--source", "far"],
-    ["ar", "--target", "target", "--train", "train", "--pred", "before", "--c", "1"],
+    ["align", "--target", "target", "--source", "train"],
     ["patterns", "--before", "before", "--after", "after"],
     ["templates", "target"],
-], ids=["align-3-corpora", "ar", "patterns", "templates"])
-def test_commands_over_fewer_than_four_corpora_stay_in_one_process(
+], ids=["align", "patterns", "templates"])
+def test_commands_over_fewer_than_three_corpora_stay_in_one_process(
         tmp_path, capsysbinary, forks, argv):
     paths = _write_corpora(tmp_path)
     code, _, _ = _main([paths.get(arg, arg) for arg in argv], capsysbinary)
@@ -195,9 +250,7 @@ def test_commands_over_fewer_than_four_corpora_stay_in_one_process(
     assert forks == []
 
 
-def test_align_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinary, forks):
-    paths = _write_corpora(tmp_path)
-    argv = _align_cases(paths, tmp_path)["shared_json"]
+def _run_with_another_thread_alive(argv, capsysbinary, forks) -> None:
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -211,15 +264,24 @@ def test_align_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbi
     assert b"warning" not in err
 
 
-@pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
-                                           ("child", RuntimeError)])
-def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
-                                                         forks, where, raised):
-    # The parent templatizes target and train; the child far, before and
-    # after. An interrupt in the parent kills the child, which would
-    # otherwise work on for a minute; an error in the child makes it exit
-    # with status 1, which the parent raises.
+def test_align_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinary, forks):
     paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _run_with_another_thread_alive(_align_cases(paths)["shared_json"], capsysbinary, forks)
+
+
+def test_ar_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinary, forks):
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _run_with_another_thread_alive(_ar_cases(paths)["shared"], capsysbinary, forks)
+
+
+def _fail_in_one_process(paths, argv, monkeypatch, capsysbinary, forks, where, raised) -> None:
+    """Runs argv with templating failing in the parent, on the train
+    corpus, or in the child; the child must be reaped either way. An
+    interrupt in the parent kills the child, which would otherwise work
+    on for a minute; an error in the child makes it exit with status 1,
+    which the parent raises."""
     parent = os.getpid()
     templatize = cli.templatize_corpus
 
@@ -236,10 +298,36 @@ def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "templatize_corpus", failing)
     started = time.monotonic()
     with pytest.raises(raised) as caught:
-        _main(_align_cases(paths, tmp_path)["shared_json"], capsysbinary)
+        _main(argv, capsysbinary)
     assert time.monotonic() - started < 30
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     if where == "child":
         assert str(caught.value) == "the forked templating process exited with status 1"
+
+
+_FAILURES = pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
+                                                      ("child", RuntimeError)])
+
+
+@_FAILURES
+def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
+                                                         forks, where, raised):
+    # The parent templatizes target and train; the child far, before and
+    # after.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _fail_in_one_process(paths, _align_cases(paths)["shared_json"], monkeypatch, capsysbinary,
+                         forks, where, raised)
+
+
+@_FAILURES
+def test_ar_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
+                                                      forks, where, raised):
+    # The parent templatizes target and train; the child the prediction
+    # dump.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _fail_in_one_process(paths, _ar_cases(paths)["shared"], monkeypatch, capsysbinary,
+                         forks, where, raised)

@@ -18,12 +18,12 @@ def test_all_names_resolve_and_are_sorted_once():
     assert sqlalign.__all__ == sorted(set(sqlalign.__all__))
 
 
-def _loaded_by_importing_the_cli(names: set[str]) -> str:
-    """Which of the named modules ``import sqlalign.cli`` loads, printed by
-    a fresh interpreter. Modules that it loaded before the import, as site
-    may, do not count."""
-    code = ("import sys; before = set(sys.modules); import sqlalign.cli; "
-            f"print(sorted({names!r} & (set(sys.modules) - before)))")
+def _loaded_by_importing_the_cli(names: set[str], then: str = "") -> str:
+    """Which of the named modules ``import sqlalign.cli`` loads, and the
+    statements ``then`` after it, printed by a fresh interpreter. Modules
+    that it loaded before the import, as site may, do not count."""
+    code = ("import sys\nbefore = set(sys.modules)\nimport sqlalign.cli\n"
+            f"{then}\nprint(sorted({names!r} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout
@@ -34,10 +34,38 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
     assert _loaded_by_importing_the_cli({"dataclasses", "inspect", "logging"}) == "[]\n"
 
 
+_FORK_ONLY = {"pickle", "signal", "traceback"}
+
+
 def test_importing_the_cli_loads_none_of_the_modules_only_the_fork_needs():
-    # align imports these on its forked path alone, so no other command
-    # pays for them.
-    assert _loaded_by_importing_the_cli({"pickle", "signal", "traceback"}) == "[]\n"
+    # Every CLI process pays for what the import loads. The fork's reply
+    # uses no pickle, and signal and traceback serve only a fork that
+    # fails.
+    assert _loaded_by_importing_the_cli(_FORK_ONLY) == "[]\n"
+
+
+def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_fork_needs(
+        tmp_path):
+    # The child replies through marshal, which is built in; signal and
+    # traceback serve only a fork that fails.
+    paths = []
+    for i, sql in enumerate(["SELECT a FROM t", "SELECT COUNT(*) FROM u WHERE b > 1",
+                             "SELECT c, SUM(d) FROM v GROUP BY c"]):
+        paths.append(str(tmp_path / f"c{i}.jsonl"))
+        Path(paths[-1]).write_text(f'{{"sql": "{sql}"}}\n{{"sql": "SELECT broken FROM"}}\n',
+                                   encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    commands = [["ar", "--target", paths[0], "--train", paths[1], "--pred", paths[2],
+                 "--c", "1", "-o", out],
+                ["align", "--target", paths[0], "--source", paths[1], "--source", paths[2],
+                 "-o", out]]
+    # Each command forks once; the child leaves by os._exit, before the
+    # print.
+    then = ("import os\nfork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            f"codes = [sqlalign.cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, len(forks))")
+    assert _loaded_by_importing_the_cli(_FORK_ONLY, then) == "[0, 0] 2\n[]\n"
 
 
 def test_the_package_imports_only_the_standard_library():

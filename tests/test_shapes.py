@@ -5,6 +5,7 @@ gives it."""
 import ast
 import itertools
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -293,9 +294,9 @@ def test_a_failing_shape_is_parsed_each_time_and_keeps_its_offsets(monkeypatch):
 
 # -- template objects ----------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["templates", "align", "ar"])
-def test_a_cli_run_builds_one_template_object_per_shape_and_template(
-        command, tmp_path, monkeypatch):
+def _template_run_argv(command, tmp_path) -> list[str]:
+    """The command's argv over three corpora (one for ``templates``) that
+    share strings and shapes."""
     rng = random.Random(5)
     files = {
         "target": corpusgen.make_mixture_corpus(120, seed=3) + FUNCTION_TWINS,
@@ -308,11 +309,37 @@ def test_a_cli_run_builds_one_template_object_per_shape_and_template(
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text("".join(json.dumps({"sql": sql}) + "\n" for sql in sqls),
                                encoding="utf-8")
-    argv = {"templates": ["templates", str(paths["target"])],
+    return {"templates": ["templates", str(paths["target"])],
             "align": ["align", "--target", str(paths["target"]),
                       "--source", str(paths["near"]), "--source", str(paths["far"])],
             "ar": ["ar", "--target", str(paths["target"]), "--train", str(paths["near"]),
                    "--pred", str(paths["far"]), "--c", "1"]}[command]
+
+
+def _pairs(runs) -> tuple[dict, set]:
+    """Each (shape key, template tokens) of the records that parsed in the
+    (corpus, result) runs, to the one template object its records hold
+    (fails if two differ); and the strings that parsed."""
+    by_pair = {}
+    strings = set()
+    for corpus, result in runs:
+        failed = {i for i, _ in result.failures}
+        parsed = [sql for i, sql in enumerate(corpus.sqls) if i not in failed]
+        assert len(parsed) == len(result.templates) > 0
+        strings.update(parsed)
+        for sql, template in zip(parsed, result.templates):
+            pair = shape_key(query_tokens(sql)), template.tokens
+            assert template is by_pair.setdefault(pair, template), sql
+    return by_pair, strings
+
+
+@pytest.mark.parametrize("command", ["templates", "align", "ar"])
+def test_a_cli_run_builds_one_template_object_per_shape_and_template(
+        command, tmp_path, monkeypatch):
+    # In one process: align and ar fork over three corpora, and the
+    # objects a child builds are not seen here.
+    monkeypatch.delattr(os, "fork")
+    argv = _template_run_argv(command, tmp_path)
 
     built = []
     init = StructuralTemplate.__init__
@@ -333,16 +360,7 @@ def test_a_cli_run_builds_one_template_object_per_shape_and_template(
 
     # Across every corpus of the run, records of one (shape, template)
     # hold one object, and each pair has an object of its own.
-    by_pair = {}
-    strings = set()
-    for corpus, result in results:
-        failed = {i for i, _ in result.failures}
-        parsed = [sql for i, sql in enumerate(corpus.sqls) if i not in failed]
-        assert len(parsed) == len(result.templates) > 0
-        strings.update(parsed)
-        for sql, template in zip(parsed, result.templates):
-            pair = shape_key(query_tokens(sql)), template.tokens
-            assert template is by_pair.setdefault(pair, template), sql
+    by_pair, strings = _pairs(results)
     assert len({id(template) for template in by_pair.values()}) == len(by_pair)
     assert len(built) == len(by_pair)
     assert len(strings) > 2 * len(by_pair)  # shapes repeat across distinct strings
@@ -352,3 +370,45 @@ def test_a_cli_run_builds_one_template_object_per_shape_and_template(
     assert [template.tokens for template in twins] == [
         templatize(sql).tokens for sql in FUNCTION_TWINS]
     assert twins[0] is not twins[1]
+
+
+@pytest.mark.parametrize("command", ["align", "ar"])
+def test_each_forked_process_builds_one_template_object_per_shape_and_template(
+        command, tmp_path, monkeypatch):
+    # Over three corpora, this process templatizes the first two and a
+    # forked child the third. The child's templates come back as token
+    # tuples, and this process builds one object per distinct tuple. Both
+    # processes append a line for each object they build to one file.
+    argv = _template_run_argv(command, tmp_path)
+    log = tmp_path / "built.jsonl"
+    init = StructuralTemplate.__init__
+
+    def logged_init(self, tokens):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, tokens)
+    monkeypatch.setattr(StructuralTemplate, "__init__", logged_init)
+    runs = []
+    templatize_all = cli._templatize_all
+
+    def kept(corpora, l_max):
+        outcomes = templatize_all(corpora, l_max)
+        runs.append((corpora, outcomes))
+        return outcomes
+    monkeypatch.setattr(cli, "_templatize_all", kept)
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 0
+
+    [(corpora, outcomes)] = runs
+    first, _ = _pairs(zip(corpora[:2], outcomes[:2]))
+    second, _ = _pairs(zip(corpora[2:], outcomes[2:]))
+    replied = {}
+    for result in outcomes[2:]:
+        for template in result.templates:
+            assert template is replied.setdefault(template.tokens, template)
+    objects = [*first.values(), *replied.values()]
+    assert len({id(template) for template in objects}) == len(objects)
+    built = {}
+    for pid in log.read_text(encoding="utf-8").split():
+        built[int(pid)] = built.get(int(pid), 0) + 1
+    assert built.pop(os.getpid()) == len(objects)
+    assert list(built.values()) == [len(second)]
