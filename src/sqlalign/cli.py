@@ -13,19 +13,20 @@ byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
 A command that reads several corpora keeps one run memo for them all, so
 it parses each distinct SQL string once; reports stay per corpus. The
-exception is a command over three or more corpora, ``ar`` and ``align``
-with two or more sources: it forks once, and the child templatizes the
-last half of the corpora, in command order, with its own memo while this
-process does the first, so a string that both halves hold is parsed once
-per process. This process keeps the larger half: ``ar`` splits 2|1 (the
-child takes ``--pred``) and ``align`` over four corpora 2|2. ``ar`` loads
-all three files before it templatizes any, so a later file's load error
-or skip warning prints before an earlier file's template error.
-``patterns`` (two corpora) stays in one process: a 1|1 split loses the
-strings that its two dumps share and one memo parses once, and on the
-benchmark's ``preds``, whose dumps share half their distinct strings, it
-did not pay reliably. Without ``os.fork``, or while another thread is
-alive (forking then is unsafe), every command stays in one process.
+exceptions fork once, through one helper. A command over three or more
+corpora, ``ar`` and ``align`` with two or more sources, has the child
+templatize the last half of the corpora, in command order, with its own
+memo while this process does the first, so a string that both halves
+hold is parsed once per process. This process keeps the larger half:
+``ar`` splits 2|1 (the child takes ``--pred``) and ``align`` over four
+corpora 2|2. ``ar`` loads all three files before it templatizes any, so
+a later file's load error or skip warning prints before an earlier
+file's template error. ``patterns`` loads both dumps, then splits their
+distinct strings, each once in first-seen order: the child matches the
+last half and this process the first, so a string that both dumps hold
+is matched once. Without ``os.fork``, while another thread is alive
+(forking then is unsafe), or when the fork fails, every command stays in
+one process and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ import sys
 import threading
 import warnings
 
-from . import errors
-from .corpus import (SqlCorpus, TemplatizeResult, load_corpus, read_rows, sample_corpus,
-                     templatize_corpus)
-from .errors import SqlAlignError
+from . import errors, patterns
+from .corpus import (SqlCorpus, TemplatizeResult, load_corpus, map_distinct_sql, read_rows,
+                     sample_corpus, templatize_corpus)
+from .errors import ParseError, SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, NGramDistribution, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
@@ -225,28 +226,29 @@ def _from_builtins(replies: list, l_max: int) -> list:
     return outcomes
 
 
-def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
-    """``_templatize_each`` over the corpora. With three or more, a forked
-    child does the last ``n // 2`` of the n corpora while this process
-    does the first ``n - n // 2``: ``ar`` splits 2|1 and ``align`` over
-    four corpora 2|2. ``patterns`` does not come here (see the module
-    docstring).
-    The child sends its outcomes back as builtins through marshal, in one
-    write to a pipe; it is reaped on every path, and killed first on an
-    error path. A run that succeeds imports neither signal nor traceback."""
-    if len(corpora) < 3 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _templatize_each(corpora, l_max)
-
-    half = (len(corpora) + 1) // 2
+def _in_two_processes(here, there):
+    """``(here(), there())``, with ``there`` run in a forked child at the
+    same time as ``here`` in this process. The child sends its value,
+    builtins that marshal writes, in one write to a pipe; it is reaped on
+    every path, and killed first on an error path. A run that succeeds
+    imports neither signal nor traceback. Without ``os.fork``, while
+    another thread is alive (forking then is unsafe), or when the fork
+    fails, it returns None and calls neither."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller does all the work here
+        os.close(read_end)
+        os.close(write_end)
+        return None
     if pid == 0:  # the child leaves by os._exit alone, whatever happens
         status = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps([_as_builtins(outcome) for outcome
-                                          in _templatize_each(corpora[half:], l_max)]))
+                pipe.write(marshal.dumps(there()))
             status = 0
         except Exception:
             import traceback
@@ -258,7 +260,7 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
     pipe = open(read_end, "rb")
     reply = None
     try:
-        first = _templatize_each(corpora[:half], l_max)
+        first = here()
         reply = pipe.read()
     finally:
         if reply is None:  # an error path: stop the child before it can fail writing
@@ -268,8 +270,23 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise RuntimeError(f"the forked templating process exited with status {code}")
-    return first + _from_builtins(marshal.loads(reply), l_max)
+        raise RuntimeError(f"the forked process exited with status {code}")
+    return first, marshal.loads(reply)
+
+
+def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
+    """``_templatize_each`` over the corpora. With three or more, a forked
+    child does the last ``n // 2`` of the n corpora while this process
+    does the first ``n - n // 2``: ``ar`` splits 2|1 and ``align`` over
+    four corpora 2|2. The child's outcomes cross as ``_as_builtins``."""
+    half = len(corpora) - len(corpora) // 2
+    split = None if len(corpora) < 3 else _in_two_processes(
+        lambda: _templatize_each(corpora[:half], l_max),
+        lambda: [_as_builtins(outcome) for outcome in _templatize_each(corpora[half:], l_max)])
+    if split is None:
+        return _templatize_each(corpora, l_max)
+    first, reply = split
+    return first + _from_builtins(reply, l_max)
 
 
 def cmd_align(args) -> int:
@@ -369,10 +386,32 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _match_each(sqls: list[str], memo: dict) -> list:
+    """The patterns view's value of each string, its pattern ids or the
+    ParseError it raised, matched through ``memo``."""
+    map_distinct_sql(SqlCorpus("", tuple(sqls)), patterns._matching_ids, memo)
+    strings = memo[patterns._matching_ids][0]
+    return [strings[sql] for sql in sqls]
+
+
 def cmd_patterns(args) -> int:
+    before_corpus, after_corpus = _load(args, args.before), _load(args, args.after)
+    # A forked child matches the last half of the two dumps' distinct
+    # strings, this process the first; the child's values go into this
+    # process's table, a ParseError as its [message, position].
     memo = {}
-    before = count_patterns(_load(args, args.before), memo=memo)
-    after = count_patterns(_load(args, args.after), memo=memo)
+    sqls = list(dict.fromkeys(before_corpus.sqls + after_corpus.sqls))
+    half = len(sqls) - len(sqls) // 2  # this process keeps the larger half
+    first, last = sqls[:half], sqls[half:]
+    split = None if not last else _in_two_processes(
+        lambda: _match_each(first, memo),
+        lambda: [[v.message, v.position] if isinstance(v, ParseError) else v
+                 for v in _match_each(last, {})])
+    if split is not None:
+        memo[patterns._matching_ids][0].update(
+            (sql, ParseError(*v) if isinstance(v, list) else v) for sql, v in zip(last, split[1]))
+    before = count_patterns(before_corpus, memo=memo)
+    after = count_patterns(after_corpus, memo=memo)
     diff = diff_pattern_counts(before, after)
     if args.output_format == "csv":
         rows = [{"pattern_id": pid, **entry} for pid, entry in diff.items()]

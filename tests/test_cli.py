@@ -377,6 +377,33 @@ def test_each_forked_process_parses_a_distinct_string_of_its_corpora_once(tmp_pa
         assert [sorted(child) for child in calls.values()] == [sorted(set(_STRINGS["src2"]))]
 
 
+def test_each_patterns_process_matches_its_half_of_the_distinct_strings_once(
+        tmp_path, monkeypatch):
+    # This process matches the first half of the two dumps' distinct
+    # strings and a forked child the rest; both append their calls to one
+    # file, and no string is matched in both.
+    log = tmp_path / "calls.jsonl"
+    matching_ids = patterns._matching_ids
+
+    def count_call(sql, *table):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), sql]) + "\n")
+        return matching_ids(sql, *table)
+    monkeypatch.setattr(patterns, "_matching_ids", count_call)
+    paths = _write_strings(tmp_path)
+    log.write_text("")
+    assert main(["patterns", "--before", str(paths["src1"]), "--after", str(paths["target"]),
+                 "-o", str(tmp_path / "out.json")]) == 0
+    calls = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, sql = json.loads(line)
+        calls.setdefault(pid, []).append(sql)
+    distinct = list(dict.fromkeys(_STRINGS["src1"] + _STRINGS["target"]))
+    assert len(calls) == 2
+    assert calls.pop(os.getpid()) == distinct[:3]
+    assert list(calls.values()) == [distinct[3:]]
+
+
 @pytest.mark.parametrize("command", ["templates", "align", "ar", "patterns"])
 def test_each_command_keys_its_cache_by_its_view_function(corpora, tmp_path, monkeypatch,
                                                           command):

@@ -2,8 +2,10 @@
 runs it, its reports, stderr and exit codes must not depend on the
 process's string-hash seed, and no file may be opened in the locale's
 default encoding. ``align`` and ``ar`` over three or more corpora
-templatize the last half of them in a forked child: each must write what
-one process writes, and leave no child behind on any path."""
+templatize the last half of them in a forked child, and ``patterns``
+matches the last half of its two dumps' distinct strings in one: each
+must write what one process writes, also when the fork fails, and leave
+no child behind on any path."""
 
 import csv
 import json
@@ -106,7 +108,7 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
             ] == [21, 6]
 
 
-# -- the forked child of align and ar ---------------------------------------------
+# -- the forked child of align, ar and patterns ----------------------------------
 
 
 @pytest.fixture
@@ -169,6 +171,18 @@ def _ar_cases(paths: dict[str, Path]) -> dict[str, list]:
         "pred_fails": ar("target", "train", "bad"),
         "train_missing": ar("target", "missing", "before"),
         "target_fails": ar("bad", "train", "gaps", "--skip-bad-rows"),
+    }
+
+
+def _patterns_cases(paths: dict[str, Path]) -> dict[str, list]:
+    def patterns(before, after, *options):
+        return ["patterns", "--before", paths[before], "--after", paths[after], *options]
+    return {
+        "shared_json": patterns("before", "after"),
+        "shared_csv": patterns("target", "before", "--format", "csv"),
+        "skipped_rows": patterns("gaps", "after", "--skip-bad-rows"),
+        "before_fails": patterns("bad", "after"),
+        "after_missing": patterns("before", "missing"),
     }
 
 
@@ -239,15 +253,35 @@ def test_ar_writes_the_same_bytes_with_and_without_its_forked_child(
 
 @pytest.mark.parametrize("argv", [
     ["align", "--target", "target", "--source", "train"],
-    ["patterns", "--before", "before", "--after", "after"],
     ["templates", "target"],
-], ids=["align", "patterns", "templates"])
+], ids=["align", "templates"])
 def test_commands_over_fewer_than_three_corpora_stay_in_one_process(
         tmp_path, capsysbinary, forks, argv):
     paths = _write_corpora(tmp_path)
     code, _, _ = _main([paths.get(arg, arg) for arg in argv], capsysbinary)
     assert code == 0
     assert forks == []
+
+
+def test_patterns_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    forked, counts = _with_and_without_fork(_patterns_cases(paths), monkeypatch, capsysbinary,
+                                            forks)
+    # A file that cannot be read stops patterns before it forks.
+    assert counts == [1, 1, 1, 1, 0]
+    assert [code for code, _, _ in forked.values()] == [0, 0, 0, 0, 2]
+    assert json.loads(forked["shared_json"][1])["parse_failures"] == {"after": 3, "before": 3}
+    assert forked["shared_csv"][1].startswith(b"pattern_id,before,after,delta,direction\n")
+    assert forked["skipped_rows"][2] == (
+        _skip_warnings(paths) + "patterns: before_failures=2 after_failures=3\n").encode()
+    # The other dumps end in their failing strings, so the child matches
+    # those and sends their errors back; the bad dump's come first, so
+    # this process matches them.
+    assert forked["before_fails"][2] == b"patterns: before_failures=2 after_failures=3\n"
+    assert forked["after_missing"][2].startswith(
+        f"sqlalign: error: {paths['missing']}: cannot read".encode())
 
 
 def _run_with_another_thread_alive(argv, capsysbinary, forks) -> None:
@@ -276,26 +310,33 @@ def test_ar_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinar
     _run_with_another_thread_alive(_ar_cases(paths)["shared"], capsysbinary, forks)
 
 
-def _fail_in_one_process(paths, argv, monkeypatch, capsysbinary, forks, where, raised) -> None:
-    """Runs argv with templating failing in the parent, on the train
-    corpus, or in the child; the child must be reaped either way. An
-    interrupt in the parent kills the child, which would otherwise work
-    on for a minute; an error in the child makes it exit with status 1,
-    which the parent raises."""
-    parent = os.getpid()
-    templatize = cli.templatize_corpus
+def test_patterns_with_another_thread_alive_stays_in_one_process(tmp_path, capsysbinary, forks):
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _run_with_another_thread_alive(_patterns_cases(paths)["shared_json"], capsysbinary, forks)
 
-    def failing(corpus, **options):
+
+def _fail_in_one_process(argv, monkeypatch, capsysbinary, forks, where, raised, name,
+                         fails_here) -> None:
+    """Runs argv with the CLI's function ``name`` failing in the parent,
+    on a call that ``fails_here`` picks, or in the child; the child must
+    be reaped either way. An interrupt in the parent kills the child,
+    which would otherwise work on for a minute; an error in the child
+    makes it exit with status 1, which the parent raises."""
+    parent = os.getpid()
+    original = getattr(cli, name)
+
+    def failing(corpus, *args, **options):
         if os.getpid() == parent:
-            if where == "parent" and corpus.name == str(paths["train"]):
+            if where == "parent" and fails_here(corpus):
                 raise KeyboardInterrupt
         elif where == "parent":
             time.sleep(60)
         else:
-            raise RuntimeError("templating failed")
-        return templatize(corpus, **options)
+            raise RuntimeError(f"{name} failed")
+        return original(corpus, *args, **options)
 
-    monkeypatch.setattr(cli, "templatize_corpus", failing)
+    monkeypatch.setattr(cli, name, failing)
     started = time.monotonic()
     with pytest.raises(raised) as caught:
         _main(argv, capsysbinary)
@@ -304,7 +345,7 @@ def _fail_in_one_process(paths, argv, monkeypatch, capsysbinary, forks, where, r
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     if where == "child":
-        assert str(caught.value) == "the forked templating process exited with status 1"
+        assert str(caught.value) == "the forked process exited with status 1"
 
 
 _FAILURES = pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
@@ -318,8 +359,9 @@ def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, 
     # after.
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    _fail_in_one_process(paths, _align_cases(paths)["shared_json"], monkeypatch, capsysbinary,
-                         forks, where, raised)
+    _fail_in_one_process(_align_cases(paths)["shared_json"], monkeypatch, capsysbinary,
+                         forks, where, raised, "templatize_corpus",
+                         lambda corpus: corpus.name == str(paths["train"]))
 
 
 @_FAILURES
@@ -329,5 +371,46 @@ def test_ar_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, cap
     # dump.
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    _fail_in_one_process(paths, _ar_cases(paths)["shared"], monkeypatch, capsysbinary,
-                         forks, where, raised)
+    _fail_in_one_process(_ar_cases(paths)["shared"], monkeypatch, capsysbinary,
+                         forks, where, raised, "templatize_corpus",
+                         lambda corpus: corpus.name == str(paths["train"]))
+
+
+@_FAILURES
+def test_patterns_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch,
+                                                           capsysbinary, forks, where, raised):
+    # Each process matches its half of the distinct strings in one call.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    _fail_in_one_process(_patterns_cases(paths)["shared_json"], monkeypatch, capsysbinary,
+                         forks, where, raised, "map_distinct_sql", lambda corpus: True)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_fork_that_fails_does_all_the_work_in_one_process(tmp_path, monkeypatch,
+                                                            capsysbinary):
+    # A fork refused for want of processes leaks no pipe end, and the
+    # command writes what it writes without os.fork.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    cases = {f"{command}_{name}": argv for command, of in [
+        ("align", _align_cases), ("ar", _ar_cases), ("patterns", _patterns_cases)]
+        for name, argv in of(paths).items()}
+    refused = []
+
+    def fork():
+        refused.append(None)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = _open_fds()
+    failed = {name: _main(argv, capsysbinary) for name, argv in cases.items()}
+    assert _open_fds() == fds
+    # Only the cases whose files all load reach the fork.
+    assert len(refused) == len(cases) - 2
+    monkeypatch.delattr(os, "fork")
+    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == failed

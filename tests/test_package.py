@@ -47,7 +47,8 @@ def test_importing_the_cli_loads_none_of_the_modules_only_the_fork_needs():
 def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_fork_needs(
         tmp_path):
     # The child replies through marshal, which is built in; signal and
-    # traceback serve only a fork that fails.
+    # traceback serve only a fork that fails. patterns forks through the
+    # same helper.
     paths = []
     for i, sql in enumerate(["SELECT a FROM t", "SELECT COUNT(*) FROM u WHERE b > 1",
                              "SELECT c, SUM(d) FROM v GROUP BY c"]):
@@ -58,14 +59,15 @@ def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_f
     commands = [["ar", "--target", paths[0], "--train", paths[1], "--pred", paths[2],
                  "--c", "1", "-o", out],
                 ["align", "--target", paths[0], "--source", paths[1], "--source", paths[2],
-                 "-o", out]]
+                 "-o", out],
+                ["patterns", "--before", paths[0], "--after", paths[1], "-o", out]]
     # Each command forks once; the child leaves by os._exit, before the
     # print.
     then = ("import os\nfork, forks = os.fork, []\n"
             "os.fork = lambda: forks.append(None) or fork()\n"
             f"codes = [sqlalign.cli.main(argv) for argv in {commands!r}]\n"
             "print(codes, len(forks))")
-    assert _loaded_by_importing_the_cli(_FORK_ONLY, then) == "[0, 0] 2\n[]\n"
+    assert _loaded_by_importing_the_cli(_FORK_ONLY, then) == "[0, 0, 0] 3\n[]\n"
 
 
 def test_the_package_imports_only_the_standard_library():
