@@ -5,9 +5,13 @@ default encoding. ``align`` and ``ar`` over three or more corpora
 templatize the last half of them in a forked child, and ``patterns``
 matches the last half of its two dumps' distinct strings in one: each
 must write what one process writes, also when the fork fails, and leave
-no child behind on any path."""
+no child behind on any path. A CLI process flushes stdout and stderr and
+ends by os._exit: it must end with what ``cli.main`` writes and returns,
+with PYTHONUNBUFFERED unset and set, and no command may leave a file for
+the interpreter to close."""
 
 import csv
+import gc
 import json
 import os
 import random
@@ -15,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -414,3 +419,144 @@ def test_a_fork_that_fails_does_all_the_work_in_one_process(tmp_path, monkeypatc
     assert len(refused) == len(cases) - 2
     monkeypatch.delattr(os, "fork")
     assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == failed
+
+
+# -- how a CLI process ends ------------------------------------------------------
+
+
+@pytest.fixture(params=[None, "1"], ids=["buffered", "unbuffered"])
+def cli_env(request, monkeypatch) -> dict:
+    """The environment of a CLI process, once with PYTHONUNBUFFERED unset
+    and once set. Set, every write reaches the pipe at once, so only the
+    unset run shows a missing flush. COLUMNS makes the help text as wide
+    in this process as in the CLI's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if request.param:
+        env["PYTHONUNBUFFERED"] = request.param
+    return env
+
+
+def _process(argv, env, program=("-m", "sqlalign.cli"), stdout=subprocess.PIPE,
+             **options) -> tuple[int, bytes, bytes]:
+    proc = subprocess.run([sys.executable, *program, *map(str, argv)], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120, **options)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(argv, capsysbinary) -> tuple[int, bytes, bytes]:
+    try:
+        code = cli.main([str(arg) for arg in argv])
+    except SystemExit as exc:  # argparse's exit
+        code = exc.code
+    out, err = capsysbinary.readouterr()
+    return code, out, err
+
+
+def _exit_cases(paths: dict[str, Path]) -> dict[str, list]:
+    return {
+        "templates": ["templates", paths["target"]],
+        "align_csv": ["align", "--target", paths["target"], "--source", paths["train"],
+                      "--source", paths["far"], "--format", "csv"],
+        "help": ["--help"],
+        "usage_error": ["align", "--target", paths["target"]],
+        "missing_input": ["templates", paths["missing"]],
+    }
+
+
+@pytest.mark.parametrize("case", ["templates", "align_csv", "help", "usage_error",
+                                  "missing_input"])
+def test_a_cli_process_ends_with_what_main_writes_and_returns(tmp_path, capsysbinary, cli_env,
+                                                              case):
+    # The process flushes stdout and stderr, then leaves by os._exit.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    argv = _exit_cases(paths)[case]
+    ended = _process(argv, cli_env)
+    assert ended == _in_process(argv, capsysbinary)
+    assert ended[0] == {"usage_error": 1, "missing_input": 2}.get(case, 0)
+    assert bool(ended[1]) == (case in ("templates", "align_csv", "help"))
+
+
+_SYS_EXIT_MAIN = ("-c", "import sys\nfrom sqlalign.cli import main\nsys.exit(main())")
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_a_closed_stdout_pipe_ends_the_process_as_sys_exit_does(tmp_path, cli_env, size):
+    # A small report waits in the stdout buffer: with PYTHONUNBUFFERED
+    # unset, the exit path's flush fails and the process leaves by
+    # sys.exit, as it did before the exit path. A large report, or any
+    # report unbuffered, fails in the command, a data error.
+    paths = _write_corpora(tmp_path)
+    if size == "large":
+        paths["target"].write_text("".join(
+            json.dumps({"sql": f"SELECT a{i}, b{i}, c{i} FROM t{i} WHERE d{i} > {i}"}) + "\n"
+            for i in range(400)), encoding="utf-8")
+    ends = []
+    for program in [("-m", "sqlalign.cli"), _SYS_EXIT_MAIN]:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            ends.append(_process(["templates", paths["target"]], cli_env, program,
+                                 stdout=write_end))
+        finally:
+            os.close(write_end)
+    assert ends[0] == ends[1]
+    code, _, err = ends[0]
+    if size == "small" and "PYTHONUNBUFFERED" not in cli_env:
+        assert code == 120 and err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+    else:
+        assert (code, err) == (2, b"sqlalign: error: [Errno 32] Broken pipe\n")
+
+
+def test_an_error_other_than_a_data_error_prints_its_traceback(tmp_path, monkeypatch,
+                                                               capsysbinary, cli_env):
+    # Without a stdout (its descriptor closed), writing the templates
+    # raises AttributeError, which propagates out of the exit path.
+    paths = _write_corpora(tmp_path)
+    argv = ["templates", paths["target"]]
+    code, _, err = _process(argv, cli_env, stdout=None, preexec_fn=lambda: os.close(1))
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(AttributeError) as caught:
+        cli.main([str(arg) for arg in argv])
+    assert code == 1
+    assert err.startswith(b"Traceback (most recent call last):\n")
+    assert err.endswith(f"AttributeError: {caught.value}\n".encode())
+
+
+@pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
+def test_the_exit_path_lets_an_interrupt_or_an_error_propagate(monkeypatch, raised):
+    exits = []
+    monkeypatch.setattr(os, "_exit", exits.append)
+
+    def failing():
+        raise raised("stop")
+
+    monkeypatch.setattr(cli, "main", failing)
+    with pytest.raises(raised):
+        cli.run()
+    assert exits == []
+
+
+def test_the_commands_leave_no_file_for_the_interpreter_to_close(tmp_path, monkeypatch,
+                                                                capsysbinary):
+    # os._exit closes no file object, so a file that a command left open
+    # would lose its buffered bytes. Freed unclosed, a file warns: inside
+    # the command through cli._show_warning, after it when collected.
+    paths = _write_corpora(tmp_path)
+    shown, unraisable = [], []
+    monkeypatch.setattr(cli, "_show_warning", lambda message, category, *rest, **kw:
+                        shown.append((category, str(message))))
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, (argv, options) in _commands(paths).items():
+            outputs = [tmp_path / f"{name}{option}" for option in options]
+            assert _main(argv + [a for pair in zip(options, outputs) for a in pair],
+                         capsysbinary)[0] == 0
+            assert all(out.stat().st_size > 0 for out in outputs)
+        gc.collect()
+    assert shown == []
+    assert [(w.category, str(w.message)) for w in caught] == []
+    assert unraisable == []

@@ -70,6 +70,33 @@ def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_f
     assert _loaded_by_importing_the_cli(_FORK_ONLY, then) == "[0, 0, 0] 3\n[]\n"
 
 
+@pytest.mark.parametrize("command", ["templates", "ar"])
+def test_a_command_run_as_a_process_loads_none_of_the_modules_only_a_failure_needs(
+        tmp_path, command):
+    # The process flushes stdio and leaves by os._exit, which needs no
+    # module and runs no atexit hook. Here os._exit prints the modules
+    # that the program loaded before it ends the process; ar's forked
+    # child prints its own line.
+    path = str(tmp_path / "c.jsonl")
+    Path(path).write_text('{"sql": "SELECT a FROM t"}\n{"sql": "SELECT broken FROM"}\n',
+                          encoding="utf-8")
+    argv, processes = {
+        "templates": (["templates", path], 1),
+        "ar": (["ar", "--target", path, "--train", path, "--pred", path, "--c", "1"], 2),
+    }[command]
+    names = _FORK_ONLY | {"atexit", "logging"}
+    code = ("import os, runpy, sys\nbefore = set(sys.modules)\nexit = os._exit\n"
+            "def report(status):\n"
+            f"    print(status, sorted({names!r} & (set(sys.modules) - before)), flush=True)\n"
+            "    exit(status)\n"
+            "os._exit = report\n"
+            "runpy.run_module('sqlalign.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "-o", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n" * processes)
+
+
 def test_the_package_imports_only_the_standard_library():
     imported = set()
     for path in Path(sqlalign.__file__).parent.glob("*.py"):
@@ -100,8 +127,9 @@ def test_pyproject_names_the_cli_and_the_package_version():
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == sqlalign.__version__
-    assert project["scripts"]["sqlalign"] == "sqlalign.cli:main"
+    # The script ends the process as python -m sqlalign.cli does.
+    assert project["scripts"]["sqlalign"] == "sqlalign.cli:run"
     module, name = project["scripts"]["sqlalign"].split(":")
-    assert getattr(importlib.import_module(module), name) is sqlalign.cli.main
+    assert getattr(importlib.import_module(module), name) is sqlalign.cli.run
     # The feature_version that test_every_python_file_parses_as_python_3_10 checks.
     assert project["requires-python"] == ">=3.10"
