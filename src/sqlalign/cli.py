@@ -13,20 +13,18 @@ byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
 A command that reads several corpora keeps one run memo for them all, so
 it parses each distinct SQL string once; reports stay per corpus. The
-exceptions fork once, through one helper. A command over three or more
-corpora, ``ar`` and ``align`` with two or more sources, has the child
-templatize the last half of the corpora, in command order, with its own
-memo while this process does the first, so a string that both halves
-hold is parsed once per process. This process keeps the larger half:
-``ar`` splits 2|1 (the child takes ``--pred``) and ``align`` over four
-corpora 2|2. ``ar`` loads all three files before it templatizes any, so
-a later file's load error or skip warning prints before an earlier
-file's template error. ``patterns`` loads both dumps, then splits their
-distinct strings, each once in first-seen order: the child matches the
-last half and this process the first, so a string that both dumps hold
-is matched once. Without ``os.fork``, while another thread is alive
-(forking then is unsafe), or when the fork fails, every command stays in
-one process and writes the same bytes.
+exceptions fork once, all through ``_in_two_processes``: over n items, a
+forked child works the last ``n // 2`` and this process the rest, the
+larger half, each with its own memo. With one item, without ``os.fork``,
+while another thread is alive (forking then is unsafe), or when the fork
+fails, this process works every item, and the command writes the same
+bytes. ``align`` and ``ar`` split their corpora, in command order, when
+there are three or more: ``ar`` 2|1 (the child takes ``--pred``) and
+``align`` over four corpora 2|2. ``ar`` loads all three files before it
+templatizes any, so a later file's load error or skip warning prints
+before an earlier file's template error. ``patterns`` loads both dumps,
+then splits their distinct strings, each once in first-seen order, so a
+string that both dumps hold is matched once.
 
 ``python -m sqlalign.cli`` and the ``sqlalign`` script end through
 ``run``: once the command has its exit code, it flushes stdout and stderr
@@ -188,28 +186,14 @@ def cmd_templates(args) -> int:
     return 0
 
 
-def _templatize_each(corpora: list[SqlCorpus], l_max: int) -> list:
-    """Each corpus's TemplatizeResult, or the SqlAlignError it raised, in
-    order, through one run memo."""
-    memo = {}
-    outcomes = []
-    for corpus in corpora:
-        try:
-            outcomes.append(templatize_corpus(corpus, l_max=l_max, memo=memo))
-        except SqlAlignError as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def _as_builtins(outcome) -> tuple:
-    """A templating outcome as builtins that marshal writes: an error's
+def _as_builtins(outcomes: list) -> list:
+    """Templating outcomes as builtins that marshal writes: an error's
     class name and text, or a result's counts, source label, template
     tokens and failures."""
-    if isinstance(outcome, SqlAlignError):
-        return type(outcome).__name__, str(outcome)
-    distribution = outcome.distribution
-    return (distribution.counts, distribution.source_label,
-            [t.tokens for t in outcome.templates], outcome.failures)
+    return [(type(outcome).__name__, str(outcome)) if isinstance(outcome, SqlAlignError)
+            else (outcome.distribution.counts, outcome.distribution.source_label,
+                  [t.tokens for t in outcome.templates], outcome.failures)
+            for outcome in outcomes]
 
 
 def _from_builtins(replies: list, l_max: int) -> list:
@@ -234,29 +218,32 @@ def _from_builtins(replies: list, l_max: int) -> list:
     return outcomes
 
 
-def _in_two_processes(here, there):
-    """``(here(), there())``, with ``there`` run in a forked child at the
-    same time as ``here`` in this process. The child sends its value,
-    builtins that marshal writes, in one write to a pipe; it is reaped on
-    every path, and killed first on an error path. A run that succeeds
-    imports neither signal nor traceback. Without ``os.fork``, while
-    another thread is alive (forking then is unsafe), or when the fork
-    fails, it returns None and calls neither."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
+def _in_two_processes(items: list, work, encode, decode) -> list:
+    """``work(items)``, a list with one value per item. A forked child
+    works the last ``len(items) // 2`` items while this process works the
+    rest, the larger half. The child replies with
+    ``marshal.dumps(encode(values))`` in one write to a pipe, and
+    ``decode`` turns the reply back into its values. The child is reaped
+    on every path, and killed first on an error path. A run that succeeds
+    imports neither signal nor traceback. With one item, without
+    ``os.fork``, while another thread is alive (forking then is unsafe),
+    or when the fork fails, this process works every item."""
+    half = len(items) - len(items) // 2
+    if half == len(items) or not hasattr(os, "fork") or threading.active_count() > 1:
+        return work(items)
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the caller does all the work here
+    except OSError:  # no process to spare: all the work is done here
         os.close(read_end)
         os.close(write_end)
-        return None
+        return work(items)
     if pid == 0:  # the child leaves by os._exit alone, whatever happens
         status = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(there()))
+                pipe.write(marshal.dumps(encode(work(items[half:]))))
             status = 0
         except Exception:
             import traceback
@@ -268,7 +255,7 @@ def _in_two_processes(here, there):
     pipe = open(read_end, "rb")
     reply = None
     try:
-        first = here()
+        first = work(items[:half])
         reply = pipe.read()
     finally:
         if reply is None:  # an error path: stop the child before it can fail writing
@@ -279,22 +266,28 @@ def _in_two_processes(here, there):
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise RuntimeError(f"the forked process exited with status {code}")
-    return first, marshal.loads(reply)
+    return first + decode(marshal.loads(reply))
 
 
 def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
-    """``_templatize_each`` over the corpora. With three or more, a forked
-    child does the last ``n // 2`` of the n corpora while this process
-    does the first ``n - n // 2``: ``ar`` splits 2|1 and ``align`` over
-    four corpora 2|2. The child's outcomes cross as ``_as_builtins``."""
-    half = len(corpora) - len(corpora) // 2
-    split = None if len(corpora) < 3 else _in_two_processes(
-        lambda: _templatize_each(corpora[:half], l_max),
-        lambda: [_as_builtins(outcome) for outcome in _templatize_each(corpora[half:], l_max)])
-    if split is None:
-        return _templatize_each(corpora, l_max)
-    first, reply = split
-    return first + _from_builtins(reply, l_max)
+    """Each corpus's TemplatizeResult, or the SqlAlignError it raised, in
+    order; each process templatizes its corpora through one run memo.
+    With three or more corpora the work goes through
+    ``_in_two_processes``: ``ar`` splits 2|1 and ``align`` over four
+    corpora 2|2."""
+    def work(part: list[SqlCorpus]) -> list:
+        memo = {}
+        outcomes = []
+        for corpus in part:
+            try:
+                outcomes.append(templatize_corpus(corpus, l_max=l_max, memo=memo))
+            except SqlAlignError as exc:
+                outcomes.append(exc)
+        return outcomes
+    if len(corpora) < 3:
+        return work(corpora)
+    return _in_two_processes(corpora, work, _as_builtins,
+                             lambda replies: _from_builtins(replies, l_max))
 
 
 def cmd_align(args) -> int:
@@ -402,22 +395,27 @@ def _match_each(sqls: list[str], memo: dict) -> list:
     return [strings[sql] for sql in sqls]
 
 
+def _matches_as_builtins(values: list) -> list:
+    """Pattern-id tuples as they are, and a ParseError as its [message,
+    position], for marshal."""
+    return [[v.message, v.position] if isinstance(v, ParseError) else v for v in values]
+
+
+def _matches_from_builtins(replies: list) -> list:
+    """The values that ``_matches_as_builtins`` wrote."""
+    return [ParseError(*v) if isinstance(v, list) else v for v in replies]
+
+
 def cmd_patterns(args) -> int:
     before_corpus, after_corpus = _load(args, args.before), _load(args, args.after)
-    # A forked child matches the last half of the two dumps' distinct
-    # strings, this process the first; the child's values go into this
-    # process's table, a ParseError as its [message, position].
+    # The two dumps' distinct strings, each once in first-seen order, go
+    # through _in_two_processes; the forked child's values join this
+    # process's strings table.
     memo = {}
     sqls = list(dict.fromkeys(before_corpus.sqls + after_corpus.sqls))
-    half = len(sqls) - len(sqls) // 2  # this process keeps the larger half
-    first, last = sqls[:half], sqls[half:]
-    split = None if not last else _in_two_processes(
-        lambda: _match_each(first, memo),
-        lambda: [[v.message, v.position] if isinstance(v, ParseError) else v
-                 for v in _match_each(last, {})])
-    if split is not None:
-        memo[patterns._matching_ids][0].update(
-            (sql, ParseError(*v) if isinstance(v, list) else v) for sql, v in zip(last, split[1]))
+    values = _in_two_processes(sqls, lambda part: _match_each(part, memo),
+                               _matches_as_builtins, _matches_from_builtins)
+    memo[patterns._matching_ids][0].update(zip(sqls, values))
     before = count_patterns(before_corpus, memo=memo)
     after = count_patterns(after_corpus, memo=memo)
     diff = diff_pattern_counts(before, after)

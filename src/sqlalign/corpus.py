@@ -75,7 +75,9 @@ def _read_rows(path: Path, input_format: str):
     opened or read (OSError) is a FormatError. The JSON decoder raises
     ValueError for text that is not UTF-8 or not JSON and for an integer
     over the interpreter's digit limit, and RecursionError for nesting
-    deeper than the stack; each is a FormatError too."""
+    deeper than the stack; each is a FormatError too. CSV is read in
+    strict mode, so a quote left open to the end of the file, or text
+    after a closing quote, is a FormatError and not one long field."""
     try:
         if input_format == "json":
             with open(path, encoding="utf-8-sig") as fh:
@@ -102,7 +104,7 @@ def _read_rows(path: Path, input_format: str):
                     i += 1
         elif input_format == "csv":
             with open(path, encoding="utf-8-sig", newline="") as fh:
-                reader = csv.DictReader(fh)
+                reader = csv.DictReader(fh, strict=True)
                 names = reader.fieldnames
                 if names is None:
                     raise FormatError("CSV file has no header row", path=path)

@@ -713,3 +713,50 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("with_fork", [
+    pytest.param(True, marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")),
+    False])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_in_two_processes_gives_the_work_of_every_item_in_order(n, with_fork, tmp_path,
+                                                                 monkeypatch):
+    # A forked child works the last n // 2 items and this process the
+    # rest; one item, or no os.fork, keeps all the work here.
+    items = [f"item {i}" for i in range(n)]
+    half = n - n // 2
+    forked, worked = [], []
+    encoded = tmp_path / "encoded.json"
+    if with_fork:
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted)
+    else:
+        monkeypatch.delattr(os, "fork")
+
+    def upper(part):
+        return [(item, item.upper()) for item in part]
+
+    def work(part):
+        worked.append(part)  # the child appends to its own copy
+        return upper(part)
+
+    def encode(values):
+        encoded.write_text(json.dumps([os.getpid(), values]))
+        return {"values": values}
+
+    values = cli._in_two_processes(items, work, encode, lambda reply: reply["values"])
+    assert values == upper(items)
+    if with_fork and n > 1:
+        assert len(forked) == 1 and worked == [items[:half]]
+        pid, seen = json.loads(encoded.read_text())
+        assert pid == forked[0] and seen == [list(value) for value in upper(items[half:])]
+    else:
+        assert forked == [] and worked == [items] and not encoded.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -29,7 +29,9 @@ from sqlalign.parsing import (
 from sqlalign.patterns import match_count_star
 from sqlalign.templates import derive_template, templatize
 
-QUERY_ZOO = [
+# The queries in two halves, so that a test renamed over them retires
+# half of its ids at a time.
+QUERY_ZOO_FIRST = [
     "SELECT 1",
     "SELECT * FROM t",
     "SELECT a, b FROM t WHERE c = 'x' AND d >= 2.5",
@@ -43,6 +45,8 @@ QUERY_ZOO = [
     "SELECT SUM(a) FILTER (WHERE b = 1) FROM t",
     "SELECT RANK() OVER (PARTITION BY a ORDER BY b ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t",
     "SELECT a FROM t WHERE b IN (1, 2, 3) AND c NOT IN (SELECT c FROM u)",
+]
+QUERY_ZOO_SECOND = [
     "SELECT a FROM t WHERE b BETWEEN 1 AND 10 AND c NOT LIKE '%x%'",
     "SELECT a FROM t1 UNION ALL SELECT b FROM t2 EXCEPT SELECT c FROM t3",
     "WITH w(x, y) AS (SELECT a, b FROM t) SELECT x FROM w",
@@ -57,6 +61,7 @@ QUERY_ZOO = [
     "SELECT a FROM t WHERE name = :who",
     "select count(distinct a) from t where exists (select 1 from u)",
 ]
+QUERY_ZOO = QUERY_ZOO_FIRST + QUERY_ZOO_SECOND
 
 
 def _leaves(tree):
@@ -72,10 +77,15 @@ def _source_tokens(sql):
     return toks
 
 
-@pytest.mark.parametrize("sql", QUERY_ZOO)
-def test_roundtrip_serialization(sql):
+@pytest.mark.parametrize("sql", QUERY_ZOO_FIRST)
+def test_leaves_are_the_source_tokens_in_order(sql):
     # every token is exactly one leaf, in source order
     assert _leaves(parse_sql(sql)) == _source_tokens(sql)
+
+
+@pytest.mark.parametrize("sql", QUERY_ZOO_SECOND)
+def test_roundtrip_serialization(sql):
+    test_leaves_are_the_source_tokens_in_order(sql)
 
 
 def _check_leaves_are_the_tokens(sql):
