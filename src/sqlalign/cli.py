@@ -15,24 +15,27 @@ A command that reads several corpora keeps one run memo for them all, so
 it parses each distinct SQL string once; reports stay per corpus. The
 exceptions fork once, all through ``_in_two_processes``: over n items, a
 forked child works the last ``n // 2`` and this process the rest, the
-larger half, each with its own memo. With one item, without ``os.fork``,
-while another thread is alive (forking then is unsafe), or when the fork
-fails, this process works every item, and the command writes the same
-bytes. ``align`` and ``ar`` split their corpora, in command order, when
-there are three or more: ``ar`` 2|1 (the child takes ``--pred``) and
-``align`` over four corpora 2|2. ``ar`` loads all three files before it
-templatizes any, so a later file's load error or skip warning prints
-before an earlier file's template error. ``patterns`` loads both dumps,
-then splits their distinct strings, each once in first-seen order, so a
-string that both dumps hold is matched once.
+larger half, each with its own memo. The child's values cross in one
+``marshal`` write: an error as its class name and constructor arguments,
+any other value as a tuple of builtins. With one item, without
+``os.fork``, while another thread is alive (forking then is unsafe), or
+when the fork fails, this process works every item, and the command
+writes the same bytes. ``align`` and ``ar`` split their corpora, in
+command order, when there are three or more: ``ar`` 2|1 (the child takes
+``--pred``) and ``align`` over four corpora 2|2. ``ar`` loads all three
+files before it templatizes any, so a later file's load error or skip
+warning prints before an earlier file's template error. ``patterns``
+loads both dumps, then splits their distinct strings, each once in
+first-seen order, so a string that both dumps hold is matched once.
 
 ``python -m sqlalign.cli`` and the ``sqlalign`` script end through
 ``run``: once the command has its exit code, it flushes stdout and stderr
 and calls ``os._exit``. Each command is a short process, and the
 interpreter's own exit would first free every module and object, a few
 milliseconds per run. Every file a command writes is closed before its
-code returns, so no buffered write is lost. ``main(argv)`` returns the
-code and never ends the process.
+code returns, so no buffered write is lost. A report that cannot reach
+stdout, whose pipe is closed or whose descriptor is, is a data error.
+``main(argv)`` returns the code and never ends the process.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import warnings
 from . import errors, patterns
 from .corpus import (SqlCorpus, TemplatizeResult, load_corpus, map_distinct_sql, read_rows,
                      sample_corpus, templatize_corpus)
-from .errors import ParseError, SqlAlignError
+from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
 from .ngrams import DEFAULT_L_MAX, NGramDistribution, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
@@ -87,11 +90,20 @@ def dumps_report(report: dict) -> str:
 
 def _write_text(path: str | None, text: str) -> None:
     data = text.encode("utf-8")  # an unencodable text fails before the file exists
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    if path is not None:
         with open(path, "wb") as fh:
             fh.write(data)
+    elif sys.stdout is None:  # file descriptor 1 was closed when the process began
+        raise OSError("no standard output")
+    else:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # what stays buffered goes, so the exit's flush succeeds
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
 
 
 def _write_csv(path: str | None, fieldnames: list[str], rows: list[dict]) -> None:
@@ -186,48 +198,18 @@ def cmd_templates(args) -> int:
     return 0
 
 
-def _as_builtins(outcomes: list) -> list:
-    """Templating outcomes as builtins that marshal writes: an error's
-    class name and text, or a result's counts, source label, template
-    tokens and failures."""
-    return [(type(outcome).__name__, str(outcome)) if isinstance(outcome, SqlAlignError)
-            else (outcome.distribution.counts, outcome.distribution.source_label,
-                  [t.tokens for t in outcome.templates], outcome.failures)
-            for outcome in outcomes]
-
-
-def _from_builtins(replies: list, l_max: int) -> list:
-    """The outcomes that ``_as_builtins`` wrote, with one
-    StructuralTemplate per distinct token tuple of the replies."""
-    shared = {}
-    outcomes = []
-    for reply in replies:
-        if len(reply) == 2:  # an error's class name and text
-            name, text = reply
-            outcomes.append(getattr(errors, name)(text))
-            continue
-        counts, source_label, all_tokens, failures = reply
-        templates = []
-        for tokens in all_tokens:
-            template = shared.get(tokens)
-            if template is None:
-                template = shared[tokens] = StructuralTemplate(tokens)
-            templates.append(template)
-        outcomes.append(TemplatizeResult(templates, NGramDistribution(counts, l_max, source_label),
-                                         failures))
-    return outcomes
-
-
-def _in_two_processes(items: list, work, encode, decode) -> list:
+def _in_two_processes(items: list, work, encode=tuple, decode=tuple) -> list:
     """``work(items)``, a list with one value per item. A forked child
     works the last ``len(items) // 2`` items while this process works the
-    rest, the larger half. The child replies with
-    ``marshal.dumps(encode(values))`` in one write to a pipe, and
-    ``decode`` turns the reply back into its values. The child is reaped
-    on every path, and killed first on an error path. A run that succeeds
-    imports neither signal nor traceback. With one item, without
-    ``os.fork``, while another thread is alive (forking then is unsafe),
-    or when the fork fails, this process works every item."""
+    rest, the larger half. The child replies in one ``marshal`` write to a
+    pipe, one entry per value: a SqlAlignError as a list of its class name
+    and the arguments its ``__reduce__`` gives, rebuilt from
+    ``sqlalign.errors``; any other value as ``encode(value)``, a tuple of
+    builtins, which ``decode`` turns back (a tuple by default, as it is).
+    The child is reaped on every path, and killed first on an error path.
+    A run that succeeds imports neither signal nor traceback. With one
+    item, without ``os.fork``, while another thread is alive, or when the
+    fork fails, this process works every item."""
     half = len(items) - len(items) // 2
     if half == len(items) or not hasattr(os, "fork") or threading.active_count() > 1:
         return work(items)
@@ -243,7 +225,9 @@ def _in_two_processes(items: list, work, encode, decode) -> list:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(encode(work(items[half:]))))
+                pipe.write(marshal.dumps([[type(v).__name__, v.__reduce__()[1]]
+                                          if isinstance(v, SqlAlignError) else encode(v)
+                                          for v in work(items[half:])]))
             status = 0
         except Exception:
             import traceback
@@ -266,7 +250,8 @@ def _in_two_processes(items: list, work, encode, decode) -> list:
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise RuntimeError(f"the forked process exited with status {code}")
-    return first + decode(marshal.loads(reply))
+    return first + [getattr(errors, entry[0])(*entry[1]) if isinstance(entry, list)
+                    else decode(entry) for entry in marshal.loads(reply)]
 
 
 def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
@@ -274,7 +259,8 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
     order; each process templatizes its corpora through one run memo.
     With three or more corpora the work goes through
     ``_in_two_processes``: ``ar`` splits 2|1 and ``align`` over four
-    corpora 2|2."""
+    corpora 2|2. A result crosses as its counts, source label, template
+    tokens and failures."""
     def work(part: list[SqlCorpus]) -> list:
         memo = {}
         outcomes = []
@@ -286,8 +272,19 @@ def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
         return outcomes
     if len(corpora) < 3:
         return work(corpora)
-    return _in_two_processes(corpora, work, _as_builtins,
-                             lambda replies: _from_builtins(replies, l_max))
+    shared = {}  # one StructuralTemplate per distinct token tuple of the child's results
+
+    def encode(result: TemplatizeResult) -> tuple:
+        return (result.distribution.counts, result.distribution.source_label,
+                [t.tokens for t in result.templates], result.failures)
+
+    def decode(reply: tuple) -> TemplatizeResult:
+        counts, source_label, all_tokens, failures = reply
+        shared.update((tokens, StructuralTemplate(tokens))
+                      for tokens in dict.fromkeys(all_tokens) if tokens not in shared)
+        return TemplatizeResult([shared[tokens] for tokens in all_tokens],
+                                NGramDistribution(counts, l_max, source_label), failures)
+    return _in_two_processes(corpora, work, encode, decode)
 
 
 def cmd_align(args) -> int:
@@ -395,26 +392,13 @@ def _match_each(sqls: list[str], memo: dict) -> list:
     return [strings[sql] for sql in sqls]
 
 
-def _matches_as_builtins(values: list) -> list:
-    """Pattern-id tuples as they are, and a ParseError as its [message,
-    position], for marshal."""
-    return [[v.message, v.position] if isinstance(v, ParseError) else v for v in values]
-
-
-def _matches_from_builtins(replies: list) -> list:
-    """The values that ``_matches_as_builtins`` wrote."""
-    return [ParseError(*v) if isinstance(v, list) else v for v in replies]
-
-
 def cmd_patterns(args) -> int:
     before_corpus, after_corpus = _load(args, args.before), _load(args, args.after)
-    # The two dumps' distinct strings, each once in first-seen order, go
-    # through _in_two_processes; the forked child's values join this
-    # process's strings table.
+    # The two dumps' distinct strings, each once in first-seen order; the
+    # forked child's values join this process's strings table.
     memo = {}
     sqls = list(dict.fromkeys(before_corpus.sqls + after_corpus.sqls))
-    values = _in_two_processes(sqls, lambda part: _match_each(part, memo),
-                               _matches_as_builtins, _matches_from_builtins)
+    values = _in_two_processes(sqls, lambda part: _match_each(part, memo))
     memo[patterns._matching_ids][0].update(zip(sqls, values))
     before = count_patterns(before_corpus, memo=memo)
     after = count_patterns(after_corpus, memo=memo)

@@ -77,7 +77,9 @@ def _read_rows(path: Path, input_format: str):
     over the interpreter's digit limit, and RecursionError for nesting
     deeper than the stack; each is a FormatError too. CSV is read in
     strict mode, so a quote left open to the end of the file, or text
-    after a closing quote, is a FormatError and not one long field."""
+    after a closing quote, is a FormatError and not one long field. It
+    names the record that the reader was reading, and the file alone when
+    that is the header."""
     try:
         if input_format == "json":
             with open(path, encoding="utf-8-sig") as fh:
@@ -111,10 +113,15 @@ def _read_rows(path: Path, input_format: str):
                 if len(set(names)) < len(names):  # DictReader keeps a name's last cell
                     repeated = next(n for i, n in enumerate(names) if n in names[:i])
                     raise FormatError(f"CSV header repeats the name {repeated!r}", path=path)
-                for i, row in enumerate(reader):
-                    if None in row:  # DictReader files surplus cells under the key None
-                        raise FormatError("more fields than the header", row=i, path=path)
-                    yield i, row
+                i = 0  # the records read so far: not reader.line_num, a physical line
+                try:
+                    for row in reader:
+                        if None in row:  # DictReader files surplus cells under the key None
+                            raise FormatError("more fields than the header", row=i, path=path)
+                        yield i, row
+                        i += 1
+                except csv.Error as exc:
+                    raise FormatError(f"unreadable csv file: {exc}", row=i, path=path) from exc
         else:
             raise FormatError(f"unknown input format {input_format!r}", path=path)
     except (ValueError, RecursionError, csv.Error) as exc:

@@ -10,6 +10,7 @@ import pytest
 
 from sqlalign import cli, corpus, patterns
 from sqlalign.cli import _NOT_ECHOED, build_parser, dumps_report, main
+from sqlalign.errors import EmptyDistributionError, ParseError
 
 TARGET_ROWS = [
     {"question": "q1", "SQL": "SELECT name FROM singer WHERE age > 30", "db_id": "concert"},
@@ -722,11 +723,15 @@ def test_readme_cli_examples_parse():
 def test_in_two_processes_gives_the_work_of_every_item_in_order(n, with_fork, tmp_path,
                                                                  monkeypatch):
     # A forked child works the last n // 2 items and this process the
-    # rest; one item, or no os.fork, keeps all the work here.
+    # rest; one item, or no os.fork, keeps all the work here. Items 1 and
+    # 3 give a ParseError and item 2 an EmptyDistributionError, so the
+    # child's items hold both errors at n = 4. An error crosses without
+    # encode and comes back as its class with the same text, a ParseError
+    # with its message and position; encode sees every other value.
     items = [f"item {i}" for i in range(n)]
     half = n - n // 2
     forked, worked = [], []
-    encoded = tmp_path / "encoded.json"
+    encoded = tmp_path / "encoded.jsonl"
     if with_fork:
         fork = os.fork
 
@@ -739,24 +744,34 @@ def test_in_two_processes_gives_the_work_of_every_item_in_order(n, with_fork, tm
     else:
         monkeypatch.delattr(os, "fork")
 
-    def upper(part):
-        return [(item, item.upper()) for item in part]
+    def values_of(part):
+        return [ParseError("expected table name", 18) if item in ("item 1", "item 3")
+                else EmptyDistributionError(f"{item}: none of its 3 records parsed")
+                if item == "item 2" else (item, item.upper()) for item in part]
 
     def work(part):
         worked.append(part)  # the child appends to its own copy
-        return upper(part)
+        return values_of(part)
 
-    def encode(values):
-        encoded.write_text(json.dumps([os.getpid(), values]))
-        return {"values": values}
+    def encode(value):
+        with open(encoded, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), value]) + "\n")
+        return value[::-1]
 
-    values = cli._in_two_processes(items, work, encode, lambda reply: reply["values"])
-    assert values == upper(items)
+    def seen(values):
+        return [(type(v), str(v), getattr(v, "message", None), getattr(v, "position", None))
+                if isinstance(v, Exception) else v for v in values]
+
+    values = cli._in_two_processes(items, work, encode, lambda entry: entry[::-1])
+    assert seen(values) == seen(values_of(items))
+    lines = ([json.loads(line) for line in encoded.read_text(encoding="utf-8").splitlines()]
+             if encoded.exists() else [])
     if with_fork and n > 1:
         assert len(forked) == 1 and worked == [items[:half]]
-        pid, seen = json.loads(encoded.read_text())
-        assert pid == forked[0] and seen == [list(value) for value in upper(items[half:])]
+        assert [pid for pid, _ in lines] == [forked[0]] * len(lines)
+        assert [value for _, value in lines] == [
+            list(v) for v in values_of(items[half:]) if isinstance(v, tuple)]
     else:
-        assert forked == [] and worked == [items] and not encoded.exists()
+        assert forked == [] and worked == [items] and lines == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

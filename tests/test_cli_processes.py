@@ -484,10 +484,9 @@ _SYS_EXIT_MAIN = ("-c", "import sys\nfrom sqlalign.cli import main\nsys.exit(mai
 
 @pytest.mark.parametrize("size", ["small", "large"])
 def test_a_closed_stdout_pipe_ends_the_process_as_sys_exit_does(tmp_path, cli_env, size):
-    # A small report waits in the stdout buffer: with PYTHONUNBUFFERED
-    # unset, the exit path's flush fails and the process leaves by
-    # sys.exit, as it did before the exit path. A large report, or any
-    # report unbuffered, fails in the command, a data error.
+    # The report's write fails in the command, a data error, whatever its
+    # size and with PYTHONUNBUFFERED unset or set. What stays buffered is
+    # dropped, so the flush at exit does not fail again.
     paths = _write_corpora(tmp_path)
     if size == "large":
         paths["target"].write_text("".join(
@@ -503,26 +502,32 @@ def test_a_closed_stdout_pipe_ends_the_process_as_sys_exit_does(tmp_path, cli_en
         finally:
             os.close(write_end)
     assert ends[0] == ends[1]
-    code, _, err = ends[0]
-    if size == "small" and "PYTHONUNBUFFERED" not in cli_env:
-        assert code == 120 and err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
-    else:
-        assert (code, err) == (2, b"sqlalign: error: [Errno 32] Broken pipe\n")
+    assert ends[0][0::2] == (2, b"sqlalign: error: [Errno 32] Broken pipe\n")
 
 
-def test_an_error_other_than_a_data_error_prints_its_traceback(tmp_path, monkeypatch,
-                                                               capsysbinary, cli_env):
-    # Without a stdout (its descriptor closed), writing the templates
-    # raises AttributeError, which propagates out of the exit path.
+def test_a_process_without_stdout_ends_with_a_data_error(tmp_path, monkeypatch, capsysbinary,
+                                                         cli_env):
+    # With file descriptor 1 closed when the process begins, sys.stdout
+    # is None.
     paths = _write_corpora(tmp_path)
     argv = ["templates", paths["target"]]
-    code, _, err = _process(argv, cli_env, stdout=None, preexec_fn=lambda: os.close(1))
+    ended = _process(argv, cli_env, stdout=None, preexec_fn=lambda: os.close(1))
     monkeypatch.setattr(sys, "stdout", None)
-    with pytest.raises(AttributeError) as caught:
-        cli.main([str(arg) for arg in argv])
+    assert ended[0::2] == _in_process(argv, capsysbinary)[0::2] == (
+        2, b"sqlalign: error: no standard output\n")
+
+
+def test_an_error_other_than_a_data_error_prints_its_traceback(tmp_path, cli_env):
+    # An error outside the SqlAlignError family, here a RuntimeError
+    # from the templating, propagates out of main and the exit path.
+    paths = _write_corpora(tmp_path)
+    program = ("-c", "from sqlalign import cli\n"
+               "def fail(*args, **kwargs):\n    raise RuntimeError('not a data error')\n"
+               "cli.templatize_corpus = fail\ncli.run()")
+    code, _, err = _process(["templates", paths["target"]], cli_env, program)
     assert code == 1
     assert err.startswith(b"Traceback (most recent call last):\n")
-    assert err.endswith(f"AttributeError: {caught.value}\n".encode())
+    assert err.endswith(b"RuntimeError: not a data error\n")
 
 
 @pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])

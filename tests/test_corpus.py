@@ -520,19 +520,25 @@ def test_both_readers_keep_the_same_sql_or_fail_alike(tmp_path, name, data, opti
         assert total[0] == f"{path}: skipped {len(skipped)} bad row(s)"
 
 
-@pytest.mark.parametrize("data, message", [
-    ('sql\n"SELECT a FROM t\nSELECT b FROM u\nSELECT c FROM v\n', "unexpected end of data"),
-    ('sql\n"a"b\n', "',' expected after '\"'"),
-], ids=["unclosed-quote", "text-after-closing-quote"])
+@pytest.mark.parametrize("data, message, row", [
+    ('sql\n"SELECT a FROM t\nSELECT b FROM u\nSELECT c FROM v\n', "unexpected end of data", 0),
+    ('sql\n"a"b\n', "',' expected after '\"'", 0),
+    ('sql\nSELECT a FROM t\n"SELECT b FROM u\nSELECT c FROM v\n', "unexpected end of data", 1),
+    ('"sql\nSELECT a FROM t\n', "unexpected end of data", None),
+], ids=["unclosed-quote", "text-after-closing-quote", "unclosed-quote-in-the-second-record",
+        "unclosed-quote-in-the-header"])
 @pytest.mark.parametrize("options", [{}, {"skip_bad_rows": True}], ids=["strict", "skipping"])
-def test_malformed_csv_quoting_fails_both_readers_naming_the_file(tmp_path, data, message,
+def test_malformed_csv_quoting_fails_both_readers_naming_the_file(tmp_path, data, message, row,
                                                                   options):
     # Read leniently, an unclosed quote swallows the rest of the file into
-    # one record, and text after a closing quote joins the field.
+    # one record, and text after a closing quote joins the field. The
+    # error names the record being read, counted as JSONL counts its
+    # rows, and the file alone when that is the header.
     path = tmp_path / "c.csv"
     path.write_text(data, encoding="utf-8")
     outcome, _ = _read_both(path, options)
-    assert outcome == (FormatError, f"{path}: unreadable csv file: {message}", path, None)
+    where = f"{path}:" if row is None else f"{path} row {row}:"
+    assert outcome == (FormatError, f"{where} unreadable csv file: {message}", path, row)
 
 
 def test_load_sql_keeps_the_sql_column_and_each_distinct_text_once(tmp_path):

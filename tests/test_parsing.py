@@ -77,15 +77,10 @@ def _source_tokens(sql):
     return toks
 
 
-@pytest.mark.parametrize("sql", QUERY_ZOO_FIRST)
+@pytest.mark.parametrize("sql", QUERY_ZOO)
 def test_leaves_are_the_source_tokens_in_order(sql):
     # every token is exactly one leaf, in source order
     assert _leaves(parse_sql(sql)) == _source_tokens(sql)
-
-
-@pytest.mark.parametrize("sql", QUERY_ZOO_SECOND)
-def test_roundtrip_serialization(sql):
-    test_leaves_are_the_source_tokens_in_order(sql)
 
 
 def _check_leaves_are_the_tokens(sql):
