@@ -83,6 +83,18 @@ CASES = (
                                 "--source", "far.jsonl"], []),
     ("sample_group_field_no_row_holds", ["sample", "train.json", "--group-field", "nope",
                                          "--per-group", "1"], []),
+    ("align_four_sources", ["align", "--target", "target.jsonl", "--source", "train.json",
+                            "--source", "far.jsonl", "--source", "before.csv",
+                            "--source", "after.csv"], []),
+    ("ar_pred_no_record_parses", ["ar", "--target", "target.jsonl", "--train", "train.json",
+                                  "--pred", "bad.jsonl", "--c", "1"], []),
+    ("ar_skip_bad_rows_warns_before_an_earlier_error",
+     ["ar", "--skip-bad-rows", "--target", "bad.jsonl", "--train", "train.json",
+      "--pred", "gaps.jsonl", "--c", "1"], []),
+    ("patterns_before_no_record_parses", ["patterns", "--before", "bad.jsonl",
+                                          "--after", "after.csv"], []),
+    ("patterns_skip_bad_rows", ["patterns", "--skip-bad-rows", "--before", "gaps.jsonl",
+                                "--after", "after.csv"], []),
 )
 
 BROKEN = ["SELECT broken FROM", "SELECT a FROM t WHERE", "( (", "SELECT COUNT( FROM t",
