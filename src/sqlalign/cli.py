@@ -11,22 +11,12 @@ Every report embeds the options its command parsed. JSON output has sorted
 keys and fixed 6-decimal floats, so identical inputs and flags produce
 byte-identical reports. Exit codes: 0 success, 1 usage error, 2 data error.
 
-A command that reads several corpora keeps one run memo for them all, so
-it parses each distinct SQL string once; reports stay per corpus. The
-exceptions fork once, all through ``_in_two_processes``: over n items, a
-forked child works the last ``n // 2`` and this process the rest, the
-larger half, each with its own memo. The child's values cross in one
-``marshal`` write: an error as its class name and constructor arguments,
-any other value as a tuple of builtins. With one item, without
-``os.fork``, while another thread is alive (forking then is unsafe), or
-when the fork fails, this process works every item, and the command
-writes the same bytes. ``align`` and ``ar`` split their corpora, in
-command order, when there are three or more: ``ar`` 2|1 (the child takes
-``--pred``) and ``align`` over four corpora 2|2. ``ar`` loads all three
-files before it templatizes any, so a later file's load error or skip
-warning prints before an earlier file's template error. ``patterns``
-loads both dumps, then splits their distinct strings, each once in
-first-seen order, so a string that both dumps hold is matched once.
+Each command runs in one process. A command that reads several corpora
+keeps one run memo for them all, so it parses each distinct SQL string
+once; reports stay per corpus. It loads all of its files before it
+templatizes or matches any, so a later file's load error or skip warning
+prints before an earlier file's template error. ``patterns`` counts both
+dumps through one memo, so a string that both dumps hold is matched once.
 
 ``python -m sqlalign.cli`` and the ``sqlalign`` script end through
 ``run``: once the command has its exit code, it flushes stdout and stderr
@@ -44,21 +34,16 @@ import argparse
 import csv
 import io
 import json
-import marshal
 import math
 import os
 import sys
-import threading
 import warnings
 
-from . import errors, patterns
-from .corpus import (SqlCorpus, TemplatizeResult, load_corpus, map_distinct_sql, read_rows,
-                     sample_corpus, templatize_corpus)
+from .corpus import SqlCorpus, load_corpus, read_rows, sample_corpus, templatize_corpus
 from .errors import SqlAlignError
 from .metrics import DEFAULT_ALPHA, alignment_ratio, batch_align, ovlp_ratio
-from .ngrams import DEFAULT_L_MAX, NGramDistribution, write_distribution
+from .ngrams import DEFAULT_L_MAX, write_distribution
 from .patterns import count_patterns, diff_pattern_counts
-from .templates import StructuralTemplate
 
 
 def _json_value(value) -> str:
@@ -198,93 +183,17 @@ def cmd_templates(args) -> int:
     return 0
 
 
-def _in_two_processes(items: list, work, encode=tuple, decode=tuple) -> list:
-    """``work(items)``, a list with one value per item. A forked child
-    works the last ``len(items) // 2`` items while this process works the
-    rest, the larger half. The child replies in one ``marshal`` write to a
-    pipe, one entry per value: a SqlAlignError as a list of its class name
-    and the arguments its ``__reduce__`` gives, rebuilt from
-    ``sqlalign.errors``; any other value as ``encode(value)``, a tuple of
-    builtins, which ``decode`` turns back (a tuple by default, as it is).
-    The child is reaped on every path, and killed first on an error path.
-    A run that succeeds imports neither signal nor traceback. With one
-    item, without ``os.fork``, while another thread is alive, or when the
-    fork fails, this process works every item."""
-    half = len(items) - len(items) // 2
-    if half == len(items) or not hasattr(os, "fork") or threading.active_count() > 1:
-        return work(items)
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: all the work is done here
-        os.close(read_end)
-        os.close(write_end)
-        return work(items)
-    if pid == 0:  # the child leaves by os._exit alone, whatever happens
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps([[type(v).__name__, v.__reduce__()[1]]
-                                          if isinstance(v, SqlAlignError) else encode(v)
-                                          for v in work(items[half:])]))
-            status = 0
-        except Exception:
-            import traceback
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-    reply = None
-    try:
-        first = work(items[:half])
-        reply = pipe.read()
-    finally:
-        if reply is None:  # an error path: stop the child before it can fail writing
-            import signal
-            os.kill(pid, signal.SIGKILL)
-        pipe.close()
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"the forked process exited with status {code}")
-    return first + [getattr(errors, entry[0])(*entry[1]) if isinstance(entry, list)
-                    else decode(entry) for entry in marshal.loads(reply)]
-
-
 def _templatize_all(corpora: list[SqlCorpus], l_max: int) -> list:
     """Each corpus's TemplatizeResult, or the SqlAlignError it raised, in
-    order; each process templatizes its corpora through one run memo.
-    With three or more corpora the work goes through
-    ``_in_two_processes``: ``ar`` splits 2|1 and ``align`` over four
-    corpora 2|2. A result crosses as its counts, source label, template
-    tokens and failures."""
-    def work(part: list[SqlCorpus]) -> list:
-        memo = {}
-        outcomes = []
-        for corpus in part:
-            try:
-                outcomes.append(templatize_corpus(corpus, l_max=l_max, memo=memo))
-            except SqlAlignError as exc:
-                outcomes.append(exc)
-        return outcomes
-    if len(corpora) < 3:
-        return work(corpora)
-    shared = {}  # one StructuralTemplate per distinct token tuple of the child's results
-
-    def encode(result: TemplatizeResult) -> tuple:
-        return (result.distribution.counts, result.distribution.source_label,
-                [t.tokens for t in result.templates], result.failures)
-
-    def decode(reply: tuple) -> TemplatizeResult:
-        counts, source_label, all_tokens, failures = reply
-        shared.update((tokens, StructuralTemplate(tokens))
-                      for tokens in dict.fromkeys(all_tokens) if tokens not in shared)
-        return TemplatizeResult([shared[tokens] for tokens in all_tokens],
-                                NGramDistribution(counts, l_max, source_label), failures)
-    return _in_two_processes(corpora, work, encode, decode)
+    order, all through one run memo."""
+    memo = {}
+    outcomes = []
+    for corpus in corpora:
+        try:
+            outcomes.append(templatize_corpus(corpus, l_max=l_max, memo=memo))
+        except SqlAlignError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def cmd_align(args) -> int:
@@ -384,22 +293,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _match_each(sqls: list[str], memo: dict) -> list:
-    """The patterns view's value of each string, its pattern ids or the
-    ParseError it raised, matched through ``memo``."""
-    map_distinct_sql(SqlCorpus("", tuple(sqls)), patterns._matching_ids, memo)
-    strings = memo[patterns._matching_ids][0]
-    return [strings[sql] for sql in sqls]
-
-
 def cmd_patterns(args) -> int:
     before_corpus, after_corpus = _load(args, args.before), _load(args, args.after)
-    # The two dumps' distinct strings, each once in first-seen order; the
-    # forked child's values join this process's strings table.
-    memo = {}
-    sqls = list(dict.fromkeys(before_corpus.sqls + after_corpus.sqls))
-    values = _in_two_processes(sqls, lambda part: _match_each(part, memo))
-    memo[patterns._matching_ids][0].update(zip(sqls, values))
+    memo = {}  # a string that both dumps hold is matched once
     before = count_patterns(before_corpus, memo=memo)
     after = count_patterns(after_corpus, memo=memo)
     diff = diff_pattern_counts(before, after)

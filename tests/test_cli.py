@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import shlex
 import warnings
 from pathlib import Path
@@ -10,7 +9,6 @@ import pytest
 
 from sqlalign import cli, corpus, patterns
 from sqlalign.cli import _NOT_ECHOED, build_parser, dumps_report, main
-from sqlalign.errors import EmptyDistributionError, ParseError
 
 TARGET_ROWS = [
     {"question": "q1", "SQL": "SELECT name FROM singer WHERE age > 30", "db_id": "concert"},
@@ -319,9 +317,6 @@ def _write_strings(tmp_path) -> dict:
 
 
 def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
-    # In one process: align and ar fork over three corpora, and the calls
-    # of a child are not seen here.
-    monkeypatch.delattr(os, "fork")
     calls = []
 
     def counted(module, name):
@@ -348,61 +343,6 @@ def test_each_command_parses_a_distinct_string_once(tmp_path, monkeypatch):
         assert main([str(arg) for arg in argv] + ["-o", str(out)]) == 0
         distinct = {sql for name in read for sql in _STRINGS[name]}
         assert sorted(calls) == sorted(distinct), argv[0]
-
-
-def test_each_forked_process_parses_a_distinct_string_of_its_corpora_once(tmp_path,
-                                                                          monkeypatch):
-    # Over three corpora, this process templatizes target and src1 and a
-    # forked child src2. Both append their calls to one file.
-    log = tmp_path / "calls.jsonl"
-    templatize = corpus.templatize
-
-    def count_call(sql, *table):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([os.getpid(), sql]) + "\n")
-        return templatize(sql, *table)
-    monkeypatch.setattr(corpus, "templatize", count_call)
-    paths = _write_strings(tmp_path)
-    for argv in (["align", "--target", paths["target"], "--source", paths["src1"],
-                  "--source", paths["src2"]],
-                 ["ar", "--target", paths["target"], "--train", paths["src1"],
-                  "--pred", paths["src2"], "--c", "1"]):
-        log.write_text("")
-        assert main([str(arg) for arg in argv] + ["-o", str(tmp_path / "out.json")]) == 0
-        calls = {}
-        for line in log.read_text(encoding="utf-8").splitlines():
-            pid, sql = json.loads(line)
-            calls.setdefault(pid, []).append(sql)
-        parent = sorted(calls.pop(os.getpid()))
-        assert parent == sorted(set(_STRINGS["target"] + _STRINGS["src1"])), argv[0]
-        assert [sorted(child) for child in calls.values()] == [sorted(set(_STRINGS["src2"]))]
-
-
-def test_each_patterns_process_matches_its_half_of_the_distinct_strings_once(
-        tmp_path, monkeypatch):
-    # This process matches the first half of the two dumps' distinct
-    # strings and a forked child the rest; both append their calls to one
-    # file, and no string is matched in both.
-    log = tmp_path / "calls.jsonl"
-    matching_ids = patterns._matching_ids
-
-    def count_call(sql, *table):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([os.getpid(), sql]) + "\n")
-        return matching_ids(sql, *table)
-    monkeypatch.setattr(patterns, "_matching_ids", count_call)
-    paths = _write_strings(tmp_path)
-    log.write_text("")
-    assert main(["patterns", "--before", str(paths["src1"]), "--after", str(paths["target"]),
-                 "-o", str(tmp_path / "out.json")]) == 0
-    calls = {}
-    for line in log.read_text(encoding="utf-8").splitlines():
-        pid, sql = json.loads(line)
-        calls.setdefault(pid, []).append(sql)
-    distinct = list(dict.fromkeys(_STRINGS["src1"] + _STRINGS["target"]))
-    assert len(calls) == 2
-    assert calls.pop(os.getpid()) == distinct[:3]
-    assert list(calls.values()) == [distinct[3:]]
 
 
 @pytest.mark.parametrize("command", ["templates", "align", "ar", "patterns"])
@@ -714,64 +654,3 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)
-
-
-@pytest.mark.parametrize("with_fork", [
-    pytest.param(True, marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")),
-    False])
-@pytest.mark.parametrize("n", range(1, 6))
-def test_in_two_processes_gives_the_work_of_every_item_in_order(n, with_fork, tmp_path,
-                                                                 monkeypatch):
-    # A forked child works the last n // 2 items and this process the
-    # rest; one item, or no os.fork, keeps all the work here. Items 1 and
-    # 3 give a ParseError and item 2 an EmptyDistributionError, so the
-    # child's items hold both errors at n = 4. An error crosses without
-    # encode and comes back as its class with the same text, a ParseError
-    # with its message and position; encode sees every other value.
-    items = [f"item {i}" for i in range(n)]
-    half = n - n // 2
-    forked, worked = [], []
-    encoded = tmp_path / "encoded.jsonl"
-    if with_fork:
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", counted)
-    else:
-        monkeypatch.delattr(os, "fork")
-
-    def values_of(part):
-        return [ParseError("expected table name", 18) if item in ("item 1", "item 3")
-                else EmptyDistributionError(f"{item}: none of its 3 records parsed")
-                if item == "item 2" else (item, item.upper()) for item in part]
-
-    def work(part):
-        worked.append(part)  # the child appends to its own copy
-        return values_of(part)
-
-    def encode(value):
-        with open(encoded, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([os.getpid(), value]) + "\n")
-        return value[::-1]
-
-    def seen(values):
-        return [(type(v), str(v), getattr(v, "message", None), getattr(v, "position", None))
-                if isinstance(v, Exception) else v for v in values]
-
-    values = cli._in_two_processes(items, work, encode, lambda entry: entry[::-1])
-    assert seen(values) == seen(values_of(items))
-    lines = ([json.loads(line) for line in encoded.read_text(encoding="utf-8").splitlines()]
-             if encoded.exists() else [])
-    if with_fork and n > 1:
-        assert len(forked) == 1 and worked == [items[:half]]
-        assert [pid for pid, _ in lines] == [forked[0]] * len(lines)
-        assert [value for _, value in lines] == [
-            list(v) for v in values_of(items[half:]) if isinstance(v, tuple)]
-    else:
-        assert forked == [] and worked == [items] and lines == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

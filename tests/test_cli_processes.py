@@ -1,14 +1,11 @@
 """The CLI and its processes. Run as separate processes, the way a user
 runs it, its reports, stderr and exit codes must not depend on the
 process's string-hash seed, and no file may be opened in the locale's
-default encoding. ``align`` and ``ar`` over three or more corpora
-templatize the last half of them in a forked child, and ``patterns``
-matches the last half of its two dumps' distinct strings in one: each
-must write what one process writes, also when the fork fails, and leave
-no child behind on any path. A CLI process flushes stdout and stderr and
-ends by os._exit: it must end with what ``cli.main`` writes and returns,
-with PYTHONUNBUFFERED unset and set, and no command may leave a file for
-the interpreter to close."""
+default encoding. Each command runs in one process and forks no child,
+whatever its corpora and whether it succeeds or fails. A CLI process
+flushes stdout and stderr and ends by os._exit: it must end with what
+``cli.main`` writes and returns, with PYTHONUNBUFFERED unset and set, and
+no command may leave a file for the interpreter to close."""
 
 import csv
 import gc
@@ -18,7 +15,6 @@ import random
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -113,12 +109,12 @@ def test_reports_are_identical_across_hash_seeds(tmp_path):
             ] == [21, 6]
 
 
-# -- the forked child of align, ar and patterns ----------------------------------
+# -- align, ar and patterns in one process ----------------------------------------
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids os.fork returned in this process, one per fork."""
+    """The pids os.fork returns in this process; no command may add one."""
     returned = []
     fork = os.fork
 
@@ -191,18 +187,11 @@ def _patterns_cases(paths: dict[str, Path]) -> dict[str, list]:
     }
 
 
-def _with_and_without_fork(cases, monkeypatch, capsysbinary, forks) -> tuple[dict, list]:
-    """What each case writes and how often it forked; without os.fork,
-    each must write the same."""
-    forked = {}
-    counts = []
-    for name, argv in cases.items():
-        forks.clear()
-        forked[name] = _main(argv, capsysbinary)
-        counts.append(len(forks))
-    monkeypatch.delattr(os, "fork")
-    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == forked
-    return forked, counts
+def _run_cases(cases, capsysbinary, forks) -> dict:
+    """What each case writes; none may fork."""
+    written = {name: _main(argv, capsysbinary) for name, argv in cases.items()}
+    assert forks == []
+    return written
 
 
 def _skip_warnings(paths: dict[str, Path]) -> str:
@@ -211,47 +200,40 @@ def _skip_warnings(paths: dict[str, Path]) -> str:
             f"skipped\nsqlalign: warning: {paths['gaps']}: skipped 1 bad row(s)\n")
 
 
-def test_align_writes_the_same_bytes_with_and_without_its_forked_child(
-        tmp_path, monkeypatch, capsysbinary, forks):
+def test_align_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
     # Each report goes to stdout, so the exit code, stdout and stderr are
     # all that a run writes.
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    forked, counts = _with_and_without_fork(_align_cases(paths), monkeypatch, capsysbinary,
-                                            forks)
-    assert counts == [1, 1, 1, 1]
-    assert [code for code, _, _ in forked.values()] == [0, 0, 2, 2]
-    rows = json.loads(forked["source_fails"][1])["rows"]
+    written = _run_cases(_align_cases(paths), capsysbinary, forks)
+    assert [code for code, _, _ in written.values()] == [0, 0, 2, 2]
+    rows = json.loads(written["source_fails"][1])["rows"]
     assert ["error" in row for row in rows] == [False, False, True, True]
     assert rows[2]["error"] == (
         f"EmptyDistributionError: {paths['bad']}: none of its 2 records parsed")
     assert rows[3]["error"].startswith(f"FormatError: {paths['missing']}: cannot read")
     # The sources load before the target templates, so a source's
     # warnings print before the target's error.
-    assert forked["target_fails"][2] == (
+    assert written["target_fails"][2] == (
         _skip_warnings(paths)
         + f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
 
 
-def test_ar_writes_the_same_bytes_with_and_without_its_forked_child(
-        tmp_path, monkeypatch, capsysbinary, forks):
+def test_ar_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    forked, counts = _with_and_without_fork(_ar_cases(paths), monkeypatch, capsysbinary, forks)
-    # A file that cannot be read stops ar before it forks.
-    assert counts == [1, 1, 1, 0, 1]
-    assert [code for code, _, _ in forked.values()] == [0, 0, 2, 2, 2]
-    assert json.loads(forked["shared"][1])["parse_failures"] == {
+    written = _run_cases(_ar_cases(paths), capsysbinary, forks)
+    assert [code for code, _, _ in written.values()] == [0, 0, 2, 2, 2]
+    assert json.loads(written["shared"][1])["parse_failures"] == {
         "pred": 3, "target": 2, "train": 2}
-    assert forked["skipped_rows"][2].startswith(_skip_warnings(paths).encode())
-    # The child templatizes --pred, so this error crossed its reply.
-    assert forked["pred_fails"][2] == (
+    assert written["skipped_rows"][2].startswith(_skip_warnings(paths).encode())
+    assert written["pred_fails"][2] == (
         f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
-    assert forked["train_missing"][2].startswith(
+    assert written["train_missing"][2].startswith(
         f"sqlalign: error: {paths['missing']}: cannot read".encode())
     # ar loads all three files before it templatizes any, so the
     # prediction dump's warnings print before the target's error.
-    assert forked["target_fails"][2] == (
+    assert written["target_fails"][2] == (
         _skip_warnings(paths)
         + f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
 
@@ -268,24 +250,17 @@ def test_commands_over_fewer_than_three_corpora_stay_in_one_process(
     assert forks == []
 
 
-def test_patterns_writes_the_same_bytes_with_and_without_its_forked_child(
-        tmp_path, monkeypatch, capsysbinary, forks):
+def test_patterns_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    forked, counts = _with_and_without_fork(_patterns_cases(paths), monkeypatch, capsysbinary,
-                                            forks)
-    # A file that cannot be read stops patterns before it forks.
-    assert counts == [1, 1, 1, 1, 0]
-    assert [code for code, _, _ in forked.values()] == [0, 0, 0, 0, 2]
-    assert json.loads(forked["shared_json"][1])["parse_failures"] == {"after": 3, "before": 3}
-    assert forked["shared_csv"][1].startswith(b"pattern_id,before,after,delta,direction\n")
-    assert forked["skipped_rows"][2] == (
+    written = _run_cases(_patterns_cases(paths), capsysbinary, forks)
+    assert [code for code, _, _ in written.values()] == [0, 0, 0, 0, 2]
+    assert json.loads(written["shared_json"][1])["parse_failures"] == {"after": 3, "before": 3}
+    assert written["shared_csv"][1].startswith(b"pattern_id,before,after,delta,direction\n")
+    assert written["skipped_rows"][2] == (
         _skip_warnings(paths) + "patterns: before_failures=2 after_failures=3\n").encode()
-    # The other dumps end in their failing strings, so the child matches
-    # those and sends their errors back; the bad dump's come first, so
-    # this process matches them.
-    assert forked["before_fails"][2] == b"patterns: before_failures=2 after_failures=3\n"
-    assert forked["after_missing"][2].startswith(
+    assert written["before_fails"][2] == b"patterns: before_failures=2 after_failures=3\n"
+    assert written["after_missing"][2].startswith(
         f"sqlalign: error: {paths['missing']}: cannot read".encode())
 
 
@@ -319,106 +294,6 @@ def test_patterns_with_another_thread_alive_stays_in_one_process(tmp_path, capsy
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
     _run_with_another_thread_alive(_patterns_cases(paths)["shared_json"], capsysbinary, forks)
-
-
-def _fail_in_one_process(argv, monkeypatch, capsysbinary, forks, where, raised, name,
-                         fails_here) -> None:
-    """Runs argv with the CLI's function ``name`` failing in the parent,
-    on a call that ``fails_here`` picks, or in the child; the child must
-    be reaped either way. An interrupt in the parent kills the child,
-    which would otherwise work on for a minute; an error in the child
-    makes it exit with status 1, which the parent raises."""
-    parent = os.getpid()
-    original = getattr(cli, name)
-
-    def failing(corpus, *args, **options):
-        if os.getpid() == parent:
-            if where == "parent" and fails_here(corpus):
-                raise KeyboardInterrupt
-        elif where == "parent":
-            time.sleep(60)
-        else:
-            raise RuntimeError(f"{name} failed")
-        return original(corpus, *args, **options)
-
-    monkeypatch.setattr(cli, name, failing)
-    started = time.monotonic()
-    with pytest.raises(raised) as caught:
-        _main(argv, capsysbinary)
-    assert time.monotonic() - started < 30
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    if where == "child":
-        assert str(caught.value) == "the forked process exited with status 1"
-
-
-_FAILURES = pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
-                                                      ("child", RuntimeError)])
-
-
-@_FAILURES
-def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
-                                                         forks, where, raised):
-    # The parent templatizes target and train; the child far, before and
-    # after.
-    paths = _write_corpora(tmp_path)
-    _write_bad_files(paths, tmp_path)
-    _fail_in_one_process(_align_cases(paths)["shared_json"], monkeypatch, capsysbinary,
-                         forks, where, raised, "templatize_corpus",
-                         lambda corpus: corpus.name == str(paths["train"]))
-
-
-@_FAILURES
-def test_ar_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
-                                                      forks, where, raised):
-    # The parent templatizes target and train; the child the prediction
-    # dump.
-    paths = _write_corpora(tmp_path)
-    _write_bad_files(paths, tmp_path)
-    _fail_in_one_process(_ar_cases(paths)["shared"], monkeypatch, capsysbinary,
-                         forks, where, raised, "templatize_corpus",
-                         lambda corpus: corpus.name == str(paths["train"]))
-
-
-@_FAILURES
-def test_patterns_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch,
-                                                           capsysbinary, forks, where, raised):
-    # Each process matches its half of the distinct strings in one call.
-    paths = _write_corpora(tmp_path)
-    _write_bad_files(paths, tmp_path)
-    _fail_in_one_process(_patterns_cases(paths)["shared_json"], monkeypatch, capsysbinary,
-                         forks, where, raised, "map_distinct_sql", lambda corpus: True)
-
-
-def _open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_a_fork_that_fails_does_all_the_work_in_one_process(tmp_path, monkeypatch,
-                                                            capsysbinary):
-    # A fork refused for want of processes leaks no pipe end, and the
-    # command writes what it writes without os.fork.
-    paths = _write_corpora(tmp_path)
-    _write_bad_files(paths, tmp_path)
-    cases = {f"{command}_{name}": argv for command, of in [
-        ("align", _align_cases), ("ar", _ar_cases), ("patterns", _patterns_cases)]
-        for name, argv in of(paths).items()}
-    refused = []
-
-    def fork():
-        refused.append(None)
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", fork)
-    fds = _open_fds()
-    failed = {name: _main(argv, capsysbinary) for name, argv in cases.items()}
-    assert _open_fds() == fds
-    # Only the cases whose files all load reach the fork.
-    assert len(refused) == len(cases) - 2
-    monkeypatch.delattr(os, "fork")
-    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == failed
 
 
 # -- how a CLI process ends ------------------------------------------------------

@@ -34,21 +34,17 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_logging():
     assert _loaded_by_importing_the_cli({"dataclasses", "inspect", "logging"}) == "[]\n"
 
 
-_FORK_ONLY = {"pickle", "signal", "traceback"}
+_FAILURE_ONLY = {"pickle", "signal", "traceback"}
 
 
 def test_importing_the_cli_loads_none_of_the_modules_only_the_fork_needs():
-    # Every CLI process pays for what the import loads. The fork's reply
-    # uses no pickle, and signal and traceback serve only a fork that
-    # fails.
-    assert _loaded_by_importing_the_cli(_FORK_ONLY) == "[]\n"
+    # Every CLI process pays for what the import loads. No command needs
+    # pickle or signal, and traceback serves only an error that is not a
+    # data error.
+    assert _loaded_by_importing_the_cli(_FAILURE_ONLY) == "[]\n"
 
 
-def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_fork_needs(
-        tmp_path):
-    # The child replies through marshal, which is built in; signal and
-    # traceback serve only a fork that fails. patterns forks through the
-    # same helper.
+def test_an_align_ar_or_patterns_that_succeeds_loads_no_pickle_signal_or_traceback(tmp_path):
     paths = []
     for i, sql in enumerate(["SELECT a FROM t", "SELECT COUNT(*) FROM u WHERE b > 1",
                              "SELECT c, SUM(d) FROM v GROUP BY c"]):
@@ -61,13 +57,9 @@ def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_f
                 ["align", "--target", paths[0], "--source", paths[1], "--source", paths[2],
                  "-o", out],
                 ["patterns", "--before", paths[0], "--after", paths[1], "-o", out]]
-    # Each command forks once; the child leaves by os._exit, before the
-    # print.
-    then = ("import os\nfork, forks = os.fork, []\n"
-            "os.fork = lambda: forks.append(None) or fork()\n"
-            f"codes = [sqlalign.cli.main(argv) for argv in {commands!r}]\n"
-            "print(codes, len(forks))")
-    assert _loaded_by_importing_the_cli(_FORK_ONLY, then) == "[0, 0, 0] 3\n[]\n"
+    # Without os.fork, a command that still forked would raise.
+    then = f"import os\ndel os.fork\nprint([sqlalign.cli.main(argv) for argv in {commands!r}])"
+    assert _loaded_by_importing_the_cli(_FAILURE_ONLY, then) == "[0, 0, 0]\n[]\n"
 
 
 @pytest.mark.parametrize("command", ["templates", "ar"])
@@ -75,16 +67,15 @@ def test_a_command_run_as_a_process_loads_none_of_the_modules_only_a_failure_nee
         tmp_path, command):
     # The process flushes stdio and leaves by os._exit, which needs no
     # module and runs no atexit hook. Here os._exit prints the modules
-    # that the program loaded before it ends the process; ar's forked
-    # child prints its own line.
+    # that the program loaded before it ends the process, once.
     path = str(tmp_path / "c.jsonl")
     Path(path).write_text('{"sql": "SELECT a FROM t"}\n{"sql": "SELECT broken FROM"}\n',
                           encoding="utf-8")
-    argv, processes = {
-        "templates": (["templates", path], 1),
-        "ar": (["ar", "--target", path, "--train", path, "--pred", path, "--c", "1"], 2),
+    argv = {
+        "templates": ["templates", path],
+        "ar": ["ar", "--target", path, "--train", path, "--pred", path, "--c", "1"],
     }[command]
-    names = _FORK_ONLY | {"atexit", "logging"}
+    names = _FAILURE_ONLY | {"atexit", "logging"}
     code = ("import os, runpy, sys\nbefore = set(sys.modules)\nexit = os._exit\n"
             "def report(status):\n"
             f"    print(status, sorted({names!r} & (set(sys.modules) - before)), flush=True)\n"
@@ -94,7 +85,7 @@ def test_a_command_run_as_a_process_loads_none_of_the_modules_only_a_failure_nee
     proc = subprocess.run([sys.executable, "-c", code, *argv, "-o", str(tmp_path / "out")],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "0 []\n" * processes)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n")
 
 
 def test_the_package_imports_only_the_standard_library():

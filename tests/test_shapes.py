@@ -5,7 +5,6 @@ gives it."""
 import ast
 import itertools
 import json
-import os
 import random
 import re
 from pathlib import Path
@@ -336,9 +335,6 @@ def _pairs(runs) -> tuple[dict, set]:
 @pytest.mark.parametrize("command", ["templates", "align", "ar"])
 def test_a_cli_run_builds_one_template_object_per_shape_and_template(
         command, tmp_path, monkeypatch):
-    # In one process: align and ar fork over three corpora, and the
-    # objects a child builds are not seen here.
-    monkeypatch.delattr(os, "fork")
     argv = _template_run_argv(command, tmp_path)
 
     built = []
@@ -370,45 +366,3 @@ def test_a_cli_run_builds_one_template_object_per_shape_and_template(
     assert [template.tokens for template in twins] == [
         templatize(sql).tokens for sql in FUNCTION_TWINS]
     assert twins[0] is not twins[1]
-
-
-@pytest.mark.parametrize("command", ["align", "ar"])
-def test_each_forked_process_builds_one_template_object_per_shape_and_template(
-        command, tmp_path, monkeypatch):
-    # Over three corpora, this process templatizes the first two and a
-    # forked child the third. The child's templates come back as token
-    # tuples, and this process builds one object per distinct tuple. Both
-    # processes append a line for each object they build to one file.
-    argv = _template_run_argv(command, tmp_path)
-    log = tmp_path / "built.jsonl"
-    init = StructuralTemplate.__init__
-
-    def logged_init(self, tokens):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        init(self, tokens)
-    monkeypatch.setattr(StructuralTemplate, "__init__", logged_init)
-    runs = []
-    templatize_all = cli._templatize_all
-
-    def kept(corpora, l_max):
-        outcomes = templatize_all(corpora, l_max)
-        runs.append((corpora, outcomes))
-        return outcomes
-    monkeypatch.setattr(cli, "_templatize_all", kept)
-    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 0
-
-    [(corpora, outcomes)] = runs
-    first, _ = _pairs(zip(corpora[:2], outcomes[:2]))
-    second, _ = _pairs(zip(corpora[2:], outcomes[2:]))
-    replied = {}
-    for result in outcomes[2:]:
-        for template in result.templates:
-            assert template is replied.setdefault(template.tokens, template)
-    objects = [*first.values(), *replied.values()]
-    assert len({id(template) for template in objects}) == len(objects)
-    built = {}
-    for pid in log.read_text(encoding="utf-8").split():
-        built[int(pid)] = built.get(int(pid), 0) + 1
-    assert built.pop(os.getpid()) == len(objects)
-    assert list(built.values()) == [len(second)]
