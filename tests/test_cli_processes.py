@@ -187,10 +187,13 @@ def _patterns_cases(paths: dict[str, Path]) -> dict[str, list]:
     }
 
 
-def _run_cases(cases, capsysbinary, forks) -> dict:
-    """What each case writes; none may fork."""
+def _with_and_without_fork(cases, monkeypatch, capsysbinary, forks) -> dict:
+    """What each case writes; none may fork, and without os.fork each
+    must write the same."""
     written = {name: _main(argv, capsysbinary) for name, argv in cases.items()}
     assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert {name: _main(argv, capsysbinary) for name, argv in cases.items()} == written
     return written
 
 
@@ -200,12 +203,17 @@ def _skip_warnings(paths: dict[str, Path]) -> str:
             f"skipped\nsqlalign: warning: {paths['gaps']}: skipped 1 bad row(s)\n")
 
 
-def test_align_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
+# The three tests' names date from when align, ar and patterns forked a
+# child; the bytes each case writes must still not depend on os.fork.
+
+
+def test_align_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
     # Each report goes to stdout, so the exit code, stdout and stderr are
     # all that a run writes.
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    written = _run_cases(_align_cases(paths), capsysbinary, forks)
+    written = _with_and_without_fork(_align_cases(paths), monkeypatch, capsysbinary, forks)
     assert [code for code, _, _ in written.values()] == [0, 0, 2, 2]
     rows = json.loads(written["source_fails"][1])["rows"]
     assert ["error" in row for row in rows] == [False, False, True, True]
@@ -219,10 +227,11 @@ def test_align_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
         + f"sqlalign: error: {paths['bad']}: none of its 2 records parsed\n").encode()
 
 
-def test_ar_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
+def test_ar_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    written = _run_cases(_ar_cases(paths), capsysbinary, forks)
+    written = _with_and_without_fork(_ar_cases(paths), monkeypatch, capsysbinary, forks)
     assert [code for code, _, _ in written.values()] == [0, 0, 2, 2, 2]
     assert json.loads(written["shared"][1])["parse_failures"] == {
         "pred": 3, "target": 2, "train": 2}
@@ -250,10 +259,11 @@ def test_commands_over_fewer_than_three_corpora_stay_in_one_process(
     assert forks == []
 
 
-def test_patterns_writes_each_case_in_one_process(tmp_path, capsysbinary, forks):
+def test_patterns_writes_the_same_bytes_with_and_without_its_forked_child(
+        tmp_path, monkeypatch, capsysbinary, forks):
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
-    written = _run_cases(_patterns_cases(paths), capsysbinary, forks)
+    written = _with_and_without_fork(_patterns_cases(paths), monkeypatch, capsysbinary, forks)
     assert [code for code, _, _ in written.values()] == [0, 0, 0, 0, 2]
     assert json.loads(written["shared_json"][1])["parse_failures"] == {"after": 3, "before": 3}
     assert written["shared_csv"][1].startswith(b"pattern_id,before,after,delta,direction\n")
@@ -294,6 +304,70 @@ def test_patterns_with_another_thread_alive_stays_in_one_process(tmp_path, capsy
     paths = _write_corpora(tmp_path)
     _write_bad_files(paths, tmp_path)
     _run_with_another_thread_alive(_patterns_cases(paths)["shared_json"], capsysbinary, forks)
+
+
+def _fail_in_one_process(argv, monkeypatch, capsysbinary, forks, raised, name,
+                         fails_here) -> None:
+    """Runs argv with the CLI's function ``name`` raising ``raised`` on the
+    call that ``fails_here`` picks. The exception leaves ``cli.main`` as
+    it was raised, and the command forked no child and left none."""
+    original = getattr(cli, name)
+
+    def failing(corpus, *args, **options):
+        if fails_here(corpus):
+            raise raised(f"{name} failed")
+        return original(corpus, *args, **options)
+
+    monkeypatch.setattr(cli, name, failing)
+    with pytest.raises(raised) as caught:
+        _main(argv, capsysbinary)
+    assert str(caught.value) == f"{name} failed"
+    assert forks == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The names of the three tests below date from when a forked child did
+# the last half of the work. "parent" fails on a corpus of the first
+# half, with an interrupt, and "child" on one of the last half, with an
+# error.
+_FAILURES = pytest.mark.parametrize("where, raised", [("parent", KeyboardInterrupt),
+                                                      ("child", RuntimeError)])
+
+
+@_FAILURES
+def test_align_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
+                                                         forks, where, raised):
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    failing = paths["train" if where == "parent" else "far"]
+    _fail_in_one_process(_align_cases(paths)["shared_json"], monkeypatch, capsysbinary,
+                         forks, raised, "templatize_corpus",
+                         lambda corpus: corpus.name == str(failing))
+
+
+@_FAILURES
+def test_ar_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch, capsysbinary,
+                                                      forks, where, raised):
+    # The prediction dump is the last half.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    failing = paths["train" if where == "parent" else "before"]
+    _fail_in_one_process(_ar_cases(paths)["shared"], monkeypatch, capsysbinary,
+                         forks, raised, "templatize_corpus",
+                         lambda corpus: corpus.name == str(failing))
+
+
+@_FAILURES
+def test_patterns_reaps_its_child_when_either_process_fails(tmp_path, monkeypatch,
+                                                           capsysbinary, forks, where, raised):
+    # The before dump is the first half, the after dump the last.
+    paths = _write_corpora(tmp_path)
+    _write_bad_files(paths, tmp_path)
+    failing = paths["before" if where == "parent" else "after"]
+    _fail_in_one_process(_patterns_cases(paths)["shared_json"], monkeypatch, capsysbinary,
+                         forks, raised, "count_patterns",
+                         lambda corpus: corpus.name == str(failing))
 
 
 # -- how a CLI process ends ------------------------------------------------------

@@ -44,7 +44,11 @@ def test_importing_the_cli_loads_none_of_the_modules_only_the_fork_needs():
     assert _loaded_by_importing_the_cli(_FAILURE_ONLY) == "[]\n"
 
 
-def test_an_align_ar_or_patterns_that_succeeds_loads_no_pickle_signal_or_traceback(tmp_path):
+def test_a_forked_ar_and_align_that_succeed_load_none_of_the_modules_a_failing_fork_needs(
+        tmp_path):
+    # The name dates from when ar, align and patterns forked. Each now
+    # runs in one process, and a success loads none of pickle, signal and
+    # traceback.
     paths = []
     for i, sql in enumerate(["SELECT a FROM t", "SELECT COUNT(*) FROM u WHERE b > 1",
                              "SELECT c, SUM(d) FROM v GROUP BY c"]):

@@ -110,9 +110,10 @@ def test_the_leaves_of_generated_queries_are_their_tokens(seed, skeleton):
     _check_leaves_are_the_tokens(corpusgen.make_query(random.Random(seed), skeleton=skeleton))
 
 
-def _check_positions_are_increasing_leaf_indices(sql):
-    # a leaf is structural when its index is among the positions, and a
-    # schema token otherwise
+@pytest.mark.parametrize("sql", QUERY_ZOO)
+def test_every_token_has_exactly_one_role(sql):
+    # the positions are strictly increasing leaf indices: a leaf is
+    # structural when its index is among them, and a schema token otherwise
     tree = parse_sql(sql)
     leaves = _leaves(tree)
     assert all(isinstance(leaf, Token) for leaf in leaves)
@@ -121,16 +122,6 @@ def _check_positions_are_increasing_leaf_indices(sql):
     assert all(a < b for a, b in zip(positions, positions[1:]))
     # the template read from the leaves is the one read from the tokens
     assert derive_template(tree) == templatize(sql, {})
-
-
-@pytest.mark.parametrize("sql", QUERY_ZOO_FIRST)
-def test_positions_are_increasing_leaf_indices(sql):
-    _check_positions_are_increasing_leaf_indices(sql)
-
-
-@pytest.mark.parametrize("sql", QUERY_ZOO_SECOND)
-def test_every_token_has_exactly_one_role(sql):
-    _check_positions_are_increasing_leaf_indices(sql)
 
 
 def test_comments_and_trailing_semicolons_leave_no_leaf():

@@ -5,6 +5,7 @@ gives it."""
 import ast
 import itertools
 import json
+import os
 import random
 import re
 from pathlib import Path
@@ -366,3 +367,36 @@ def test_a_cli_run_builds_one_template_object_per_shape_and_template(
     assert [template.tokens for template in twins] == [
         templatize(sql).tokens for sql in FUNCTION_TWINS]
     assert twins[0] is not twins[1]
+
+
+@pytest.mark.parametrize("command", ["align", "ar"])
+def test_each_forked_process_builds_one_template_object_per_shape_and_template(
+        command, tmp_path, monkeypatch):
+    # The name dates from when align and ar templatized their last corpus
+    # in a forked child. Each process that builds a template object
+    # appends its pid to one file: only this process may appear, once per
+    # (shape, template) over all three corpora.
+    argv = _template_run_argv(command, tmp_path)
+    log = tmp_path / "built.txt"
+    init = StructuralTemplate.__init__
+
+    def logged_init(self, tokens):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, tokens)
+    monkeypatch.setattr(StructuralTemplate, "__init__", logged_init)
+    runs = []
+    templatize_all = cli._templatize_all
+
+    def kept(corpora, l_max):
+        outcomes = templatize_all(corpora, l_max)
+        runs.append((corpora, outcomes))
+        return outcomes
+    monkeypatch.setattr(cli, "_templatize_all", kept)
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 0
+
+    [(corpora, outcomes)] = runs
+    assert len(corpora) == 3
+    by_pair, _ = _pairs(zip(corpora, outcomes))
+    assert len({id(template) for template in by_pair.values()}) == len(by_pair)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * len(by_pair)
